@@ -6,8 +6,8 @@ exact analyzers for the binding and hiding properties, plus a networked
 mode with verifier-side round deadlines.
 """
 
-from .field import FieldElement, FieldSpec
-from .scheme import BOT, Commitment, SchemeParams
+from .field import FieldSpec
+from .scheme import BOT, SchemeParams
 
-__all__ = ["FieldSpec", "FieldElement", "Commitment", "SchemeParams", "BOT"]
+__all__ = ["FieldSpec", "SchemeParams", "BOT"]
 __version__ = "0.1.0"

@@ -21,12 +21,14 @@ from .engine import (
     STREAM_GAME_A,
     STREAM_GAME_B,
     STREAM_RANDOM_OPEN,
-    STREAM_SHARED,
     PartyView,
+    ProverStrategy,
     SchemeParams,
+    honest_reply,
     stream_value,
 )
 from .field import FieldSpec
+from .scheme import chsh_response
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ def tightness_success_probability(q: Fraction, m: int) -> Fraction:
     return 1 - (1 - q) ** (m // 2 + 1)
 
 
-class _TightnessState:
+class _TightnessState(ProverStrategy):
     """Shared logic for both attack strategies.
 
     The target chain w_i is the opening string that round i would have to
@@ -168,13 +170,6 @@ class _TightnessState:
     def __init__(self, target: int, rand: RandomizedChsh):
         self.target = target
         self.rand = rand
-
-    def begin_session(self, params: SchemeParams, prover_seed: int):
-        self.params = params
-        self.seed = prover_seed
-
-    def _pad(self, i: int) -> int:
-        return stream_value(self.seed, STREAM_SHARED, i, self.params.field.n)
 
     def _draws(self, i: int) -> Tuple[int, int]:
         n = self.params.field.n
@@ -209,20 +204,21 @@ class TightnessOpen(_TightnessState):
         m = self.params.m
         if round_index > m:
             if m % 2 == 1:
-                return self._pad(m)
+                return honest_reply(spec, m, round_index, None, self._pad)
             won, w = self._scan(view, m - 1)
             if won:
-                return self._pad(m)
+                return honest_reply(spec, m, round_index, None, self._pad)
             r_a, r_s = self._draws(m)
             return self.rand.y_play(w, r_a, r_s)
         a = view.challenge(round_index)
         won, w = self._scan(view, round_index - 2)
         if won:
-            return self._pad(round_index) ^ spec.mul_i(a, self._pad(round_index - 1))
+            return honest_reply(spec, m, round_index, a, self._pad)
         if round_index % 2 == 1:
+            # Commit honestly to the guessed chain value in place of y_{i-1}.
             r_a, r_s = self._draws(round_index - 1)
             guess = self.rand.y_play(w, r_a, r_s)
-            return self._pad(round_index) ^ spec.mul_i(a, guess)
+            return chsh_response(spec, guess, self._pad(round_index), a)
         r_a, r_s = self._draws(round_index)
         return self.rand.x_play(a, r_a, r_s)
 
@@ -240,27 +236,19 @@ def tightness_strategy(target: int, tables: ChshTables,
     return TightnessCommit(target, rand), TightnessOpen(target, rand)
 
 
-class RandomOpen:
+class RandomOpen(ProverStrategy):
     """Sustain honestly, then announce a uniformly random opening string.
 
     Extraction is a bijection in the announced string whenever the
     challenge is nonzero, so the opened value is uniform over the field.
     """
 
-    def begin_session(self, params: SchemeParams, prover_seed: int):
-        self.params = params
-        self.seed = prover_seed
-
-    def _pad(self, i: int) -> int:
-        return stream_value(self.seed, STREAM_SHARED, i, self.params.field.n)
-
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
         spec = self.params.field
         m = self.params.m
         if round_index > m:
             return stream_value(self.seed, STREAM_RANDOM_OPEN, 0, spec.n)
-        a = view.challenge(round_index)
-        return self._pad(round_index) ^ spec.mul_i(a, self._pad(round_index - 1))
+        return honest_reply(spec, m, round_index, view.challenge(round_index), self._pad)
 
 
 def random_open_strategy() -> RandomOpen:
@@ -303,8 +291,13 @@ def parse_tables(text: str) -> ChshTables:
     if not lines or not lines[0].startswith("#chsh-tables v1 "):
         raise ValueError("missing '#chsh-tables v1' header")
     hdr = dict(kv.split("=", 1) for kv in lines[0].split()[2:])
+    missing = [k for k in ("n", "poly", "q") if k not in hdr]
+    if missing:
+        raise ValueError(f"table header lacks {', '.join(missing)}")
     spec = FieldSpec(int(hdr["n"]), int(hdr["poly"], 16))
     num, den = hdr["q"].split("/")
+    if int(den) == 0:
+        raise ValueError(f"table header has a zero denominator in q={hdr['q']}")
     q = Fraction(int(num), int(den))
     body = lines[1:]
     if len(body) != 2 * spec.order:

@@ -17,7 +17,8 @@ from math import isqrt, sqrt
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import engine
-from .engine import STREAM_TARGET, STREAM_TRIAL, SchemeParams, stream_value
+from .engine import (STREAM_TARGET, STREAM_TRIAL, SchemeParams, honest_reply,
+                     shared_pads, stream_value)
 from .field import FieldSpec
 from .scheme import extr_bit_i, extr_i
 
@@ -263,7 +264,7 @@ def fairly_binding_extractor(spec: FieldSpec, commit_table: Sequence[int],
                              alpha: Fraction) -> Dict[Tuple[int, int], int]:
     """Greedy partition of the commitment space into per-value classes.
 
-    Commitments are c = (a, f(a)) with a uniform.  Repeatedly carve out of
+    The commitments are c = (a, f(a)) with a uniform.  Repeatedly carve out of
     the residual set the commitments that opening i maps to value s, as
     long as that slice has probability at least alpha (scanning i
     ascending, then s ascending); everything left maps to 0.  At most
@@ -376,6 +377,24 @@ def fixed_challenge_strategy(challenges: Sequence[int]) -> Callable[[int, tuple]
     return strategy
 
 
+def _honest_view(params: SchemeParams, verifier_strategy, value: int,
+                 horizon: int, pad) -> tuple:
+    """The verifier's view (a_0, x_0, ..., a_h, x_h[, y_m]) of an honest
+    session committing to value, with shared pads y_i = pad(i)."""
+    spec = params.field
+    m = params.m
+    view: tuple = ()
+    responses: tuple = ()
+    for i in range(min(horizon, m) + 1):
+        a = spec.check(verifier_strategy(i, responses))
+        x = honest_reply(spec, m, i, a, pad, value)
+        view += (a, x)
+        responses += (x,)
+    if horizon == m + 1:
+        view += (honest_reply(spec, m, m + 1, None, pad),)
+    return view
+
+
 def view_distribution(params: SchemeParams, verifier_strategy, value: int,
                       horizon: int) -> Dist:
     """Exact verifier-view distribution up to the given round.
@@ -391,20 +410,11 @@ def view_distribution(params: SchemeParams, verifier_strategy, value: int,
         raise ValueError("horizon beyond the last round")
     if spec.n * (m + 1) > 18:
         raise ValueError("view space too large to enumerate exactly; "
-                         "use view_distribution_mc")
+                         "use hiding_distance_mc")
     counts: Dict[tuple, int] = {}
     for pads in product(range(spec.order), repeat=m + 1):
-        view: List[int] = []
-        responses: List[int] = []
-        for i in range(min(horizon, m) + 1):
-            a = spec.check(verifier_strategy(i, tuple(responses)))
-            prev = value if i == 0 else pads[i - 1]
-            x = pads[i] ^ spec.mul_i(a, prev)
-            view += [a, x]
-            responses.append(x)
-        if horizon == m + 1:
-            view.append(pads[m])
-        key = tuple(view)
+        key = _honest_view(params, verifier_strategy, value, horizon,
+                           pads.__getitem__)
         counts[key] = counts.get(key, 0) + 1
     return Dist.from_counts(counts, spec.order ** (m + 1))
 
@@ -420,26 +430,13 @@ def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
 def hiding_distance_mc(params: SchemeParams, verifier_strategy, s0: int, s1: int,
                        horizon: int, trials: int, seed: int) -> Tuple[Fraction, int]:
     """Empirical view distance from sampled sessions; returns (estimate, trials)."""
-    spec = params.field
-    m = params.m
+    n = params.field.n
     counts0: Dict[tuple, int] = {}
     counts1: Dict[tuple, int] = {}
     for t in range(trials):
-        tseed = engine.stream_u64(seed, STREAM_TRIAL, t)
+        pad = shared_pads(engine.stream_u64(seed, STREAM_TRIAL, t), n)
         for value, counts in ((s0, counts0), (s1, counts1)):
-            view: List[int] = []
-            responses: List[int] = []
-            prev = value
-            for i in range(min(horizon, m) + 1):
-                a = spec.check(verifier_strategy(i, tuple(responses)))
-                pad = stream_value(tseed, engine.STREAM_SHARED, i, spec.n)
-                x = pad ^ spec.mul_i(a, prev)
-                view += [a, x]
-                responses.append(x)
-                prev = pad
-            if horizon == m + 1:
-                view.append(stream_value(tseed, engine.STREAM_SHARED, m, spec.n))
-            key = tuple(view)
+            key = _honest_view(params, verifier_strategy, value, horizon, pad)
             counts[key] = counts.get(key, 0) + 1
     return stat_distance(Dist.from_counts(counts0, trials),
                          Dist.from_counts(counts1, trials)), trials

@@ -15,7 +15,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from . import adversary, analysis, engine, net
-from .field import DEFAULT_POLYS, FieldSpec
+from .field import FieldSpec
 from .scheme import BOT, SchemeParams, multiround_verify
 
 
@@ -61,7 +61,7 @@ def _field(args, cfg) -> FieldSpec:
     n = _get(args, cfg, "n", int)
     poly = getattr(args, "poly", None) or cfg.get("poly")
     if poly is None:
-        return FieldSpec(n, DEFAULT_POLYS[n])
+        return FieldSpec.default(n)
     return FieldSpec(n, int(poly, 16))
 
 

@@ -8,6 +8,10 @@ off a separate root split so strategies can never reconstruct upcoming
 challenges.  2^64 is a multiple of 2^n, so reducing a stream value mod 2^n
 is exactly uniform.
 
+``Verifier`` is the verifier with no I/O; ``run_attack_session`` drives it
+with in-process strategies and ``net.serve_verifier`` over sockets.  What an
+honest prover sends is ``honest_reply``.
+
 The no-communication constraint is structural: the engine calls a strategy
 with the active party's visible message set only, and the view accessors
 raise ProtocolViolation for anything outside it.  A prover sees its own
@@ -18,10 +22,11 @@ verifier exchanged (the one-way prover-to-prover forwarding).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .field import FieldSpec
-from .scheme import BOT, OpenOutcome, SchemeParams, multiround_verify, other_prover
+from .scheme import (BOT, OpenOutcome, SchemeParams, active_prover, chsh_response,
+                     multiround_verify)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -59,23 +64,42 @@ def prover_root_seed(master_seed: int) -> int:
     return stream_u64(master_seed, STREAM_PROVER_ROOT, 0)
 
 
+def shared_pads(prover_seed: int, n: int) -> Callable[[int], int]:
+    """The honest provers' shared pads (their joint randomness) under
+    prover_seed: the returned pad(i) is y_i."""
+    mask = (1 << n) - 1
+
+    def pad(i: int) -> int:
+        return stream_u64(prover_seed, STREAM_SHARED, i) & mask
+    return pad
+
+
+def honest_reply(spec: FieldSpec, m: int, round_index: int, a: Optional[int],
+                 pad: Callable[[int], int], value: int = 0) -> int:
+    """What an honest prover sends at round_index, with pads y_i = pad(i).
+
+    Rounds 0..m answer the challenge a with x_i = y_i + a*y_{i-1}, where
+    y_{-1} = value is the committed value; the opening (round m+1)
+    announces y_m and takes no challenge (a is None).
+    """
+    if round_index > m:
+        return pad(m)
+    prev = pad(round_index - 1) if round_index else value
+    return chsh_response(spec, prev, pad(round_index), a)
+
+
 class ProtocolViolation(Exception):
     """A strategy asked for a message outside its visible set."""
 
 
-# Control payloads (the honest flows only carry field elements).
-OPEN, ACCEPT, REJECT = "OPEN", "ACCEPT", "REJECT"
-_CONTROL = (OPEN, ACCEPT, REJECT)
-
-Payload = Union[int, str]
-
-
 @dataclass(frozen=True)
 class RoundMessage:
+    """One protocol message; the payload is a raw field element."""
+
     round: int
     sender: str
     receiver: str
-    payload: Payload
+    payload: int
 
     def __post_init__(self):
         if self.sender == self.receiver:
@@ -107,10 +131,8 @@ class Transcript:
         lines = [f"#relcommit v1 n={p.field.n} poly=0x{p.field.poly:x} "
                  f"m={p.m} seed={self.seed}"]
         for msg in self.messages:
-            pay = (msg.payload if isinstance(msg.payload, str)
-                   else p.field.to_hex(msg.payload))
             lines.append(f"round={msg.round} from={msg.sender} "
-                         f"to={msg.receiver} payload={pay}")
+                         f"to={msg.receiver} payload={p.field.to_hex(msg.payload)}")
         out = "BOT" if self.outcome is BOT else p.field.to_hex(self.outcome)
         lines.append(f"outcome={out}")
         return "\n".join(lines) + "\n"
@@ -145,10 +167,8 @@ def parse_transcript(text: str) -> Transcript:
             continue
         try:
             kv = dict(p.split("=", 1) for p in line.split())
-            pay = kv["payload"]
-            payload: Payload = pay if pay in _CONTROL else spec.from_hex(pay)
             t.messages.append(RoundMessage(
-                int(kv["round"]), kv["from"], kv["to"], payload))
+                int(kv["round"]), kv["from"], kv["to"], spec.from_hex(kv["payload"])))
         except (KeyError, ValueError) as e:
             raise TranscriptParseError(lineno, f"bad message line: {e}") from None
     if not outcome_seen:
@@ -175,7 +195,7 @@ class PartyView:
     def messages(self) -> tuple:
         return self._messages
 
-    def _find(self, want_challenge: bool, i: int) -> Payload:
+    def _find(self, want_challenge: bool, i: int) -> int:
         for m in self._messages:
             if m.round == i and (m.sender == "V") == want_challenge:
                 return m.payload
@@ -214,53 +234,96 @@ def visible_history(transcript: Transcript, party: str, round_index: int,
 # -- strategies --------------------------------------------------------------
 
 
-class HonestCommit:
+class ProverStrategy:
+    """Base of the seeded prover strategies: begin_session binds one
+    session's parameters and prover root seed, and _pad(i) is then y_i."""
+
+    def begin_session(self, params: SchemeParams, prover_seed: int):
+        self.params = params
+        self.seed = prover_seed
+        self._pad = shared_pads(prover_seed, params.field.n)
+
+
+class HonestCommit(ProverStrategy):
     """Round-0 behaviour of an honest committer: x_0 = y_0 + a_0 * s."""
 
     def __init__(self, value: int):
         self.value = value
 
     def begin_session(self, params: SchemeParams, prover_seed: int):
-        self.params = params
-        self.seed = prover_seed
+        super().begin_session(params, prover_seed)
         k = params.domain_bits
         if k is not None and self.value >> k:
             raise ValueError("committed value outside the scheme domain")
         params.field.check(self.value)
 
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
-        spec = self.params.field
-        a0 = view.challenge(0)
-        y0 = stream_value(self.seed, STREAM_SHARED, 0, spec.n)
-        return y0 ^ spec.mul_i(a0, self.value)
+        return honest_reply(self.params.field, self.params.m, 0,
+                            view.challenge(0), self._pad, self.value)
 
 
-class HonestOpen:
+class HonestOpen(ProverStrategy):
     """Sustain and opening behaviour of honest provers.
 
     Round i >= 1 commits to the previous pad: x_i = y_i + a_i * y_{i-1};
     the final message announces y_m.
     """
 
-    def begin_session(self, params: SchemeParams, prover_seed: int):
-        self.params = params
-        self.seed = prover_seed
-
-    def _pad(self, i: int) -> int:
-        return stream_value(self.seed, STREAM_SHARED, i, self.params.field.n)
-
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
-        spec = self.params.field
         m = self.params.m
-        if round_index > m:
-            return self._pad(m)
-        a = view.challenge(round_index)
-        return self._pad(round_index) ^ spec.mul_i(a, self._pad(round_index - 1))
+        a = view.challenge(round_index) if round_index <= m else None
+        return honest_reply(self.params.field, m, round_index, a, self._pad)
 
 
-def active_prover(params: SchemeParams, round_index: int) -> str:
-    first = params.first_committer
-    return first if round_index % 2 == 0 else other_prover(first)
+class Verifier:
+    """The verifier of one session, as a state machine with no I/O.
+
+    Callers alternate request() -> (round, prover, challenge) and
+    receive(reply) until done.  Rounds 0..m challenge with fixed_challenges
+    or the seeded STREAM_CHALLENGE stream; round m+1 asks for the opening
+    (challenge None), whose receipt sets the outcome via multiround_verify.
+    Messages enter ``transcript`` as they are issued or received, so an
+    aborted session keeps what was exchanged.
+    """
+
+    def __init__(self, params: SchemeParams, seed: int,
+                 fixed_challenges: Optional[Sequence[int]] = None):
+        self.params = params
+        self.transcript = Transcript(params, seed)
+        self.round = 0
+        self.done = False
+        self._fixed = fixed_challenges
+        self._prover: Optional[str] = None
+        self._challenges: List[int] = []
+        self._responses: List[int] = []
+
+    def request(self) -> Tuple[int, str, Optional[int]]:
+        params = self.params
+        i = self.round
+        prover = self._prover = active_prover(params, i)
+        if i > params.m:
+            return i, prover, None
+        spec = params.field
+        if self._fixed is None:
+            a = stream_value(self.transcript.seed, STREAM_CHALLENGE, i, spec.n)
+        else:
+            a = spec.check(self._fixed[i])
+        self.transcript.messages.append(RoundMessage(i, "V", prover, a))
+        self._challenges.append(a)
+        return i, prover, a
+
+    def receive(self, value: int) -> None:
+        params = self.params
+        i = self.round
+        x = params.field.check(value)
+        self.transcript.messages.append(RoundMessage(i, self._prover, "V", x))
+        self.round = i + 1
+        if i <= params.m:
+            self._responses.append(x)
+        else:
+            self.transcript.outcome = multiround_verify(
+                params, self._challenges, self._responses, x)
+            self.done = True
 
 
 def run_attack_session(params: SchemeParams, commit_strategy, open_strategy,
@@ -276,38 +339,20 @@ def run_attack_session(params: SchemeParams, commit_strategy, open_strategy,
     fixed_challenges overrides the seeded verifier and forwarding_lag the
     two-round prover-to-prover delay (test knobs).
     """
-    spec = params.field
     pseed = prover_root_seed(seed)
     for strat in (commit_strategy, open_strategy):
         begin = getattr(strat, "begin_session", None)
         if begin is not None:
             begin(params, pseed)
 
-    t = Transcript(params, seed)
-    msgs = t.messages
-    challenges: List[int] = []
-    responses: List[int] = []
-    for i in range(params.m + 1):
-        if fixed_challenges is not None:
-            a = spec.check(fixed_challenges[i])
-        else:
-            a = stream_value(seed, STREAM_CHALLENGE, i, spec.n)
-        prover = active_prover(params, i)
-        msgs.append(RoundMessage(i, "V", prover, a))
+    verifier = Verifier(params, seed, fixed_challenges)
+    msgs = verifier.transcript.messages
+    while not verifier.done:
+        i, prover, _ = verifier.request()
         strat = commit_strategy if i == 0 else open_strategy
-        x = spec.check(strat(prover, i, PartyView(
+        verifier.receive(strat(prover, i, PartyView(
             prover, i, _visible(msgs, prover, i, forwarding_lag))))
-        msgs.append(RoundMessage(i, prover, "V", x))
-        challenges.append(a)
-        responses.append(x)
-
-    opener = other_prover(active_prover(params, params.m))
-    fin = params.m + 1
-    y = spec.check(open_strategy(opener, fin, PartyView(
-        opener, fin, _visible(msgs, opener, fin, forwarding_lag))))
-    msgs.append(RoundMessage(fin, opener, "V", y))
-    t.outcome = multiround_verify(params, challenges, responses, y)
-    return t
+    return verifier.transcript
 
 
 def run_honest_session(params: SchemeParams, value: int, seed: int,

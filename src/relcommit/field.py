@@ -2,9 +2,8 @@
 
 Elements are unsigned ints below 2**n; addition is XOR and multiplication is
 the carry-less polynomial product reduced modulo an explicit irreducible
-polynomial.  A ``FieldSpec`` carries (n, poly) and does the actual work on raw
-ints (``add_i`` / ``mul_i`` / ``inv_i``); ``FieldElement`` is a thin typed
-wrapper for code that wants operator syntax and spec-mismatch checking.
+polynomial.  A ``FieldSpec`` carries (n, poly) and works on raw ints
+(``mul_i`` / ``pow_i`` / ``inv_i``, with ``check`` for range validation).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 
 
 class FieldError(ValueError):
-    """Illegal field operation (spec mismatch, inverse of zero, bad spec)."""
+    """Illegal field operation (value out of range, inverse of zero, bad spec)."""
 
 
 # Lexicographically smallest irreducible polynomial of each degree 1..24,
@@ -26,17 +25,6 @@ DEFAULT_POLYS = {
 }
 
 MAX_N = 24
-
-
-def xmul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials (no reduction)."""
-    r = 0
-    while a:
-        if a & 1:
-            r ^= b
-        a >>= 1
-        b <<= 1
-    return r
 
 
 def xmod(a: int, b: int) -> int:
@@ -95,19 +83,12 @@ class FieldSpec:
     def order(self) -> int:
         return 1 << self.n
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.n) - 1
-
     def check(self, v: int) -> int:
         if not 0 <= v < (1 << self.n):
             raise FieldError(f"value {v} outside GF(2^{self.n})")
         return v
 
     # -- raw int arithmetic ------------------------------------------------
-
-    def add_i(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul_i(self, a: int, b: int) -> int:
         p = 0
@@ -142,14 +123,7 @@ class FieldSpec:
             self._inv_cache[a] = v
         return v
 
-    # -- element interface -------------------------------------------------
-
-    def element(self, v: int) -> "FieldElement":
-        return FieldElement(self.check(v), self)
-
-    def elements(self):
-        for v in range(1 << self.n):
-            yield FieldElement(v, self)
+    # -- serialization -----------------------------------------------------
 
     def to_hex(self, v: int) -> str:
         """Big-endian lowercase hex, ceil(n/4) digits."""
@@ -157,51 +131,3 @@ class FieldSpec:
 
     def from_hex(self, s: str) -> int:
         return self.check(int(s, 16))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A value of a specific GF(2^n); combinable only with same-spec elements."""
-
-    bits: int
-    spec: FieldSpec
-
-    def __post_init__(self):
-        self.spec.check(self.bits)
-
-    def _same(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise FieldError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldError("operands belong to different field specs")
-        return other
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.bits ^ self._same(other).bits, self.spec)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.spec.mul_i(self.bits, self._same(other).bits), self.spec)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec.pow_i(self.bits, e), self.spec)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec.inv_i(self.bits), self.spec)
-
-    def hex(self) -> str:
-        return self.spec.to_hex(self.bits)
-
-    def __repr__(self):
-        return f"gf{self.spec.n}:{self.hex()}"
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inv()

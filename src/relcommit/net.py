@@ -7,11 +7,12 @@ round on its side only: a response landing later than the deadline after its
 challenge aborts the session, which is what makes the no-communication
 window operational.  Provers are untrusted and untimed.
 
-The verifier connects out to the two prover listeners, drives the rounds
-with a strict barrier (never issuing challenge i before response i-1 is
-validated), requests the final opening with an OPEN frame, and distributes
-the RESULT.  A loopback session with the provers seeded like the in-process
-engine produces a byte-identical transcript.
+The verifier connects out to the two prover listeners and drives the same
+sans-IO ``engine.Verifier`` as the in-process engine, with a strict barrier
+(never issuing challenge i before response i-1 is validated); it requests
+the final opening with an OPEN frame and distributes the RESULT.  A loopback
+session with the provers seeded like the in-process engine produces a
+byte-identical transcript.
 """
 
 from __future__ import annotations
@@ -22,16 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .engine import (
-    STREAM_CHALLENGE,
-    STREAM_SHARED,
-    RoundMessage,
-    Transcript,
-    other_prover,
-    prover_root_seed,
-    stream_value,
-)
-from .scheme import BOT, SchemeParams, multiround_verify
+from .engine import Transcript, Verifier, honest_reply, prover_root_seed, shared_pads
+from .scheme import BOT, SchemeParams
 
 MAGIC = b"RELCOMMT"
 VERSION = 1
@@ -172,7 +165,8 @@ def serve_verifier(params: SchemeParams, deadlines: DeadlineConfig, seed: int,
     nbytes = body_len(spec.n)
     timeout = deadlines.per_round_ms / 1000.0
     conns = {}
-    t = Transcript(params, seed)
+    verifier = Verifier(params, seed)
+    t = verifier.transcript
     try:
         for role, ep in (("P", deadlines.p_endpoint), ("Q", deadlines.q_endpoint)):
             c = socket.create_connection(ep, timeout=5.0)
@@ -184,12 +178,12 @@ def serve_verifier(params: SchemeParams, deadlines: DeadlineConfig, seed: int,
                 _abort_all(conns, ABORT_MALFORMED, 0)
                 return _finish(t, out_path, aborted=True, reason=ABORT_MALFORMED)
 
-        def exchange(conn, out_msg: WireMessage, want_type: int,
-                     round_index: int):
+        def exchange(conn, ask: WireMessage):
             """Returns (reply, None) or (None, abort reason)."""
+            want = T_RESPONSE if ask.type == T_CHALLENGE else T_OPEN
             conn.settimeout(timeout)
             sent_at = time.monotonic()
-            send_frame(conn, out_msg)
+            send_frame(conn, ask)
             try:
                 reply = recv_frame(conn)
             except (TimeoutError, socket.timeout):
@@ -198,45 +192,26 @@ def serve_verifier(params: SchemeParams, deadlines: DeadlineConfig, seed: int,
                 return None, ABORT_MALFORMED
             if time.monotonic() - sent_at > timeout:
                 return None, ABORT_DEADLINE
-            if (reply.type != want_type or reply.round != round_index
+            if (reply.type != want or reply.round != ask.round
                     or len(reply.body) != nbytes
                     or int.from_bytes(reply.body, "big") >= spec.order):
                 return None, ABORT_MALFORMED
             return reply, None
 
-        challenges, responses = [], []
-        for i in range(params.m + 1):
-            a = stream_value(seed, STREAM_CHALLENGE, i, spec.n)
-            prover = params.first_committer if i % 2 == 0 else other_prover(params.first_committer)
-            t.messages.append(RoundMessage(i, "V", prover, a))
-            reply, reason = exchange(conns[prover],
-                                     WireMessage(T_CHALLENGE, i, element_body(spec.n, a)),
-                                     T_RESPONSE, i)
+        while not verifier.done:
+            i, prover, a = verifier.request()
+            ask = (WireMessage(T_OPEN, i, bytes(nbytes)) if a is None
+                   else WireMessage(T_CHALLENGE, i, element_body(spec.n, a)))
+            reply, reason = exchange(conns[prover], ask)
             if reply is None:
                 _abort_all(conns, reason, i)
                 return _finish(t, out_path, aborted=True, reason=reason)
-            x = int.from_bytes(reply.body, "big")
-            t.messages.append(RoundMessage(i, prover, "V", x))
-            challenges.append(a)
-            responses.append(x)
-
-        last_prover = params.first_committer if params.m % 2 == 0 else other_prover(params.first_committer)
-        opener = other_prover(last_prover)
-        fin = params.m + 1
-        reply, reason = exchange(conns[opener],
-                                 WireMessage(T_OPEN, fin, bytes(nbytes)),
-                                 T_OPEN, fin)
-        if reply is None:
-            _abort_all(conns, reason, fin)
-            return _finish(t, out_path, aborted=True, reason=reason)
-        y = int.from_bytes(reply.body, "big")
-        t.messages.append(RoundMessage(fin, opener, "V", y))
-        t.outcome = multiround_verify(params, challenges, responses, y)
+            verifier.receive(int.from_bytes(reply.body, "big"))
         body = (bot_body(spec.n) if t.outcome is BOT
                 else element_body(spec.n, t.outcome))
         for c in conns.values():
             c.settimeout(5.0)
-            send_frame(c, WireMessage(T_RESULT, fin, body))
+            send_frame(c, WireMessage(T_RESULT, params.m + 1, body))
         return _finish(t, out_path)
     except WireError:
         _abort_all(conns, ABORT_MALFORMED, 0)
@@ -273,10 +248,7 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
     if role not in ("P", "Q"):
         raise ValueError("role must be 'P' or 'Q'")
     spec = params.field
-    pseed = prover_root_seed(shared_secret_seed)
-
-    def pad(i: int) -> int:
-        return stream_value(pseed, STREAM_SHARED, i, spec.n)
+    pad = shared_pads(prover_root_seed(shared_secret_seed), spec.n)
 
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -304,16 +276,15 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
             if msg.type == T_CHALLENGE:
                 a = int.from_bytes(msg.body, "big")
                 i = msg.round
-                prev = value if i == 0 else pad(i - 1)
-                x = pad(i) ^ spec.mul_i(a, prev)
+                x = honest_reply(spec, params.m, i, a, pad, value)
                 if delay_ms_at_round and delay_ms_at_round[0] == i:
                     time.sleep(delay_ms_at_round[1] / 1000.0)
                 send_frame(conn, WireMessage(T_RESPONSE, i, element_body(spec.n, x)))
             elif msg.type == T_OPEN:
                 if delay_ms_at_round and delay_ms_at_round[0] == msg.round:
                     time.sleep(delay_ms_at_round[1] / 1000.0)
-                send_frame(conn, WireMessage(
-                    T_OPEN, msg.round, element_body(spec.n, pad(params.m))))
+                y = honest_reply(spec, params.m, params.m + 1, None, pad)
+                send_frame(conn, WireMessage(T_OPEN, msg.round, element_body(spec.n, y)))
             elif msg.type == T_RESULT:
                 return 0
             elif msg.type == T_ABORT:

@@ -1,11 +1,12 @@
 """The CHSH^n string/bit commitment scheme and its composition algebra.
 
-A commitment is the commit-phase communication (a, x).  The verifier's
-opening map is ``extr``: with challenge a != 0 the opened string is
-s = (x + y) * a^-1 for the announced y; the bit scheme uses the smaller
-satisfying bit.  Multi-round schemes chain commitments: round i commits to
-the previous round's opening string, and the verifier back-substitutes
-y_{i-1} = (x_i + y_i) * a_i^-1 down to the committed value.
+A commitment is the commit-phase communication (a, x), two raw field ints;
+the honest committer sends x = r + a*s (``chsh_response``).  The verifier's
+opening map is ``extr_i``: with challenge a != 0 the opened string is
+s = (x + y) * a^-1 for the announced y; the bit scheme (``extr_bit_i``) uses
+the smaller satisfying bit.  Multi-round schemes chain commitments: round i
+commits to the previous round's opening string, and the verifier
+back-substitutes y_{i-1} = (x_i + y_i) * a_i^-1 down to the committed value.
 
 Scheme descriptors are plain data (roles, opening shape, domains) so that
 eligibility checking and the composition operator work on any scheme of the
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 
 
 class _Bot:
@@ -41,18 +42,6 @@ BOT = _Bot()
 
 # A verifier outcome: an opened value (int, possibly domain-restricted) or BOT.
 OpenOutcome = Union[int, _Bot]
-
-
-@dataclass(frozen=True)
-class Commitment:
-    """Commit-phase communication (a, x) in one field."""
-
-    a: FieldElement
-    x: FieldElement
-
-    def __post_init__(self):
-        if self.a.spec != self.x.spec:
-            raise ValueError("commitment halves from different field specs")
 
 
 @dataclass(frozen=True)
@@ -83,9 +72,17 @@ def other_prover(p: str) -> str:
     return "Q" if p == "P" else "P"
 
 
-def chsh_response(s: FieldElement, r: FieldElement, a: FieldElement) -> FieldElement:
-    """Honest committer's reply: r + a*s, with r the shared pad."""
-    return r + a * s
+def active_prover(params: SchemeParams, round_index: int) -> str:
+    """The prover that answers round_index; the roles alternate, starting
+    with first_committer, and the final opening (round m+1) comes from the
+    prover that did not answer round m."""
+    first = params.first_committer
+    return first if round_index % 2 == 0 else other_prover(first)
+
+
+def chsh_response(spec: FieldSpec, s: int, r: int, a: int) -> int:
+    """Honest committer's reply to challenge a: r + a*s, with r the shared pad."""
+    return r ^ spec.mul_i(a, s)
 
 
 def extr_i(spec: FieldSpec, y: int, a: int, x: int) -> OpenOutcome:
@@ -99,13 +96,6 @@ def extr_i(spec: FieldSpec, y: int, a: int, x: int) -> OpenOutcome:
     return 0 if x == y else BOT
 
 
-def extr(y: FieldElement, c: Commitment) -> OpenOutcome:
-    """Opened string for announced y against commitment c."""
-    if y.spec != c.a.spec:
-        raise ValueError("opening string from a different field spec")
-    return extr_i(y.spec, y.bits, c.a.bits, c.x.bits)
-
-
 def extr_bit_i(spec: FieldSpec, y: int, a: int, x: int) -> OpenOutcome:
     """Raw-int bit-scheme opening: the smaller bit b with x + y = a*b."""
     if y == x:
@@ -113,13 +103,6 @@ def extr_bit_i(spec: FieldSpec, y: int, a: int, x: int) -> OpenOutcome:
     if a and (x ^ y) == a:
         return 1
     return BOT
-
-
-def extr_bit(y: FieldElement, c: Commitment) -> OpenOutcome:
-    """Bit-scheme opening: the smaller bit b with x + y = a*b, else BOT."""
-    if y.spec != c.a.spec:
-        raise ValueError("opening string from a different field spec")
-    return extr_bit_i(y.spec, y.bits, c.a.bits, c.x.bits)
 
 
 def restrict_domain(outcome: OpenOutcome, k: int, n: int) -> OpenOutcome:
@@ -269,29 +252,6 @@ def compose(s: SchemeDescriptor, s2: SchemeDescriptor) -> SchemeDescriptor:
     )
 
 
-def params_to_config(params: SchemeParams) -> str:
-    """Flat key=value form of a CHSH-family scheme instance."""
-    parts = [f"scheme=chsh", f"n={params.field.n}",
-             f"poly=0x{params.field.poly:x}", f"m={params.m}"]
-    if params.domain_bits is not None:
-        parts.append(f"domain_bits={params.domain_bits}")
-    parts.append(f"first_committer={params.first_committer}")
-    return " ".join(parts)
-
-
-def params_from_config(text: str) -> SchemeParams:
-    kv = dict(item.split("=", 1) for item in text.split())
-    if kv.get("scheme", "chsh") != "chsh":
-        raise ValueError(f"unknown scheme {kv.get('scheme')!r}")
-    n = int(kv["n"])
-    poly = int(kv["poly"], 16) if "poly" in kv else None
-    from .field import DEFAULT_POLYS
-    spec = FieldSpec(n, poly if poly is not None else DEFAULT_POLYS[n])
-    k = int(kv["domain_bits"]) if "domain_bits" in kv else None
-    return SchemeParams(spec, int(kv.get("m", 0)), k,
-                        kv.get("first_committer", "P"))
-
-
 def multiround_descriptor(spec: FieldSpec, m: int, first_committer: str = "P",
                           domain_bits: Optional[int] = None) -> SchemeDescriptor:
     """m-fold self-composition with role alternation, built via compose.
@@ -299,11 +259,10 @@ def multiround_descriptor(spec: FieldSpec, m: int, first_committer: str = "P",
     The innermost term commits at round m; composing outward reproduces the
     multi-round protocol whose round-0 committer is first_committer.
     """
-    role = first_committer if m % 2 == 0 else other_prover(first_committer)
-    d = chsh_descriptor(spec, role)
+    params = SchemeParams(spec, m, first_committer=first_committer)
+    d = chsh_descriptor(spec, active_prover(params, m))
     for i in range(m - 1, -1, -1):
-        role = first_committer if i % 2 == 0 else other_prover(first_committer)
-        d = compose(chsh_descriptor(spec, role), d)
+        d = compose(chsh_descriptor(spec, active_prover(params, i)), d)
     if domain_bits is not None and domain_bits != spec.n:
         d = replace(d, domain_bits=domain_bits)
     return d

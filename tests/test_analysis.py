@@ -367,7 +367,7 @@ def test_hiding_horizon_validation_and_size_cap():
     params = SchemeParams(GF4, 1)
     with pytest.raises(ValueError):
         hiding_distance(params, fixed_challenge_strategy((1, 2)), 0, 1, horizon=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hiding_distance_mc"):
         view_distribution(SchemeParams(FieldSpec.default(8), 4),
                           fixed_challenge_strategy((1,) * 5), 0, horizon=4)
 

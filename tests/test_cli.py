@@ -118,6 +118,29 @@ def test_chsh_search_uses_cache(tmp_path, capsys):
     assert (tmp_path / "chsh_n2_poly7.tables").read_text() == stamp
 
 
+def test_unsupported_field_width_is_usage_error(capsys):
+    for n in ("30", "0"):
+        code = cli.main(["analyze", "k", "--n", n])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and f"n={n}" in err
+
+
+def test_corrupt_table_cache_is_usage_error(tmp_path, capsys):
+    run_cli(capsys, "chsh-search", "--n", "2", "--cache", str(tmp_path))
+    cache = tmp_path / "chsh_n2_poly7.tables"
+    good = cache.read_text()
+    cache.write_text(good.replace(" n=2", "", 1))
+    code = cli.main(["chsh-search", "--n", "2", "--cache", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "lacks n" in err
+    cache.write_text(good.replace("q=9/16", "q=1/0", 1))
+    code = cli.main(["attack", "tightness", "--n", "2", "--m", "1", "--target", "1",
+                     "--seed", "1", "--trials", "10", "--cache", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "zero denominator" in err
+
+
 def test_verify_spec_trace_and_tamper(tmp_path, capsys):
     path = tmp_path / "trace.txt"
     path.write_text(WORKED_TRACE)

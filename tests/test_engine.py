@@ -88,6 +88,10 @@ def test_transcript_parse_errors_carry_line_numbers():
     assert e.value.lineno == 3
     with pytest.raises(TranscriptParseError):
         parse_transcript("\n".join(lines[:-1]) + "\n")  # outcome line dropped
+    control = "\n".join(lines[:2] + [lines[2].rsplit("=", 1)[0] + "=ACCEPT"] + lines[3:])
+    with pytest.raises(TranscriptParseError) as e:
+        parse_transcript(control)  # payloads are field elements only
+    assert e.value.lineno == 3
 
 
 def test_visibility_examples():
@@ -111,6 +115,17 @@ def test_visible_history_rejects_unknown_party_and_round():
         visible_history(t, "R", 0)
     with pytest.raises(ValueError):
         visible_history(t, "P", 5)
+
+
+def test_honest_reply_rounds():
+    spec = FieldSpec.default(3)
+    pads = [0b011, 0b101, 0b110]
+    m = len(pads) - 1
+    assert engine.honest_reply(spec, m, 0, 0b010, pads.__getitem__, 0b111) == \
+        0b011 ^ spec.mul_i(0b010, 0b111)
+    assert engine.honest_reply(spec, m, 2, 0b100, pads.__getitem__, 0b111) == \
+        0b110 ^ spec.mul_i(0b100, 0b101)
+    assert engine.honest_reply(spec, m, m + 1, None, pads.__getitem__) == 0b110
 
 
 def test_replay_reproduces_transcript():

@@ -136,6 +136,20 @@ def test_delayed_prover_aborts_with_deadline_reason():
     assert res.abort_reason == ABORT_DEADLINE
 
 
+def test_aborted_session_keeps_the_engine_prefix():
+    # Q stalls its round-3 response: the verifier has issued challenges
+    # 0..3 and taken responses 0..2, the first 2k+1 messages of the
+    # in-process session with the same seed.
+    params = SchemeParams(FieldSpec.default(8), m=4)
+    k = 3
+    endpoints, join = start_provers(params, 42, value=0x17, delay=(k, 400))
+    res = serve_verifier(params, DeadlineConfig(100, endpoints["P"], endpoints["Q"]), 42)
+    join()
+    assert res.aborted and res.abort_reason == ABORT_DEADLINE
+    expected = engine.run_honest_session(params, 0x17, 42).messages[:2 * k + 1]
+    assert res.transcript.messages == expected
+
+
 def test_mismatched_seeds_break_opening():
     params = SchemeParams(FieldSpec.default(8), m=2)
     value = 0x33

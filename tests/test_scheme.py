@@ -8,14 +8,11 @@ import pytest
 from relcommit.field import FieldSpec
 from relcommit.scheme import (
     BOT,
-    Commitment,
     SchemeParams,
     check_eligible,
     chsh_descriptor,
     chsh_response,
     compose,
-    extr,
-    extr_bit,
     extr_bit_i,
     extr_i,
     k_of_extr,
@@ -27,30 +24,25 @@ from relcommit.scheme import (
 GF8 = FieldSpec(3, 0b1011)
 
 
-def el(v, spec=GF8):
-    return spec.element(v)
-
-
 def test_chsh_response_worked_example():
-    assert chsh_response(el(0b001), el(0b101), el(0b010)).bits == 0b111
+    assert chsh_response(GF8, 0b001, 0b101, 0b010) == 0b111
 
 
 def test_chsh_response_degenerate_inputs():
     for s in range(8):
-        assert chsh_response(el(s), el(0b110), el(0)).bits == 0b110
+        assert chsh_response(GF8, s, 0b110, 0) == 0b110
     for a in range(8):
-        assert chsh_response(el(0), el(0b110), el(a)).bits == 0b110
+        assert chsh_response(GF8, 0, 0b110, a) == 0b110
 
 
 def test_extr_worked_example():
-    c = Commitment(el(0b010), el(0b111))
-    assert extr(el(0b101), c) == 0b001
+    # The commitment (a, x) = (010, 111) opened with y = 101.
+    assert extr_i(GF8, 0b101, 0b010, 0b111) == 0b001
 
 
 def test_extr_zero_challenge_rules():
-    c = Commitment(el(0), el(0b011))
-    assert extr(el(0b011), c) == 0
-    assert extr(el(0b100), c) is BOT
+    assert extr_i(GF8, 0b011, 0, 0b011) == 0
+    assert extr_i(GF8, 0b100, 0, 0b011) is BOT
 
 
 def test_extr_inverts_honest_response():
@@ -64,11 +56,10 @@ def test_extr_inverts_honest_response():
 
 
 def test_extr_bit_cases():
-    a, x = el(0b011), el(0b110)
-    c = Commitment(a, x)
-    assert extr_bit(el(0b110), c) == 0
-    assert extr_bit(el(0b101), c) == 1
-    assert extr_bit(el(0b001), c) is BOT
+    a, x = 0b011, 0b110
+    assert extr_bit_i(GF8, 0b110, a, x) == 0
+    assert extr_bit_i(GF8, 0b101, a, x) == 1
+    assert extr_bit_i(GF8, 0b001, a, x) is BOT
 
 
 def test_extr_bit_agrees_with_restricted_extr():
@@ -176,11 +167,6 @@ def test_honest_roundtrip_exhaustive_n3_m2_sampled_pads():
         assert multiround_verify(params, challenges, responses, pads[2]) == s
 
 
-def test_commitment_requires_single_field():
-    with pytest.raises(ValueError):
-        Commitment(el(1), FieldSpec(3, 0b1101).element(1))
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         SchemeParams(GF8, m=-1)
@@ -231,15 +217,3 @@ def test_composed_descriptor_matches_direct_params():
     spec = FieldSpec.default(3)
     assert multiround_descriptor(spec, 2).to_params() == SchemeParams(spec, m=2)
     assert multiround_descriptor(spec, 0).to_params() == SchemeParams(spec, m=0)
-
-
-def test_scheme_config_round_trip():
-    from relcommit.scheme import params_from_config, params_to_config
-    params = SchemeParams(GF8, m=2, domain_bits=1, first_committer="Q")
-    line = params_to_config(params)
-    assert line == "scheme=chsh n=3 poly=0xb m=2 domain_bits=1 first_committer=Q"
-    assert params_from_config(line) == params
-    assert params_from_config("scheme=chsh n=3 m=0 first_committer=P") == \
-        SchemeParams(GF8, m=0)
-    with pytest.raises(ValueError):
-        params_from_config("scheme=pedersen n=3")
