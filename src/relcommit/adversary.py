@@ -295,7 +295,9 @@ def parse_tables(text: str) -> ChshTables:
     if missing:
         raise ValueError(f"table header lacks {', '.join(missing)}")
     spec = FieldSpec(int(hdr["n"]), int(hdr["poly"], 16))
-    num, den = hdr["q"].split("/")
+    num, slash, den = hdr["q"].partition("/")
+    if not slash:
+        raise ValueError(f"table header field q={hdr['q']} is not a fraction p/q")
     if int(den) == 0:
         raise ValueError(f"table header has a zero denominator in q={hdr['q']}")
     q = Fraction(int(num), int(den))

@@ -4,8 +4,10 @@ Definitional measurements (max p0+p1, simultaneous opening, extractor
 quality, hiding distance) run in exact rational arithmetic over exhaustive
 deterministic strategy spaces: commit tables a -> x and constant opening
 strings, which suffice because randomized provers are convex mixtures of
-deterministic ones.  Monte-Carlo paths are separate functions that always
-report trial counts alongside the estimate.
+deterministic ones.  The binding maxima choose the table's entry for each
+challenge separately (pointwise), which reaches the same maximum as
+enumerating whole tables.  Monte-Carlo paths are separate functions that
+always report trial counts alongside the estimate.
 """
 
 from __future__ import annotations
@@ -89,20 +91,9 @@ class JointDist:
     __slots__ = ("_mass",)
 
     def __init__(self, mass: Mapping):
-        d = {}
-        total = ZERO
-        for k, v in mass.items():
-            if len(k) != 2:
-                raise ValueError("joint outcomes must be pairs")
-            f = Fraction(v)
-            if f < 0:
-                raise ValueError(f"negative mass at {k!r}")
-            if f:
-                d[k] = f
-                total += f
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, not 1")
-        self._mass = d
+        if any(len(k) != 2 for k in mass):
+            raise ValueError("joint outcomes must be pairs")
+        self._mass = Dist(mass)._mass
 
     def mass(self, x, y) -> Fraction:
         return self._mass.get((x, y), ZERO)
@@ -173,87 +164,59 @@ def cond_indep_given_neq(j: JointDist) -> bool:
 # -- exhaustive binding measurements for the commit phase --------------------
 
 
-def _all_commit_tables(spec: FieldSpec):
-    return product(range(spec.order), repeat=spec.order)
-
-
 def max_p0_plus_p1(spec: FieldSpec) -> Fraction:
     """Exact max of p(b_0=0) + p(b_1=1) for the bit scheme.
 
     Maximizes over all deterministic commit tables f: a -> x and all pairs
     of constant opening strings (y_0, y_1), under a uniform challenge.
-    Literal table enumeration for n <= 2; for n = 3 the per-challenge
-    contributions are independent, so f is optimized pointwise (same
-    maximum, feasible size).
+    f(a) is chosen separately for each challenge a, so the table is
+    optimized pointwise: max_f sum_a g(a, f(a)) = sum_a max_x g(a, x).
+    It evaluates the opening maps ~2^(4n) times, hence the n <= 3 cap.
     """
+    if spec.n > 3:
+        raise ValueError(f"max_p0_plus_p1 evaluates the opening maps ~2^(4n) times; "
+                         f"n={spec.n} exceeds the n<=3 cap")
     order = spec.order
-    if spec.n <= 2:
-        best = ZERO
-        for f in _all_commit_tables(spec):
-            for y0 in range(order):
-                p0 = sum(1 for a in range(order)
-                         if extr_bit_i(spec, y0, a, f[a]) == 0)
-                for y1 in range(order):
-                    p1 = sum(1 for a in range(order)
-                             if extr_bit_i(spec, y1, a, f[a]) == 1)
-                    best = max(best, Fraction(p0 + p1, order))
-        return best
-    if spec.n == 3:
-        best = ZERO
-        for y0 in range(order):
-            for y1 in range(order):
-                total = sum(
-                    max(
-                        (extr_bit_i(spec, y0, a, x) == 0)
-                        + (extr_bit_i(spec, y1, a, x) == 1)
-                        for x in range(order)
-                    )
-                    for a in range(order)
+    best = ZERO
+    for y0 in range(order):
+        for y1 in range(order):
+            total = sum(
+                max(
+                    (extr_bit_i(spec, y0, a, x) == 0)
+                    + (extr_bit_i(spec, y1, a, x) == 1)
+                    for x in range(order)
                 )
-                best = max(best, Fraction(total, order))
-        return best
-    raise ValueError(
-        f"max_p0_plus_p1 enumerates 2^(n*2^n) commit tables; n={spec.n} "
-        f"exceeds the n<=3 cap")
+                for a in range(order)
+            )
+            best = max(best, Fraction(total, order))
+    return best
 
 
 def sim_open_epsilon(spec: FieldSpec) -> Fraction:
     """Exact max of p(s = t and s' = t') over simultaneous openings.
 
     Maximizes over deterministic commit tables, two constant opening
-    strings and distinct targets t != t'.  Literal enumeration for n <= 2;
-    for n = 3 the commit table is optimized per challenge (independent
-    contributions).
+    strings and distinct targets t != t'.  As in max_p0_plus_p1 the commit
+    table is optimized pointwise: challenge a counts as a hit when some x
+    opens to t under y_0 and to t' under y_1.  It evaluates the opening maps
+    ~2^(6n) times, hence the n <= 3 cap.
     """
+    if spec.n > 3:
+        raise ValueError(f"sim_open_epsilon evaluates the opening maps ~2^(6n) times; "
+                         f"n={spec.n} exceeds the n<=3 cap")
     order = spec.order
     targets = [(t, t2) for t in range(order) for t2 in range(order) if t != t2]
-    if spec.n <= 2:
-        best = ZERO
-        for f in _all_commit_tables(spec):
-            for y0 in range(order):
-                for y1 in range(order):
-                    for t, t2 in targets:
-                        hits = sum(
-                            1 for a in range(order)
-                            if extr_i(spec, y0, a, f[a]) == t
-                            and extr_i(spec, y1, a, f[a]) == t2)
-                        best = max(best, Fraction(hits, order))
-        return best
-    if spec.n == 3:
-        best = ZERO
-        for y0 in range(order):
-            for y1 in range(order):
-                for t, t2 in targets:
-                    hits = sum(
-                        1 for a in range(order)
-                        if any(extr_i(spec, y0, a, x) == t
-                               and extr_i(spec, y1, a, x) == t2
-                               for x in range(order)))
-                    best = max(best, Fraction(hits, order))
-        return best
-    raise ValueError(
-        f"sim_open_epsilon enumerates 2^(n*2^n) commit tables; n={spec.n} "
-        f"exceeds the n<=3 cap")
+    best = ZERO
+    for y0 in range(order):
+        for y1 in range(order):
+            for t, t2 in targets:
+                hits = sum(
+                    1 for a in range(order)
+                    if any(extr_i(spec, y0, a, x) == t
+                           and extr_i(spec, y1, a, x) == t2
+                           for x in range(order)))
+                best = max(best, Fraction(hits, order))
+    return best
 
 
 # -- the greedy partition extractor ------------------------------------------
@@ -521,9 +484,12 @@ def coinflip_best_binding_epsilon() -> Fraction:
     return worst_of_best
 
 
+def frac_text(f: Fraction) -> str:
+    """p/q with the denominator always written, as in report lines."""
+    return f"{f.numerator}/{f.denominator}"
+
+
 def report_line(metric: str, n: int, value: Fraction, bound: Fraction,
                 passed: bool) -> str:
-    def frac(f: Fraction) -> str:
-        return f"{f.numerator}/{f.denominator}"
-    return (f"metric={metric} n={n} value={frac(value)} "
-            f"bound={frac(bound)} pass={'true' if passed else 'false'}")
+    return (f"metric={metric} n={n} value={frac_text(value)} "
+            f"bound={frac_text(bound)} pass={'true' if passed else 'false'}")

@@ -12,15 +12,13 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 from multiprocessing import Pool
 
 from . import adversary, analysis, engine, net
+from .analysis import frac_text
 from .field import FieldSpec
-from .scheme import BOT, SchemeParams, multiround_verify
-
-
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+from .scheme import BOT, SchemeParams, k_of_extr, multiround_verify
 
 
 def _outpath(path):
@@ -82,8 +80,7 @@ def _endpoint(text: str):
 
 
 def _honest_chunk(job):
-    n, poly, m, k, fc, value, seed, start, stop = job
-    params = SchemeParams(FieldSpec(n, poly), m, k, fc)
+    params, value, seed, start, stop = job
     fails = 0
     for t in range(start, stop):
         tseed = engine.stream_u64(seed, engine.STREAM_TRIAL, t)
@@ -93,9 +90,7 @@ def _honest_chunk(job):
 
 
 def _tightness_chunk(job):
-    n, poly, m, k, fc, target, tables_text, seed, start, stop = job
-    params = SchemeParams(FieldSpec(n, poly), m, k, fc)
-    tables = adversary.parse_tables(tables_text)
+    params, target, tables, seed, start, stop = job
     hits = kept = 0
     for t in range(start, stop):
         tseed = engine.stream_u64(seed, engine.STREAM_TRIAL, t)
@@ -109,16 +104,16 @@ def _tightness_chunk(job):
     return hits, kept
 
 
-def _fanout(fn, jobs, workers):
+def _fanout(fn, job, trials, workers):
+    """fn over the jobs job + (start, stop) that split range(trials): one
+    chunk in process, eight per worker on a pool."""
+    pieces = workers * 8 if workers > 1 else 1
+    step = max(1, (trials + pieces - 1) // pieces)
+    jobs = [job + (lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     if workers <= 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
     with Pool(workers) as pool:
         return pool.map(fn, jobs)
-
-
-def _chunks(trials, pieces):
-    step = max(1, (trials + pieces - 1) // pieces)
-    return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
 
 # -- subcommands --------------------------------------------------------------
@@ -133,10 +128,7 @@ def cmd_run(args, cfg) -> int:
     if trials < 1:
         raise SystemExit("error: --trials must be >= 1")
     spec = params.field
-    jobs = [(spec.n, spec.poly, params.m, params.domain_bits,
-             params.first_committer, value, seed, lo, hi)
-            for lo, hi in _chunks(trials, workers * 8 if workers > 1 else 1)]
-    fails = sum(_fanout(_honest_chunk, jobs, workers))
+    fails = sum(_fanout(_honest_chunk, (params, value, seed), trials, workers))
     out = _outpath(getattr(args, "out", None) or cfg.get("out"))
     if out:
         first = engine.run_honest_session(
@@ -176,38 +168,27 @@ def cmd_attack(args, cfg) -> int:
     if args.attack_kind == "tightness":
         target = _get(args, cfg, "target", lambda v: int(v, 16))
         tables = _load_or_search_tables(spec, args, cfg)
-        text = adversary.serialize_tables(tables)
-        jobs = [(spec.n, spec.poly, params.m, params.domain_bits,
-                 params.first_committer, target, text, seed, lo, hi)
-                for lo, hi in _chunks(trials, workers * 8 if workers > 1 else 1)]
-        parts = _fanout(_tightness_chunk, jobs, workers)
-        hits = sum(p[0] for p in parts)
-        kept = sum(p[1] for p in parts)
+        parts = _fanout(_tightness_chunk, (params, target, tables, seed),
+                        trials, workers)
+        res = analysis.GameResult(sum(h for h, _ in parts), trials,
+                                  sum(k for _, k in parts))
         closed = adversary.tightness_success_probability(tables.q, params.m)
-        cf = float(closed)
-        sigma = math.sqrt(cf * (1 - cf) / kept) if kept else 0.0
-        emp = hits / kept if kept else 0.0
-        ok = abs(emp - cf) <= 3 * sigma
-        print(f"attack=tightness n={spec.n} m={params.m} trials={trials} "
-              f"conditioned={kept} hits={hits} empirical={emp:.6f} "
-              f"closed_form={_frac(closed)} sigma={sigma:.6f} "
-              f"pass={'true' if ok else 'false'}")
-        return 0 if ok else 1
+    else:
+        value = _get(args, cfg, "value", lambda v: int(v, 16), 0)
 
-    value = _get(args, cfg, "value", lambda v: int(v, 16), 0)
+        def family(target):
+            return engine.HonestCommit(value), adversary.random_open_strategy()
 
-    def family(target):
-        return engine.HonestCommit(value), adversary.random_open_strategy()
-
-    res = analysis.open_game_success(params, family, trials, seed,
-                                     condition_nonzero=True)
-    cf = 2.0 ** -spec.n
+        res = analysis.open_game_success(params, family, trials, seed,
+                                         condition_nonzero=True)
+        closed = Fraction(1, spec.order)
+    cf = float(closed)
     sigma = res.sigma(cf)
     emp = float(res.rate)
     ok = abs(emp - cf) <= 3 * sigma
-    print(f"attack=random-open n={spec.n} m={params.m} trials={trials} "
+    print(f"attack={args.attack_kind} n={spec.n} m={params.m} trials={trials} "
           f"conditioned={res.conditioned} hits={res.hits} empirical={emp:.6f} "
-          f"closed_form=1/{spec.order} sigma={sigma:.6f} "
+          f"closed_form={frac_text(closed)} sigma={sigma:.6f} "
           f"pass={'true' if ok else 'false'}")
     return 0 if ok else 1
 
@@ -231,31 +212,29 @@ def cmd_analyze(args, cfg) -> int:
         params = _params(args, cfg)
         spec = params.field
         worst = Fraction(0)
-        from itertools import product
         for fixed in product(range(spec.order), repeat=params.m + 1):
             strat = analysis.fixed_challenge_strategy(fixed)
+            base = analysis.view_distribution(params, strat, 0, params.m)
             for s1 in range(1, spec.order):
-                worst = max(worst, analysis.hiding_distance(
-                    params, strat, 0, s1, horizon=params.m))
+                worst = max(worst, analysis.stat_distance(
+                    base, analysis.view_distribution(params, strat, s1, params.m)))
         lines.append(analysis.report_line("hiding", spec.n, worst, Fraction(0),
                                           worst == 0))
     elif metric == "extractor":
         spec = _field(args, cfg)
         eps = Fraction(1, spec.order)
-        alpha = Fraction(1, 2 ** (spec.n // 2)) if spec.n % 2 == 0 else None
-        if alpha is None:
+        if spec.n % 2:
             raise SystemExit("error: extractor analysis uses even n (alpha = sqrt(eps))")
+        alpha = Fraction(1, 2 ** (spec.n // 2))
         bound = 2 * alpha
         openings = list(range(spec.order))
         worst = Fraction(0)
-        from itertools import product
         for table in product(range(spec.order), repeat=spec.order):
             shat = analysis.fairly_binding_extractor(spec, table, openings, alpha)
             worst = max(worst, analysis.extractor_violation(spec, table, openings, shat))
         lines.append(analysis.report_line("extractor", spec.n, worst, bound,
                                           worst < bound))
     elif metric == "k":
-        from .scheme import k_of_extr
         spec = _field(args, cfg)
         k = k_of_extr(spec)
         lines.append(analysis.report_line("k", spec.n, Fraction(k), Fraction(1),
@@ -266,8 +245,8 @@ def cmd_analyze(args, cfg) -> int:
         bad = 0
         for t in range(trials):
             u = engine.stream_u64(seed, engine.STREAM_TRIAL, t)
-            p = _random_pmf(u, 0)
-            q = _random_pmf(u, 1)
+            p = _random_pmf(u, engine.STREAM_PMF_P)
+            q = _random_pmf(u, engine.STREAM_PMF_Q)
             j = analysis.couple_max_diagonal(p, q)
             good = (j.marginal(0) == p and j.marginal(1) == q
                     and analysis.cond_indep_given_neq(j)
@@ -287,9 +266,9 @@ def cmd_analyze(args, cfg) -> int:
     return code
 
 
-def _random_pmf(seed: int, which: int, size: int = 5) -> analysis.Dist:
-    weights = [engine.stream_u64(seed, 0x70 + which, i) % 97 + (1 if i == 0 else 0)
-               for i in range(size)]
+def _random_pmf(seed: int, stream: int) -> analysis.Dist:
+    weights = [engine.stream_u64(seed, stream, i) % 97 + (1 if i == 0 else 0)
+               for i in range(5)]
     total = sum(weights)
     return analysis.Dist({i: Fraction(w, total) for i, w in enumerate(weights) if w})
 
@@ -297,7 +276,7 @@ def _random_pmf(seed: int, which: int, size: int = 5) -> analysis.Dist:
 def cmd_chsh_search(args, cfg) -> int:
     spec = _field(args, cfg)
     tables = _load_or_search_tables(spec, args, cfg)
-    print(f"chsh-search n={spec.n} poly=0x{spec.poly:x} q={_frac(tables.q)}")
+    print(f"chsh-search n={spec.n} poly=0x{spec.poly:x} q={frac_text(tables.q)}")
     return 0
 
 

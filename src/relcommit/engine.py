@@ -40,6 +40,8 @@ STREAM_GAME_B = 0x42      # 'B': game-wrapper draw r_s per attempt round
 STREAM_RANDOM_OPEN = 0x52  # 'R': random-opening announcement
 STREAM_TARGET = 0x54      # 'T': per-trial target draws
 STREAM_TRIAL = 0x4C       # 'L': per-trial seed derivation
+STREAM_PMF_P = 0x70       # 'p': first random pmf of the coupling check
+STREAM_PMF_Q = 0x71       # 'q': second random pmf of the coupling check
 
 
 def mix64(x: int) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .engine import Transcript, Verifier, honest_reply, prover_root_seed, shared_pads
-from .scheme import BOT, SchemeParams
+from .scheme import BOT, SchemeParams, active_prover
 
 MAGIC = b"RELCOMMT"
 VERSION = 1
@@ -241,6 +241,10 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
     Both provers must hold the same shared_secret_seed (their joint
     randomness); pads are the same labeled stream the in-process engine
     uses, so equal seeds reproduce engine transcripts byte for byte.
+    The prover answers each of its own rounds once and in order, a
+    CHALLENGE for rounds up to m and the OPEN at m+1; any other frame gets
+    ABORT 0x02, since a second challenge for a round would reveal the
+    committed value.
     delay_ms_at_round=(round, ms) stalls one response past the verifier's
     deadline; trace collects every received frame (test hooks).  Returns 0
     on a completed session (RESULT seen), 1 on abort or handshake rejection.
@@ -269,28 +273,30 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
             send_frame(conn, WireMessage(T_ABORT, 0, bytes([ABORT_MALFORMED])))
             return 1
         send_frame(conn, WireMessage(T_OPEN, 0, hello.body))
+        m = params.m
+        mine = iter([i for i in range(m + 2) if active_prover(params, i) == role])
+        i = next(mine, None)
         while True:
             msg = recv_frame(conn)
             if trace is not None:
                 trace.append(msg)
-            if msg.type == T_CHALLENGE:
-                a = int.from_bytes(msg.body, "big")
-                i = msg.round
-                x = honest_reply(spec, params.m, i, a, pad, value)
-                if delay_ms_at_round and delay_ms_at_round[0] == i:
-                    time.sleep(delay_ms_at_round[1] / 1000.0)
-                send_frame(conn, WireMessage(T_RESPONSE, i, element_body(spec.n, x)))
-            elif msg.type == T_OPEN:
-                if delay_ms_at_round and delay_ms_at_round[0] == msg.round:
-                    time.sleep(delay_ms_at_round[1] / 1000.0)
-                y = honest_reply(spec, params.m, params.m + 1, None, pad)
-                send_frame(conn, WireMessage(T_OPEN, msg.round, element_body(spec.n, y)))
-            elif msg.type == T_RESULT:
+            if msg.type == T_ABORT:
+                return 1
+            if msg.type == T_RESULT and i is None:
                 return 0
-            elif msg.type == T_ABORT:
+            a = int.from_bytes(msg.body, "big")
+            if (i is None or msg.round != i
+                    or msg.type != (T_CHALLENGE if i <= m else T_OPEN)
+                    or len(msg.body) != body_len(spec.n) or a >= spec.order):
+                send_frame(conn, WireMessage(T_ABORT, msg.round,
+                                             bytes([ABORT_MALFORMED])))
                 return 1
-            else:
-                return 1
+            x = honest_reply(spec, m, i, a if i <= m else None, pad, value)
+            if delay_ms_at_round and delay_ms_at_round[0] == i:
+                time.sleep(delay_ms_at_round[1] / 1000.0)
+            send_frame(conn, WireMessage(T_RESPONSE if i <= m else T_OPEN, i,
+                                         element_body(spec.n, x)))
+            i = next(mine, None)
     except (WireError, ConnectionError, OSError):
         return 1
     finally:

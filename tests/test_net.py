@@ -1,5 +1,6 @@
 """Wire framing and networked sessions on the loopback interface."""
 
+import queue
 import socket
 import threading
 
@@ -139,15 +140,48 @@ def test_delayed_prover_aborts_with_deadline_reason():
 def test_aborted_session_keeps_the_engine_prefix():
     # Q stalls its round-3 response: the verifier has issued challenges
     # 0..3 and taken responses 0..2, the first 2k+1 messages of the
-    # in-process session with the same seed.
+    # in-process session with the same seed.  Q stalling the opening at
+    # round m+1 = 5 leaves all 2(m+1) challenge and response messages.
     params = SchemeParams(FieldSpec.default(8), m=4)
-    k = 3
-    endpoints, join = start_provers(params, 42, value=0x17, delay=(k, 400))
-    res = serve_verifier(params, DeadlineConfig(100, endpoints["P"], endpoints["Q"]), 42)
-    join()
-    assert res.aborted and res.abort_reason == ABORT_DEADLINE
-    expected = engine.run_honest_session(params, 0x17, 42).messages[:2 * k + 1]
-    assert res.transcript.messages == expected
+    for k, kept in ((3, 7), (5, 10)):
+        endpoints, join = start_provers(params, 42, value=0x17, delay=(k, 400))
+        res = serve_verifier(params, DeadlineConfig(100, endpoints["P"], endpoints["Q"]), 42)
+        join()
+        assert res.aborted and res.abort_reason == ABORT_DEADLINE
+        expected = engine.run_honest_session(params, 0x17, 42).messages[:kept]
+        assert res.transcript.messages == expected
+
+
+@pytest.mark.parametrize("role,script", [
+    # P answers round 0 once: a second round-0 challenge would give away
+    # the committed value as (x + x')(a + a')^-1.
+    ("P", [WireMessage(T_CHALLENGE, 0, b"\x01"), WireMessage(T_CHALLENGE, 0, b"\x02")]),
+    ("P", [WireMessage(T_CHALLENGE, 1, b"\x01")]),   # round 1 is Q's
+    ("Q", [WireMessage(T_OPEN, 3, b"\x00")]),        # y_m before the challenges
+    ("P", [WireMessage(T_CHALLENGE, 0, b"\x00\x01")]),  # body longer than n bits need
+    ("P", [WireMessage(T_CHALLENGE, 0, b"\x08")]),   # value not below 2^n
+], ids=["repeated-round", "other-provers-round", "early-open", "long-body", "big-value"])
+def test_prover_answers_only_its_next_round(role, script):
+    # A scripted verifier: each frame but the last is answered, the last
+    # one gets ABORT 0x02 and the prover reports failure.
+    params = SchemeParams(FieldSpec.default(3), m=2)
+    status = []
+    endpoint = queue.Queue()
+    t = threading.Thread(target=lambda: status.append(run_prover(
+        role, params, 5, ("127.0.0.1", 0), value=0x5, ready=endpoint.put)), daemon=True)
+    t.start()
+    with socket.create_connection(endpoint.get(timeout=5.0), timeout=5.0) as c:
+        net.send_frame(c, WireMessage(T_OPEN, 0, net._handshake_blob(params, role)))
+        net.recv_frame(c)
+        replies = []
+        for msg in script:
+            net.send_frame(c, msg)
+            replies.append(net.recv_frame(c))
+    t.join(10.0)
+    assert not t.is_alive()
+    assert [r.type for r in replies] == [T_RESPONSE] * (len(script) - 1) + [T_ABORT]
+    assert replies[-1].body == bytes([ABORT_MALFORMED])
+    assert status == [1]
 
 
 def test_mismatched_seeds_break_opening():
