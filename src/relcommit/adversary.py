@@ -171,17 +171,29 @@ class _TightnessState(ProverStrategy):
         self.target = target
         self.rand = rand
 
+    def begin_session(self, params: SchemeParams, prover_seed: int):
+        super().begin_session(params, prover_seed)
+        # party -> (next round to scan, attempt already succeeded, chain value)
+        self._chains = {}
+
     def _draws(self, i: int) -> Tuple[int, int]:
         n = self.params.field.n
         return (stream_value(self.seed, STREAM_GAME_A, i, n),
                 stream_value(self.seed, STREAM_GAME_B, i, n))
 
     def _scan(self, view: PartyView, upto: int) -> Tuple[bool, int]:
-        """(attempt already succeeded, chain value w_upto) from rounds <= upto."""
+        """(attempt already succeeded, chain value w_upto) from rounds <= upto.
+
+        The chain is carried forward from the last round this party
+        reached, each new round read through its view, so a session costs
+        O(m) in all.  Each party keeps its own chain: one party's reads
+        must not stand in for rounds the other's view cannot see.  Calls
+        come in increasing round order within a session, as the engine
+        makes them.
+        """
         mul = self.params.field.mul_i
-        w = self.target
-        won = False
-        for j in range(upto + 1):
+        start, won, w = self._chains.get(view.party, (0, False, self.target))
+        for j in range(start, upto + 1):
             a, x = view.challenge(j), view.response(j)
             w_next = x ^ mul(a, w)
             if not won and j % 2 == 0:
@@ -189,6 +201,7 @@ class _TightnessState(ProverStrategy):
                 if self.rand.y_play(w, r_a, r_s) == w_next:
                     won = True
             w = w_next
+        self._chains[view.party] = (max(start, upto + 1), won, w)
         return won, w
 
 
@@ -294,13 +307,22 @@ def parse_tables(text: str) -> ChshTables:
     missing = [k for k in ("n", "poly", "q") if k not in hdr]
     if missing:
         raise ValueError(f"table header lacks {', '.join(missing)}")
-    spec = FieldSpec(int(hdr["n"]), int(hdr["poly"], 16))
+    def header_int(text: str, base: int, where: str) -> int:
+        try:
+            return int(text, base)
+        except ValueError:
+            kind = "a hex integer" if base == 16 else "an integer"
+            raise ValueError(f"table header {where} is not {kind}") from None
+    spec = FieldSpec(header_int(hdr["n"], 10, f"field n={hdr['n']}"),
+                     header_int(hdr["poly"], 16, f"field poly={hdr['poly']}"))
     num, slash, den = hdr["q"].partition("/")
     if not slash:
         raise ValueError(f"table header field q={hdr['q']} is not a fraction p/q")
-    if int(den) == 0:
+    num = header_int(num, 10, f"numerator of q={hdr['q']}")
+    den = header_int(den, 10, f"denominator of q={hdr['q']}")
+    if den == 0:
         raise ValueError(f"table header has a zero denominator in q={hdr['q']}")
-    q = Fraction(int(num), int(den))
+    q = Fraction(num, den)
     body = lines[1:]
     if len(body) != 2 * spec.order:
         raise ValueError(f"expected {2 * spec.order} table lines, got {len(body)}")

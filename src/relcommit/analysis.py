@@ -12,6 +12,7 @@ always report trial counts alongside the estimate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,7 +23,7 @@ from . import engine
 from .engine import (STREAM_TARGET, STREAM_TRIAL, SchemeParams, honest_reply,
                      shared_pads, stream_value)
 from .field import FieldSpec
-from .scheme import extr_bit_i, extr_i
+from .scheme import BOT, extr_bit_i, extr_i
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -197,26 +198,28 @@ def sim_open_epsilon(spec: FieldSpec) -> Fraction:
 
     Maximizes over deterministic commit tables, two constant opening
     strings and distinct targets t != t'.  As in max_p0_plus_p1 the commit
-    table is optimized pointwise: challenge a counts as a hit when some x
-    opens to t under y_0 and to t' under y_1.  It evaluates the opening maps
-    ~2^(6n) times, hence the n <= 3 cap.
+    table is optimized pointwise: challenge a counts as a hit for (t, t')
+    when some x opens to t under y_0 and to t' under y_1.  So for each
+    (y_0, y_1) every challenge adds one to each distinct target pair it can
+    reach, and the best pair's count is the maximum.  It evaluates the
+    opening maps ~2^(4n+1) times; the n <= 3 cap keeps it at the sizes the
+    other exact measurements run.
     """
     if spec.n > 3:
-        raise ValueError(f"sim_open_epsilon evaluates the opening maps ~2^(6n) times; "
+        raise ValueError(f"sim_open_epsilon evaluates the opening maps ~2^(4n+1) times; "
                          f"n={spec.n} exceeds the n<=3 cap")
     order = spec.order
-    targets = [(t, t2) for t in range(order) for t2 in range(order) if t != t2]
-    best = ZERO
+    best = 0
     for y0 in range(order):
         for y1 in range(order):
-            for t, t2 in targets:
-                hits = sum(
-                    1 for a in range(order)
-                    if any(extr_i(spec, y0, a, x) == t
-                           and extr_i(spec, y1, a, x) == t2
-                           for x in range(order)))
-                best = max(best, Fraction(hits, order))
-    return best
+            hits = Counter()
+            for a in range(order):
+                hits.update({(extr_i(spec, y0, a, x), extr_i(spec, y1, a, x))
+                             for x in range(order)})
+            for (t, t2), c in hits.items():
+                if t is not BOT and t2 is not BOT and t != t2:
+                    best = max(best, c)
+    return Fraction(best, order)
 
 
 # -- the greedy partition extractor ------------------------------------------

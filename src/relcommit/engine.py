@@ -13,10 +13,12 @@ with in-process strategies and ``net.serve_verifier`` over sockets.  What an
 honest prover sends is ``honest_reply``.
 
 The no-communication constraint is structural: the engine calls a strategy
-with the active party's visible message set only, and the view accessors
-raise ProtocolViolation for anything outside it.  A prover sees its own
-rounds plus, with a lag of two rounds, everything the other prover and the
-verifier exchanged (the one-way prover-to-prover forwarding).
+with the active party's ``PartyView`` only, and the view accessors raise
+ProtocolViolation for anything outside it.  A prover sees its own rounds
+plus, with a lag of two rounds, everything the other prover and the
+verifier exchanged (the one-way prover-to-prover forwarding).  A view reads
+the verifier's per-round challenge and reply lists by index and checks the
+rule on each read, so the per-round cost of a session is flat in m.
 """
 
 from __future__ import annotations
@@ -179,58 +181,75 @@ def parse_transcript(text: str) -> Transcript:
 
 
 class PartyView:
-    """The messages one party may consult at a given round.
+    """What one party may consult at a given round.
 
-    A prover sees what it sent or received up to the current round, plus
-    every message of rounds at least two behind (the forwarded rounds).
-    The verifier sees everything it took part in, i.e. everything.
+    The view holds references to the session's per-round challenge and
+    reply lists (the verifier's own, or lists built once from a finished
+    transcript) and reads them by index, so a read costs O(1) whatever m
+    is.  Round i is visible when it was already issued or answered as the
+    view was made, i <= round, and the party is the verifier, or i is at
+    least ``lag`` rounds old (forwarded), or the party answered round i
+    itself.  Any other read, negative rounds included, raises
+    ProtocolViolation.
     """
 
-    __slots__ = ("party", "round", "_messages")
+    __slots__ = ("party", "round", "_params", "_lag", "_challenges", "_replies",
+                 "_issued", "_answered")
 
-    def __init__(self, party: str, round_index: int, messages: Sequence[RoundMessage]):
+    def __init__(self, party: str, round_index: int, params: SchemeParams,
+                 challenges: Sequence[int], replies: Sequence[int], lag: int = 2):
         self.party = party
         self.round = round_index
-        self._messages = tuple(messages)
+        self._params = params
+        self._lag = lag
+        self._challenges = challenges
+        self._replies = replies
+        # The lists may grow after the view is made; later entries stay unseen.
+        self._issued = min(round_index + 1, len(challenges))
+        self._answered = min(round_index + 1, len(replies))
 
-    @property
-    def messages(self) -> tuple:
-        return self._messages
+    def _sees(self, i: int, count: int) -> bool:
+        return 0 <= i < count and (
+            self.party == "V" or i <= self.round - self._lag
+            or active_prover(self._params, i) == self.party)
 
-    def _find(self, want_challenge: bool, i: int) -> int:
-        for m in self._messages:
-            if m.round == i and (m.sender == "V") == want_challenge:
-                return m.payload
-        kind = "challenge" if want_challenge else "response"
+    def _read(self, payloads: Sequence[int], count: int, i: int, kind: str) -> int:
+        if self._sees(i, count):
+            return payloads[i]
         raise ProtocolViolation(
             f"{self.party} at round {self.round} may not read the round-{i} {kind}")
 
     def challenge(self, i: int) -> int:
-        return self._find(True, i)
+        return self._read(self._challenges, self._issued, i, "challenge")
 
     def response(self, i: int) -> int:
-        return self._find(False, i)
+        return self._read(self._replies, self._answered, i, "response")
 
-
-def _visible(messages: Sequence[RoundMessage], party: str, round_index: int,
-             lag: int = 2) -> List[RoundMessage]:
-    if party == "V":
-        return [m for m in messages if m.round <= round_index]
-    return [m for m in messages
-            if (m.round <= round_index and party in (m.sender, m.receiver))
-            or m.round <= round_index - lag]
+    @property
+    def messages(self) -> tuple:
+        """The visible messages in transcript order, rebuilt on each call."""
+        out = []
+        for i in range(self.round + 1):
+            prover = active_prover(self._params, i)
+            if self._sees(i, self._issued):
+                out.append(RoundMessage(i, "V", prover, self._challenges[i]))
+            if self._sees(i, self._answered):
+                out.append(RoundMessage(i, prover, "V", self._replies[i]))
+        return tuple(out)
 
 
 def visible_history(transcript: Transcript, party: str, round_index: int,
                     forwarding_lag: int = 2) -> PartyView:
-    """The party's view at a round; the lag is overridable only for testing
-    stricter or looser communication models."""
+    """The party's view at a round of a transcript whose messages are in
+    round order; the lag is overridable only for testing stricter or looser
+    communication models."""
     if party not in ("P", "Q", "V"):
         raise ValueError(f"unknown party {party!r}")
     if round_index > transcript.params.m + 1:
         raise ValueError("round beyond transcript")
-    return PartyView(party, round_index,
-                     _visible(transcript.messages, party, round_index, forwarding_lag))
+    replies = [msg.payload for msg in transcript.messages if msg.receiver == "V"]
+    return PartyView(party, round_index, transcript.params, transcript.challenges(),
+                     replies, forwarding_lag)
 
 
 # -- strategies --------------------------------------------------------------
@@ -285,7 +304,9 @@ class Verifier:
     or the seeded STREAM_CHALLENGE stream; round m+1 asks for the opening
     (challenge None), whose receipt sets the outcome via multiround_verify.
     Messages enter ``transcript`` as they are issued or received, so an
-    aborted session keeps what was exchanged.
+    aborted session keeps what was exchanged; ``challenges`` and
+    ``responses`` hold a_i and x_i (i <= m) at index i, the lists that
+    ``PartyView`` reads.
     """
 
     def __init__(self, params: SchemeParams, seed: int,
@@ -296,8 +317,8 @@ class Verifier:
         self.done = False
         self._fixed = fixed_challenges
         self._prover: Optional[str] = None
-        self._challenges: List[int] = []
-        self._responses: List[int] = []
+        self.challenges: List[int] = []
+        self.responses: List[int] = []
 
     def request(self) -> Tuple[int, str, Optional[int]]:
         params = self.params
@@ -311,7 +332,7 @@ class Verifier:
         else:
             a = spec.check(self._fixed[i])
         self.transcript.messages.append(RoundMessage(i, "V", prover, a))
-        self._challenges.append(a)
+        self.challenges.append(a)
         return i, prover, a
 
     def receive(self, value: int) -> None:
@@ -321,10 +342,10 @@ class Verifier:
         self.transcript.messages.append(RoundMessage(i, self._prover, "V", x))
         self.round = i + 1
         if i <= params.m:
-            self._responses.append(x)
+            self.responses.append(x)
         else:
             self.transcript.outcome = multiround_verify(
-                params, self._challenges, self._responses, x)
+                params, self.challenges, self.responses, x)
             self.done = True
 
 
@@ -335,7 +356,7 @@ def run_attack_session(params: SchemeParams, commit_strategy, open_strategy,
 
     commit_strategy answers round 0; open_strategy answers rounds 1..m and
     the final opening message.  Each is called with (party, round, view)
-    and must return a field value; the view holds exactly the messages that
+    and must return a field value; the view reads exactly the messages that
     party may see.  Strategy objects are bound to one session at a time
     (begin_session re-binds them), so parallel sessions need fresh objects.
     fixed_challenges overrides the seeded verifier and forwarding_lag the
@@ -348,12 +369,12 @@ def run_attack_session(params: SchemeParams, commit_strategy, open_strategy,
             begin(params, pseed)
 
     verifier = Verifier(params, seed, fixed_challenges)
-    msgs = verifier.transcript.messages
     while not verifier.done:
         i, prover, _ = verifier.request()
         strat = commit_strategy if i == 0 else open_strategy
         verifier.receive(strat(prover, i, PartyView(
-            prover, i, _visible(msgs, prover, i, forwarding_lag))))
+            prover, i, params, verifier.challenges, verifier.responses,
+            forwarding_lag)))
     return verifier.transcript
 
 

@@ -139,10 +139,15 @@ def test_corrupt_table_cache_is_usage_error(tmp_path, capsys):
                      "--seed", "1", "--trials", "10", "--cache", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:") and "zero denominator" in err
-    cache.write_text(good.replace("q=9/16", "q=9", 1))
-    code = cli.main(["chsh-search", "--n", "2", "--cache", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error:") and "field q=9" in err
+    for field, bad, named in ((" q=9/16", " q=9", "field q=9 "),
+                              (" n=2", " n=x", "field n=x "),
+                              (" poly=0x7", " poly=0xzz", "field poly=0xzz "),
+                              (" q=9/16", " q=a/16", "numerator of q=a/16 "),
+                              (" q=9/16", " q=9/x", "denominator of q=9/x ")):
+        cache.write_text(good.replace(field, bad, 1))
+        code = cli.main(["chsh-search", "--n", "2", "--cache", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and named in err, err
 
 
 def test_verify_spec_trace_and_tamper(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Session engine: determinism, visibility enforcement, transcripts."""
 
 import math
+import time
 
 import pytest
 
@@ -115,6 +116,87 @@ def test_visible_history_rejects_unknown_party_and_round():
         visible_history(t, "R", 0)
     with pytest.raises(ValueError):
         visible_history(t, "P", 5)
+
+
+def _oracle_visible(messages, party, round_index, lag):
+    """The visibility rule as a filter over whole messages: what a party may
+    read, found by scanning every message of the session."""
+    if party == "V":
+        return [m for m in messages if m.round <= round_index]
+    return [m for m in messages
+            if (m.round <= round_index and party in (m.sender, m.receiver))
+            or m.round <= round_index - lag]
+
+
+def _assert_view_follows_oracle(view, visible, m):
+    for i in range(-1, m + 2):
+        for is_challenge, read in ((True, view.challenge), (False, view.response)):
+            found = [msg.payload for msg in visible
+                     if msg.round == i and (msg.sender == "V") == is_challenge]
+            if found:
+                assert read(i) == found[0]
+            else:
+                with pytest.raises(ProtocolViolation):
+                    read(i)
+    assert view.messages == tuple(visible)
+
+
+class CapturingStrategy:
+    """Delegates to an honest strategy and keeps every view it is handed."""
+
+    def __init__(self, inner, views):
+        self.inner = inner
+        self.views = views
+
+    def begin_session(self, params, prover_seed):
+        self.inner.begin_session(params, prover_seed)
+
+    def __call__(self, party, round_index, view):
+        self.views.append(view)
+        return self.inner(party, round_index, view)
+
+
+@pytest.mark.parametrize("first", ["P", "Q"])
+def test_views_read_exactly_what_the_message_filter_allows(first):
+    for m in range(6):
+        params = make_params(3, m, first_committer=first)
+        for lag in range(1, 5):
+            views = []
+            t = run_attack_session(params, CapturingStrategy(HonestCommit(5), views),
+                                   CapturingStrategy(HonestOpen(), views), 11 + m,
+                                   forwarding_lag=lag)
+            assert len(views) == m + 2
+            for view in views:
+                # Checked after the session: the lists kept growing after the
+                # view was made, yet it still shows only what existed then.
+                existed = [msg for msg in t.messages if msg.round < view.round
+                           or (msg.round == view.round and msg.sender == "V")]
+                _assert_view_follows_oracle(
+                    view, _oracle_visible(existed, view.party, view.round, lag), m)
+            for party in ("P", "Q", "V"):
+                for r in range(m + 2):
+                    _assert_view_follows_oracle(
+                        visible_history(t, party, r, lag),
+                        _oracle_visible(t.messages, party, r, lag), m)
+
+
+def test_per_round_cost_is_flat_in_m():
+    # Views read the verifier's lists by index, so a round of a long session
+    # costs what a round of a short one does.  A view that rescans earlier
+    # messages puts the ratio at 10-30; 3x leaves room for a noisy host.
+    spec = FieldSpec.default(8)
+
+    def us_per_round(m):
+        params = SchemeParams(spec, m)
+        best = math.inf
+        for seed in range(3):
+            t0 = time.perf_counter()
+            run_honest_session(params, 0x17, seed)
+            best = min(best, time.perf_counter() - t0)
+        return best / (m + 2) * 1e6
+
+    short, long = us_per_round(8), us_per_round(1024)
+    assert long <= 3 * short, (short, long)
 
 
 def test_honest_reply_rounds():
