@@ -23,7 +23,7 @@ rule on each read, so the per-round cost of a session is flat in m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .field import FieldSpec
@@ -142,6 +142,20 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
+def check_message_slot(params: SchemeParams, k: int, msg: RoundMessage) -> None:
+    """Raise ValueError unless msg fits as a session's k-th message: rounds
+    0..m are a challenge to the prover that ``active_prover`` names and its
+    reply, round m+1 is that prover's opening alone."""
+    if k > 2 * params.m + 2:
+        raise ValueError(f"message {k} follows the opening")
+    i = k // 2
+    prover = active_prover(params, i)
+    want = (i, "V", prover) if k % 2 == 0 and i <= params.m else (i, prover, "V")
+    if (msg.round, msg.sender, msg.receiver) != want:
+        raise ValueError(f"message {k} must be round={want[0]} from={want[1]} "
+                         f"to={want[2]}")
+
+
 class TranscriptParseError(Exception):
     def __init__(self, lineno: int, why: str):
         super().__init__(f"line {lineno}: {why}")
@@ -171,8 +185,14 @@ def parse_transcript(text: str) -> Transcript:
             continue
         try:
             kv = dict(p.split("=", 1) for p in line.split())
-            t.messages.append(RoundMessage(
-                int(kv["round"]), kv["from"], kv["to"], spec.from_hex(kv["payload"])))
+            msg = RoundMessage(
+                int(kv["round"]), kv["from"], kv["to"], spec.from_hex(kv["payload"]))
+            if not t.messages and msg.receiver in ("P", "Q"):
+                # The header does not name the first committer; the round-0
+                # challenge goes to it.
+                t.params = replace(t.params, first_committer=msg.receiver)
+            check_message_slot(t.params, len(t.messages), msg)
+            t.messages.append(msg)
         except (KeyError, ValueError) as e:
             raise TranscriptParseError(lineno, f"bad message line: {e}") from None
     if not outcome_seen:
@@ -240,13 +260,16 @@ class PartyView:
 
 def visible_history(transcript: Transcript, party: str, round_index: int,
                     forwarding_lag: int = 2) -> PartyView:
-    """The party's view at a round of a transcript whose messages are in
-    round order; the lag is overridable only for testing stricter or looser
-    communication models."""
+    """The party's view at a round of a transcript; the lag is overridable
+    only for testing stricter or looser communication models.  The view
+    reads by index, so a message out of its slot (see check_message_slot)
+    raises ValueError."""
     if party not in ("P", "Q", "V"):
         raise ValueError(f"unknown party {party!r}")
     if round_index > transcript.params.m + 1:
         raise ValueError("round beyond transcript")
+    for k, msg in enumerate(transcript.messages):
+        check_message_slot(transcript.params, k, msg)
     replies = [msg.payload for msg in transcript.messages if msg.receiver == "V"]
     return PartyView(party, round_index, transcript.params, transcript.challenges(),
                      replies, forwarding_lag)

@@ -163,6 +163,15 @@ def test_verify_spec_trace_and_tamper(tmp_path, capsys):
     assert "outcome=6" in text and "match=false" in text
 
 
+def test_verify_rejects_a_reply_from_the_wrong_prover(tmp_path, capsys):
+    path = tmp_path / "trace.txt"
+    path.write_text(WORKED_TRACE.replace("round=1 from=Q", "round=1 from=P"))
+    code = cli.main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "parse-error: line 5:" in err and "from=Q" in err
+
+
 def test_verify_truncated_file(tmp_path, capsys):
     path = tmp_path / "broken.txt"
     path.write_text("\n".join(WORKED_TRACE.splitlines()[:3]) + "\n")

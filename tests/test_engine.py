@@ -95,6 +95,34 @@ def test_transcript_parse_errors_carry_line_numbers():
     assert e.value.lineno == 3
 
 
+def test_messages_out_of_their_slot_are_rejected():
+    # Views and verification read messages by position, so each one must be
+    # where the role rule puts it.
+    t = run_honest_session(make_params(3, 2), 5, 3)
+    lines = t.to_text().splitlines()
+    wrong_prover = lines[:4] + [lines[4].replace("from=Q", "from=P")] + lines[5:]
+    reply_first = lines[:5] + [lines[6], lines[5]] + lines[7:]
+    two_openings = lines[:-1] + lines[-2:]
+    for broken, lineno in ((wrong_prover, 5), (reply_first, 6), (two_openings, 9)):
+        with pytest.raises(TranscriptParseError) as e:
+            parse_transcript("\n".join(broken) + "\n")
+        assert e.value.lineno == lineno
+    aborted = parse_transcript("\n".join(lines[:4] + lines[-1:]) + "\n")
+    assert len(aborted.messages) == 3
+    q_first = run_honest_session(make_params(3, 2, first_committer="Q"), 5, 3)
+    back = parse_transcript(q_first.to_text())
+    assert back.params.first_committer == "Q"
+    assert back.to_text() == q_first.to_text()
+
+    t.messages[4], t.messages[5] = t.messages[5], t.messages[4]
+    with pytest.raises(ValueError):
+        visible_history(t, "V", 2)
+    t.messages[4], t.messages[5] = t.messages[5], t.messages[4]
+    t.messages[3] = engine.RoundMessage(1, "P", "V", t.messages[3].payload)
+    with pytest.raises(ValueError):
+        visible_history(t, "P", 1)
+
+
 def test_visibility_examples():
     params = make_params(3, 3)
     t = run_honest_session(params, 1, 7)
