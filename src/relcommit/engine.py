@@ -96,7 +96,7 @@ class ProtocolViolation(Exception):
     """A strategy asked for a message outside its visible set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundMessage:
     """One protocol message; the payload is a raw field element."""
 

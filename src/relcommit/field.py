@@ -4,11 +4,21 @@ Elements are unsigned ints below 2**n; addition is XOR and multiplication is
 the carry-less polynomial product reduced modulo an explicit irreducible
 polynomial.  A ``FieldSpec`` carries (n, poly) and works on raw ints
 (``mul_i`` / ``pow_i`` / ``inv_i``, with ``check`` for range validation).
+
+For n <= TABLE_MAX_N, ``mul_i`` and ``inv_i`` are lookups in log/antilog
+tables over a generator of the multiplicative group.  The tables are built
+once per (n, poly) and shared by every spec with that (n, poly), so a spec
+made again for a known field (as ``parse_transcript`` does) starts warm.
+Above TABLE_MAX_N, ``mul_i`` is shift-and-add and ``inv_i`` is the extended
+Euclidean algorithm over GF(2)[x].  Both paths give the same results, and
+a spec holds no mutable state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional, Tuple
 
 
 class FieldError(ValueError):
@@ -25,6 +35,10 @@ DEFAULT_POLYS = {
 }
 
 MAX_N = 24
+
+# Widest field with log/antilog tables: at n = 16 they hold 3 * 2^16 entries
+# (~5.5 MB) and take ~65 ms to build.
+TABLE_MAX_N = 16
 
 
 def xmod(a: int, b: int) -> int:
@@ -52,26 +66,91 @@ def is_irreducible(poly: int) -> bool:
     return True
 
 
+def _mul_bits(a: int, b: int, n: int, poly: int) -> int:
+    """Shift-and-add product; the loop stops after the top set bit of a."""
+    p = 0
+    top = 1 << n
+    for _ in range(n):
+        if a & 1:
+            p ^= b
+        a >>= 1
+        if not a:
+            break
+        b <<= 1
+        if b & top:
+            b ^= poly
+    return p
+
+
+def _inv_euclid(a: int, poly: int) -> int:
+    """Inverse of nonzero a modulo irreducible poly by extended Euclid.
+
+    Keeps g1*a = u and g2*a = v (mod poly) while cancelling the leading
+    term of the longer of u, v; gcd(a, poly) = 1, so u reaches 1.
+    """
+    u, v, g1, g2 = a, poly, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2 = v, u, g2, g1
+            j = -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
+
+
+@lru_cache(maxsize=8)
+def _checked_tables(n: int, poly: int) -> Tuple[Optional[tuple], Optional[tuple]]:
+    """Validate (n, poly); return its (exp, log) tables, or (None, None)
+    above TABLE_MAX_N.
+
+    exp[k] = g^k for the smallest generator g, stored twice over so that
+    log a + log b needs no reduction; log[g^k] = k, log[0] unused.  x is not
+    always a generator (it has order 51 modulo 0x11B), so g is searched for.
+    Both results are pure functions of (n, poly); the memo is bounded.
+    """
+    if not 1 <= n <= MAX_N:
+        raise FieldError(f"n must be in 1..{MAX_N}, got {n}")
+    if poly.bit_length() != n + 1:
+        raise FieldError(f"poly 0x{poly:x} does not have degree {n}")
+    if not is_irreducible(poly):
+        raise FieldError(f"poly 0x{poly:x} is reducible")
+    if n > TABLE_MAX_N:
+        return None, None
+    order = (1 << n) - 1
+    for g in range(1, order + 1):
+        exp = [1]
+        x = _mul_bits(g, 1, n, poly)
+        while x != 1:
+            exp.append(x)
+            x = _mul_bits(g, x, n, poly)
+        if len(exp) == order:
+            break
+    log = [0] * (order + 1)
+    for k, x in enumerate(exp):
+        log[x] = k
+    return tuple(exp) * 2, tuple(log)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A concrete GF(2^n): bit width plus reduction polynomial.
 
     The polynomial is validated for irreducibility at construction, which
-    caps n at MAX_N (exhaustive trial division).
+    caps n at MAX_N (exhaustive trial division).  A spec pickles as
+    (n, poly) and finds its tables again on load.
     """
 
     n: int
     poly: int
-    _inv_cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise FieldError(f"n must be in 1..{MAX_N}, got {self.n}")
-        if self.poly.bit_length() != self.n + 1:
-            raise FieldError(
-                f"poly 0x{self.poly:x} does not have degree {self.n}")
-        if not is_irreducible(self.poly):
-            raise FieldError(f"poly 0x{self.poly:x} is reducible")
+        exp, log = _checked_tables(self.n, self.poly)
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
+
+    def __reduce__(self):
+        return FieldSpec, (self.n, self.poly)
 
     @classmethod
     def default(cls, n: int) -> "FieldSpec":
@@ -91,19 +170,12 @@ class FieldSpec:
     # -- raw int arithmetic ------------------------------------------------
 
     def mul_i(self, a: int, b: int) -> int:
-        p = 0
-        top = 1 << self.n
-        poly = self.poly
-        for _ in range(self.n):
-            if a & 1:
-                p ^= b
-            a >>= 1
-            if not a:
-                break
-            b <<= 1
-            if b & top:
-                b ^= poly
-        return p
+        log = self._log
+        if log is None:
+            return _mul_bits(a, b, self.n, self.poly)
+        if a and b:
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def pow_i(self, a: int, e: int) -> int:
         r = 1
@@ -117,11 +189,11 @@ class FieldSpec:
     def inv_i(self, a: int) -> int:
         if a == 0:
             raise FieldError("zero has no multiplicative inverse")
-        v = self._inv_cache.get(a)
-        if v is None:
-            v = self.pow_i(a, (1 << self.n) - 2)
-            self._inv_cache[a] = v
-        return v
+        log = self._log
+        if log is None:
+            return _inv_euclid(a, self.poly)
+        # exp has period 2^n - 1, so exp[-k] = g^-k.
+        return self._exp[-log[a]]
 
     # -- serialization -----------------------------------------------------
 

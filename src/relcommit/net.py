@@ -41,6 +41,7 @@ ABORT_MALFORMED = 0x02
 ABORT_CONNECTION = 0x03
 
 MAX_FRAME = 1 << 16
+MAX_ROUND = 0xFFFF  # frames carry the round as ">H"; the last one is m + 1
 
 
 class WireError(Exception):
@@ -119,6 +120,13 @@ def send_frame(sock: socket.socket, msg: WireMessage):
     sock.sendall(frame(msg))
 
 
+def _check_round_count(params: SchemeParams):
+    """Raise ValueError unless every round 0..m+1 fits a frame header."""
+    if params.m + 1 > MAX_ROUND:
+        raise ValueError(f"networked sessions need m <= {MAX_ROUND - 1}, "
+                         f"got m={params.m}")
+
+
 def _handshake_blob(params: SchemeParams, role: str) -> bytes:
     return (MAGIC + bytes([VERSION, params.field.n])
             + struct.pack(">IH", params.field.poly, params.m)
@@ -159,8 +167,10 @@ def serve_verifier(params: SchemeParams, deadlines: DeadlineConfig, seed: int,
 
     Returns the transcript (written to out_path when given).  Late or
     malformed responses and connection losses abort with reasons 0x01,
-    0x02 and 0x03 respectively.
+    0x02 and 0x03 respectively.  Raises ValueError, before connecting,
+    when m + 1 does not fit the 16-bit round field of a frame.
     """
+    _check_round_count(params)
     spec = params.field
     nbytes = body_len(spec.n)
     timeout = deadlines.per_round_ms / 1000.0
@@ -248,9 +258,12 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
     delay_ms_at_round=(round, ms) stalls one response past the verifier's
     deadline; trace collects every received frame (test hooks).  Returns 0
     on a completed session (RESULT seen), 1 on abort or handshake rejection.
+    Raises ValueError, before binding, for a bad role or an m too large for
+    the 16-bit round field of a frame.
     """
     if role not in ("P", "Q"):
         raise ValueError("role must be 'P' or 'Q'")
+    _check_round_count(params)
     spec = params.field
     pad = shared_pads(prover_root_seed(shared_secret_seed), spec.n)
 

@@ -32,6 +32,10 @@ Q1 = Fraction(3, 4)
 Q2 = Fraction(9, 16)
 Q3_LOWER = Fraction(15, 64)
 
+# An x table over GF(8) (poly 0xB) whose exact best response wins 24 of 64,
+# so q_3 >= 3/8, beyond the affine search's 15/64.
+Q3_WITNESS_X = (0, 0, 0, 0, 1, 2, 5, 3)
+
 
 def full_double_search(spec):
     """Independent oracle: try every (x table, y table) pair."""
@@ -68,6 +72,28 @@ def test_q3_affine_search_lower_bound():
     tables = brute_force_chsh(FieldSpec.default(3))
     assert tables.q == Q3_LOWER
     assert tables.wins() == 15
+
+
+def test_q3_is_at_least_three_eighths_by_witness():
+    def clmul_mod(a, s, poly=0xB):
+        prod = 0
+        for i in range(3):
+            if (a >> i) & 1:
+                prod ^= s << i
+        for i in (4, 3):
+            if (prod >> i) & 1:
+                prod ^= poly << (i - 3)
+        return prod
+
+    xt = Q3_WITNESS_X
+    # Per s, the best y is the most frequent x(a) + a*s over a.
+    yt = tuple(max(range(8), key=lambda y: sum(xt[a] ^ clmul_mod(a, s) == y
+                                             for a in range(8)))
+               for s in range(8))
+    wins = sum(xt[a] ^ yt[s] == clmul_mod(a, s) for a in range(8) for s in range(8))
+    assert Fraction(wins, 64) == Fraction(3, 8)
+    spec = FieldSpec(3, 0xB)
+    assert ChshTables(spec, xt, yt, Fraction(3, 8)).wins() == 24
 
 
 def test_brute_force_refuses_large_fields():

@@ -1,5 +1,7 @@
 """Field arithmetic against independent polynomial oracles."""
 
+import pickle
+import random
 from itertools import product
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from relcommit.field import (
     DEFAULT_POLYS,
+    MAX_N,
     FieldError,
     FieldSpec,
     is_irreducible,
@@ -15,6 +18,10 @@ from relcommit.field import (
 )
 
 GF8 = FieldSpec(3, 0b1011)
+
+# Every width up to 8 with its default polynomial, plus GF(2^8) modulo 0x11D,
+# where x generates the multiplicative group (modulo 0x11B it has order 51).
+SMALL_SPECS = [FieldSpec.default(n) for n in range(1, 9)] + [FieldSpec(8, 0x11D)]
 
 
 def oracle_mul(a, b, poly):
@@ -49,8 +56,7 @@ def test_mul_worked_examples():
 
 
 def test_mul_matches_oracle_exhaustively():
-    for n in (1, 2, 3, 4):
-        spec = FieldSpec.default(n)
+    for spec in SMALL_SPECS:
         for a in range(spec.order):
             for b in range(spec.order):
                 assert spec.mul_i(a, b) == oracle_mul(a, b, spec.poly)
@@ -69,8 +75,7 @@ def test_inv_worked_examples():
 
 
 def test_inv_matches_exhaustive_search():
-    for n in (1, 2, 3, 4):
-        spec = FieldSpec.default(n)
+    for spec in SMALL_SPECS:
         for a in range(1, spec.order):
             assert spec.inv_i(a) == oracle_inv(a, spec)
 
@@ -119,6 +124,28 @@ def test_distributivity_randomized_large_field(a, b, c):
 def test_inverse_randomized_large_field(a):
     spec = FieldSpec.default(16)
     assert spec.mul_i(a, spec.inv_i(a)) == 1
+
+
+def test_mul_and_inv_match_oracle_on_random_pairs():
+    # n <= 16 uses log/antilog tables, n > 16 shift-and-add and Euclid.
+    for n in range(9, MAX_N + 1):
+        spec = FieldSpec.default(n)
+        rng = random.Random(n)
+        for _ in range(200):
+            a = rng.randrange(spec.order)
+            b = rng.randrange(1, spec.order)
+            assert spec.mul_i(a, b) == oracle_mul(a, b, spec.poly)
+            u = spec.inv_i(b)
+            assert 0 < u < spec.order and oracle_mul(b, u, spec.poly) == 1
+
+
+def test_spec_pickles_as_n_and_poly():
+    for spec in (FieldSpec.default(16), FieldSpec.default(24), FieldSpec(8, 0x11D)):
+        blob = pickle.dumps(spec)
+        assert len(blob) < 200
+        back = pickle.loads(blob)
+        assert back == spec and hash(back) == hash(spec) and repr(back) == repr(spec)
+        assert back.mul_i(3, spec.inv_i(3)) == 1
 
 
 def test_default_polys_are_smallest_irreducible():

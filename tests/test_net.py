@@ -306,6 +306,20 @@ def test_connection_loss_aborts():
     assert res.abort_reason == ABORT_CONNECTION
 
 
+def test_round_count_beyond_the_frame_header_is_rejected_before_connecting():
+    cfg = DeadlineConfig(200, ("127.0.0.1", 1), ("127.0.0.1", 1))
+    # m = 65534 puts the opening at round 65535, the last a frame can carry.
+    fits = SchemeParams(FieldSpec.default(3), m=0xFFFE)
+    assert serve_verifier(fits, cfg, 1).abort_reason == ABORT_CONNECTION
+    too_long = SchemeParams(FieldSpec.default(3), m=0xFFFF)
+    with pytest.raises(ValueError, match="m <= 65534"):
+        serve_verifier(too_long, cfg, 1)
+
+    def bound(endpoint):
+        pytest.fail(f"run_prover listened on {endpoint} for an m it cannot serve")
+    with pytest.raises(ValueError, match="m <= 65534"):
+        run_prover("P", too_long, 1, ("127.0.0.1", 0), ready=bound)
+
 def test_verifier_never_relays_prover_messages():
     params = SchemeParams(FieldSpec.default(8), m=4)
     traces = {"P": [], "Q": []}
