@@ -127,7 +127,7 @@ def test_inverse_randomized_large_field(a):
 
 
 def test_mul_and_inv_match_oracle_on_random_pairs():
-    # n <= 16 uses log/antilog tables, n > 16 shift-and-add and Euclid.
+    # Above TABLE_MAX_N = 8: shift-and-add and Euclid, not tables.
     for n in range(9, MAX_N + 1):
         spec = FieldSpec.default(n)
         rng = random.Random(n)

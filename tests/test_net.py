@@ -320,6 +320,7 @@ def test_round_count_beyond_the_frame_header_is_rejected_before_connecting():
     with pytest.raises(ValueError, match="m <= 65534"):
         run_prover("P", too_long, 1, ("127.0.0.1", 0), ready=bound)
 
+
 def test_verifier_never_relays_prover_messages():
     params = SchemeParams(FieldSpec.default(8), m=4)
     traces = {"P": [], "Q": []}
