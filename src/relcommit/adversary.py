@@ -2,7 +2,7 @@
 
 The finite-field CHSH game: produce x from a and y from s (with shared
 randomness) so that x + y = a * s.  ``brute_force_chsh`` finds tables
-maximizing the winning probability q_n exactly for n <= 2; ``randomize``
+maximizing the winning probability q_n exactly for n <= 2; ``RandomizedChsh``
 wraps any tables so the success probability equals q_n for every fixed
 input pair; ``tightness_strategy`` builds the multi-round attack that wins
 a fresh game instance per commit-side round and goes honest on the first
@@ -142,10 +142,6 @@ class RandomizedChsh:
         )
 
 
-def randomize(tables: ChshTables) -> RandomizedChsh:
-    return RandomizedChsh(tables)
-
-
 def tightness_success_probability(q: Fraction, m: int) -> Fraction:
     """Closed-form conditional success of the multi-round attack.
 
@@ -245,7 +241,7 @@ def tightness_strategy(target: int, tables: ChshTables,
     exactly; unconditioned runs lose the rounds where a challenge is zero.
     """
     params.field.check(target)
-    rand = randomize(tables)
+    rand = RandomizedChsh(tables)
     return TightnessCommit(target, rand), TightnessOpen(target, rand)
 
 
@@ -262,10 +258,6 @@ class RandomOpen(ProverStrategy):
         if round_index > m:
             return stream_value(self.seed, STREAM_RANDOM_OPEN, 0, spec.n)
         return honest_reply(spec, m, round_index, view.challenge(round_index), self._pad)
-
-
-def random_open_strategy() -> RandomOpen:
-    return RandomOpen()
 
 
 def tightness_vs_composition_bounds(n: int, m: int, q_n: Fraction = None) -> Tuple[Fraction, Fraction]:

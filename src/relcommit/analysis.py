@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt, sqrt
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import engine
-from .engine import (STREAM_TARGET, STREAM_TRIAL, SchemeParams, honest_reply,
-                     shared_pads, stream_value)
+from .engine import STREAM_TARGET, STREAM_TRIAL, SchemeParams, honest_reply, stream_value
 from .field import FieldSpec
 from .scheme import BOT, extr_bit_i, extr_i
 
@@ -53,19 +52,8 @@ class Dist:
         self._mass = d
 
     @classmethod
-    def point(cls, x) -> "Dist":
-        return cls({x: ONE})
-
-    @classmethod
-    def uniform(cls, xs: Iterable) -> "Dist":
-        xs = list(xs)
-        w = Fraction(1, len(xs))
-        return cls({x: w for x in xs})
-
-    @classmethod
-    def from_counts(cls, counts: Mapping, total: int = None) -> "Dist":
-        if total is None:
-            total = sum(counts.values())
+    def from_counts(cls, counts: Mapping) -> "Dist":
+        total = sum(counts.values())
         return cls({k: Fraction(v, total) for k, v in counts.items()})
 
     def mass(self, x) -> Fraction:
@@ -108,9 +96,6 @@ class JointDist:
             k = (x, y)[axis]
             out[k] = out.get(k, ZERO) + w
         return Dist(out)
-
-    def prob_equal(self) -> Fraction:
-        return sum((w for (x, y), w in self._mass.items() if x == y), ZERO)
 
 
 def stat_distance(p: Dist, q: Dist) -> Fraction:
@@ -375,14 +360,13 @@ def view_distribution(params: SchemeParams, verifier_strategy, value: int,
     if horizon > m + 1:
         raise ValueError("horizon beyond the last round")
     if spec.n * (m + 1) > 18:
-        raise ValueError("view space too large to enumerate exactly; "
-                         "use hiding_distance_mc")
+        raise ValueError("view space too large to enumerate exactly")
     counts: Dict[tuple, int] = {}
     for pads in product(range(spec.order), repeat=m + 1):
         key = _honest_view(params, verifier_strategy, value, horizon,
                            pads.__getitem__)
         counts[key] = counts.get(key, 0) + 1
-    return Dist.from_counts(counts, spec.order ** (m + 1))
+    return Dist.from_counts(counts)
 
 
 def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
@@ -391,21 +375,6 @@ def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
     return stat_distance(
         view_distribution(params, verifier_strategy, s0, horizon),
         view_distribution(params, verifier_strategy, s1, horizon))
-
-
-def hiding_distance_mc(params: SchemeParams, verifier_strategy, s0: int, s1: int,
-                       horizon: int, trials: int, seed: int) -> Tuple[Fraction, int]:
-    """Empirical view distance from sampled sessions; returns (estimate, trials)."""
-    n = params.field.n
-    counts0: Dict[tuple, int] = {}
-    counts1: Dict[tuple, int] = {}
-    for t in range(trials):
-        pad = shared_pads(engine.stream_u64(seed, STREAM_TRIAL, t), n)
-        for value, counts in ((s0, counts0), (s1, counts1)):
-            key = _honest_view(params, verifier_strategy, value, horizon, pad)
-            counts[key] = counts.get(key, 0) + 1
-    return stat_distance(Dist.from_counts(counts0, trials),
-                         Dist.from_counts(counts1, trials)), trials
 
 
 # -- the open-to-uniform-target game ------------------------------------------

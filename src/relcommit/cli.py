@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from multiprocessing import Pool
@@ -177,7 +178,7 @@ def cmd_attack(args, cfg) -> int:
         value = _get(args, cfg, "value", lambda v: int(v, 16), 0)
 
         def family(target):
-            return engine.HonestCommit(value), adversary.random_open_strategy()
+            return engine.HonestCommit(value), adversary.RandomOpen()
 
         res = analysis.open_game_success(params, family, trials, seed,
                                          condition_nonzero=True)
@@ -211,6 +212,11 @@ def cmd_analyze(args, cfg) -> int:
     elif metric == "hiding":
         params = _params(args, cfg)
         spec = params.field
+        # Challenge tuples x committed values x pad tuples: 2^(n*(2m+3)) views.
+        size = spec.n * (2 * params.m + 3)
+        if size > 20:
+            raise ValueError(f"analyze hiding builds ~2^(n*(2m+3)) views; "
+                             f"n*(2m+3)={size} exceeds the n*(2m+3)<=20 cap")
         worst = Fraction(0)
         for fixed in product(range(spec.order), repeat=params.m + 1):
             strat = analysis.fixed_challenge_strategy(fixed)
@@ -225,6 +231,9 @@ def cmd_analyze(args, cfg) -> int:
         eps = Fraction(1, spec.order)
         if spec.n % 2:
             raise SystemExit("error: extractor analysis uses even n (alpha = sqrt(eps))")
+        if spec.n > 2:
+            raise ValueError(f"analyze extractor enumerates 2^(n*2^n) commit tables; "
+                             f"n={spec.n} exceeds the n<=2 cap")
         alpha = Fraction(1, 2 ** (spec.n // 2))
         bound = 2 * alpha
         openings = list(range(spec.order))
@@ -285,8 +294,7 @@ def cmd_verify(args, cfg) -> int:
         with open(args.path) as fh:
             t = engine.parse_transcript(fh.read())
         k = getattr(args, "domain_bits", None)
-        params = t.params if not k else SchemeParams(
-            t.params.field, t.params.m, int(k), t.params.first_committer)
+        params = t.params if not k else replace(t.params, domain_bits=int(k))
         outcome = multiround_verify(params, t.challenges(), t.responses(),
                                     t.final_opening())
     except (engine.TranscriptParseError, ValueError) as e:

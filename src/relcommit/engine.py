@@ -92,6 +92,15 @@ def honest_reply(spec: FieldSpec, m: int, round_index: int, a: Optional[int],
     return chsh_response(spec, prev, pad(round_index), a)
 
 
+def check_committed_value(params: SchemeParams, value: int) -> None:
+    """Raise ValueError unless value is a field element inside the scheme's
+    domain_bits domain."""
+    k = params.domain_bits
+    if k is not None and value >> k:
+        raise ValueError("committed value outside the scheme domain")
+    params.field.check(value)
+
+
 class ProtocolViolation(Exception):
     """A strategy asked for a message outside its visible set."""
 
@@ -203,9 +212,8 @@ def parse_transcript(text: str) -> Transcript:
 class PartyView:
     """What one party may consult at a given round.
 
-    The view holds references to the session's per-round challenge and
-    reply lists (the verifier's own, or lists built once from a finished
-    transcript) and reads them by index, so a read costs O(1) whatever m
+    The view holds references to the verifier's per-round challenge and
+    reply lists and reads them by index, so a read costs O(1) whatever m
     is.  Round i is visible when it was already issued or answered as the
     view was made, i <= round, and the party is the verifier, or i is at
     least ``lag`` rounds old (forwarded), or the party answered round i
@@ -245,35 +253,6 @@ class PartyView:
     def response(self, i: int) -> int:
         return self._read(self._replies, self._answered, i, "response")
 
-    @property
-    def messages(self) -> tuple:
-        """The visible messages in transcript order, rebuilt on each call."""
-        out = []
-        for i in range(self.round + 1):
-            prover = active_prover(self._params, i)
-            if self._sees(i, self._issued):
-                out.append(RoundMessage(i, "V", prover, self._challenges[i]))
-            if self._sees(i, self._answered):
-                out.append(RoundMessage(i, prover, "V", self._replies[i]))
-        return tuple(out)
-
-
-def visible_history(transcript: Transcript, party: str, round_index: int,
-                    forwarding_lag: int = 2) -> PartyView:
-    """The party's view at a round of a transcript; the lag is overridable
-    only for testing stricter or looser communication models.  The view
-    reads by index, so a message out of its slot (see check_message_slot)
-    raises ValueError."""
-    if party not in ("P", "Q", "V"):
-        raise ValueError(f"unknown party {party!r}")
-    if round_index > transcript.params.m + 1:
-        raise ValueError("round beyond transcript")
-    for k, msg in enumerate(transcript.messages):
-        check_message_slot(transcript.params, k, msg)
-    replies = [msg.payload for msg in transcript.messages if msg.receiver == "V"]
-    return PartyView(party, round_index, transcript.params, transcript.challenges(),
-                     replies, forwarding_lag)
-
 
 # -- strategies --------------------------------------------------------------
 
@@ -296,10 +275,7 @@ class HonestCommit(ProverStrategy):
 
     def begin_session(self, params: SchemeParams, prover_seed: int):
         super().begin_session(params, prover_seed)
-        k = params.domain_bits
-        if k is not None and self.value >> k:
-            raise ValueError("committed value outside the scheme domain")
-        params.field.check(self.value)
+        check_committed_value(params, self.value)
 
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
         return honest_reply(self.params.field, self.params.m, 0,
@@ -406,10 +382,3 @@ def run_honest_session(params: SchemeParams, value: int, seed: int,
     """Honest execution committing to value; outcome from multiround_verify."""
     return run_attack_session(params, HonestCommit(value), HonestOpen(),
                               seed, fixed_challenges)
-
-
-def replay_session(transcript: Transcript, commit_strategy, open_strategy) -> Transcript:
-    """Re-run strategies against recorded challenges; must reproduce transcript."""
-    return run_attack_session(
-        transcript.params, commit_strategy, open_strategy, transcript.seed,
-        fixed_challenges=transcript.challenges())

@@ -23,7 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .engine import Transcript, Verifier, honest_reply, prover_root_seed, shared_pads
+from .engine import (Transcript, Verifier, check_committed_value, honest_reply,
+                     prover_root_seed, shared_pads)
 from .scheme import BOT, SchemeParams, active_prover
 
 MAGIC = b"RELCOMMT"
@@ -258,11 +259,13 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
     delay_ms_at_round=(round, ms) stalls one response past the verifier's
     deadline; trace collects every received frame (test hooks).  Returns 0
     on a completed session (RESULT seen), 1 on abort or handshake rejection.
-    Raises ValueError, before binding, for a bad role or an m too large for
-    the 16-bit round field of a frame.
+    Raises ValueError, before binding, for a bad role, a committed value
+    outside the field or the domain, or an m too large for the 16-bit round
+    field of a frame.
     """
     if role not in ("P", "Q"):
         raise ValueError("role must be 'P' or 'Q'")
+    check_committed_value(params, value)
     _check_round_count(params)
     spec = params.field
     pad = shared_pads(prover_root_seed(shared_secret_seed), spec.n)

@@ -1,4 +1,4 @@
-"""The CHSH^n string/bit commitment scheme and its composition algebra.
+"""The CHSH^n string/bit commitment scheme and its multi-round composition.
 
 A commitment is the commit-phase communication (a, x), two raw field ints;
 the honest committer sends x = r + a*s (``chsh_response``).  The verifier's
@@ -7,15 +7,11 @@ s = (x + y) * a^-1 for the announced y; the bit scheme (``extr_bit_i``) uses
 the smaller satisfying bit.  Multi-round schemes chain commitments: round i
 commits to the previous round's opening string, and the verifier
 back-substitutes y_{i-1} = (x_i + y_i) * a_i^-1 down to the committed value.
-
-Scheme descriptors are plain data (roles, opening shape, domains) so that
-eligibility checking and the composition operator work on any scheme of the
-right shape, not just CHSH^n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .field import FieldSpec
@@ -68,16 +64,14 @@ class SchemeParams:
             raise ValueError("first_committer must be 'P' or 'Q'")
 
 
-def other_prover(p: str) -> str:
-    return "Q" if p == "P" else "P"
-
-
 def active_prover(params: SchemeParams, round_index: int) -> str:
     """The prover that answers round_index; the roles alternate, starting
     with first_committer, and the final opening (round m+1) comes from the
     prover that did not answer round m."""
     first = params.first_committer
-    return first if round_index % 2 == 0 else other_prover(first)
+    if round_index % 2 == 0:
+        return first
+    return "Q" if first == "P" else "P"
 
 
 def chsh_response(spec: FieldSpec, s: int, r: int, a: int) -> int:
@@ -147,16 +141,16 @@ def multiround_verify(
     return s
 
 
-def k_of_extr(spec: FieldSpec, extr_fn: Callable[[FieldSpec, int, int, int], OpenOutcome] = extr_i,
-              max_n: int = 8) -> int:
+def k_of_extr(spec: FieldSpec,
+              extr_fn: Callable[[FieldSpec, int, int, int], OpenOutcome] = extr_i) -> int:
     """max over commitments c and values s of |{y : extr(y, c) = s}|.
 
-    Fully exhaustive over (a, x, s, y), so refuses n above max_n.
+    Fully exhaustive over (a, x, s, y), so refuses n above 8.
     """
-    if spec.n > max_n:
+    if spec.n > 8:
         raise ValueError(
             f"k_of_extr enumerates 2^(4n) tuples; n={spec.n} exceeds the "
-            f"n<={max_n} cap")
+            "n<=8 cap")
     order = spec.order
     best = 0
     for a in range(order):
@@ -169,100 +163,3 @@ def k_of_extr(spec: FieldSpec, extr_fn: Callable[[FieldSpec, int, int, int], Ope
             if counts:
                 best = max(best, max(counts.values()))
     return best
-
-
-# -- scheme descriptors and composition -------------------------------------
-
-
-@dataclass(frozen=True)
-class SchemeDescriptor:
-    """Shape of a two-prover commitment scheme, as data.
-
-    committer is the prover active in the commit phase; opener the prover
-    that announces the opening information.  single_string_open means the
-    opening phase is one string y from the opener, mapped deterministically
-    by the verifier (the shape required of the left operand of compose).
-    """
-
-    name: str
-    field: FieldSpec
-    committer: str
-    opener: str
-    single_string_open: bool
-    domain_bits: int
-    open_string_bits: int
-    sustain_rounds: int = 0
-
-    def to_params(self) -> SchemeParams:
-        k = None if self.domain_bits == self.field.n else self.domain_bits
-        return SchemeParams(self.field, self.sustain_rounds, k, self.committer)
-
-
-def chsh_descriptor(spec: FieldSpec, committer: str = "P",
-                    domain_bits: Optional[int] = None) -> SchemeDescriptor:
-    k = spec.n if domain_bits is None else domain_bits
-    name = "chsh" if committer == "P" else "xchsh"
-    return SchemeDescriptor(
-        name=name, field=spec, committer=committer,
-        opener=other_prover(committer), single_string_open=True,
-        domain_bits=k, open_string_bits=spec.n)
-
-
-def check_eligible(s: SchemeDescriptor, s2: SchemeDescriptor) -> tuple[bool, str]:
-    """Whether s2 can commit to s's opening information.
-
-    (i) s commits via one prover and opens via the other, and s2 commits
-    via that other prover; (ii) s opens with a single string and a
-    deterministic extraction; (iii) s2's domain contains the opening
-    strings of s.
-    """
-    if s.committer == s.opener:
-        return False, f"{s.name}: commit and opening use the same prover"
-    if s2.committer != s.opener:
-        return False, (f"{s2.name} commits via {s2.committer}, but {s.name} "
-                       f"opens via {s.opener}")
-    if not s.single_string_open:
-        return False, f"{s.name}: opening is not a single extractable string"
-    if s2.domain_bits < s.open_string_bits:
-        return False, (f"domain of {s2.name} ({s2.domain_bits} bits) cannot "
-                       f"hold opening strings of {s.name} "
-                       f"({s.open_string_bits} bits)")
-    return True, "eligible"
-
-
-def compose(s: SchemeDescriptor, s2: SchemeDescriptor) -> SchemeDescriptor:
-    """Open s by first committing to its opening string via s2.
-
-    The composed scheme keeps s's commit phase and domain; its opening
-    phase runs s2's commit phase followed by s2's opening, so it is no
-    longer a single-string opening.
-    """
-    ok, reason = check_eligible(s, s2)
-    if not ok:
-        raise ValueError(f"ineligible pair: {reason}")
-    return SchemeDescriptor(
-        name=f"{s.name}*{s2.name}",
-        field=s.field,
-        committer=s.committer,
-        opener=s2.opener,
-        single_string_open=False,
-        domain_bits=s.domain_bits,
-        open_string_bits=s2.open_string_bits,
-        sustain_rounds=s2.sustain_rounds + 1,
-    )
-
-
-def multiround_descriptor(spec: FieldSpec, m: int, first_committer: str = "P",
-                          domain_bits: Optional[int] = None) -> SchemeDescriptor:
-    """m-fold self-composition with role alternation, built via compose.
-
-    The innermost term commits at round m; composing outward reproduces the
-    multi-round protocol whose round-0 committer is first_committer.
-    """
-    params = SchemeParams(spec, m, first_committer=first_committer)
-    d = chsh_descriptor(spec, active_prover(params, m))
-    for i in range(m - 1, -1, -1):
-        d = compose(chsh_descriptor(spec, active_prover(params, i)), d)
-    if domain_bits is not None and domain_bits != spec.n:
-        d = replace(d, domain_bits=domain_bits)
-    return d

@@ -113,7 +113,7 @@ def test_c07_chsh_game_value_and_wrapper():
     ok = t1.q == F(3, 4) and isinstance(t1.q, Fraction)
     for n in (1, 2):
         tables = adversary.brute_force_chsh(FieldSpec.default(n))
-        wrapped = adversary.randomize(tables)
+        wrapped = adversary.RandomizedChsh(tables)
         want = tables.wins()
         for a in range(tables.field.order):
             for s in range(tables.field.order):

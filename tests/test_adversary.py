@@ -9,10 +9,10 @@ import pytest
 from relcommit import engine
 from relcommit.adversary import (
     ChshTables,
+    RandomizedChsh,
+    RandomOpen,
     brute_force_chsh,
     parse_tables,
-    random_open_strategy,
-    randomize,
     serialize_tables,
     tightness_strategy,
     tightness_success_probability,
@@ -110,7 +110,7 @@ def test_search_is_deterministic():
 def test_wrapper_success_is_input_independent():
     for spec in (GF2, GF4):
         tables = brute_force_chsh(spec)
-        wrapped = randomize(tables)
+        wrapped = RandomizedChsh(tables)
         want = tables.wins()
         for a in range(spec.order):
             for s in range(spec.order):
@@ -119,7 +119,7 @@ def test_wrapper_success_is_input_independent():
 
 def test_wrapper_preserves_value_of_suboptimal_tables():
     zero = ChshTables(GF4, (0,) * 4, (0,) * 4, Fraction(7, 16))
-    wrapped = randomize(zero)
+    wrapped = RandomizedChsh(zero)
     for a in range(4):
         for s in range(4):
             assert wrapped.win_count(a, s) == 7
@@ -132,7 +132,7 @@ def test_wrapper_output_marginal():
     # r_a = a all land on x_table[0].
     for spec in (GF2, GF4):
         tables = brute_force_chsh(spec)
-        wrapped = randomize(tables)
+        wrapped = RandomizedChsh(tables)
         for a in range(spec.order):
             counts = [0] * spec.order
             for r_a in range(spec.order):
@@ -218,7 +218,7 @@ def test_random_open_uniform_when_challenge_nonzero():
     for t in range(20000):
         tseed = stream_u64(99, engine.STREAM_TRIAL, t)
         tr = run_attack_session(params, engine.HonestCommit(3),
-                                random_open_strategy(), tseed)
+                                RandomOpen(), tseed)
         if tr.challenges()[0] == 0:
             continue
         kept += 1

@@ -34,6 +34,17 @@ def test_run_summary_and_transcript(tmp_path, capsys):
     code, text = run_cli(capsys, "verify", str(out))
     assert code == 0
     assert "match=true" in text
+    # --domain-bits re-verifies the recorded messages under a k-bit domain.
+    wide = tmp_path / "n8.txt"
+    run_cli(capsys, "run", "--n", "8", "--m", "3", "--value", "05", "--seed", "7",
+            "--trials", "1", "--out", str(wide))
+    assert wide.read_text().endswith("outcome=05\n")
+    for k, want_code, want in (("4", 0, "outcome=05 recorded=05 match=true"),
+                               ("2", 1, "outcome=BOT recorded=05 match=false")):
+        code, text = run_cli(capsys, "verify", str(wide), "--domain-bits", k)
+        assert (code, text.strip()) == (want_code, want)
+    code = cli.main(["verify", str(wide), "--domain-bits", "9"])
+    assert code == 2 and "domain_bits must be in 1..n" in capsys.readouterr().err
 
 
 def test_run_statistics_pass(capsys):
@@ -107,6 +118,16 @@ def test_analyze_reports(capsys):
     assert code == 0 and "bound=1/1 pass=true" in text
     code, text = run_cli(capsys, "analyze", "coupling", "--trials", "300", "--seed", "1")
     assert code == 0 and "pass=true" in text
+
+
+def test_analyze_refuses_enumerations_beyond_their_caps(capsys):
+    for argv, named in ((("extractor", "--n", "4"), "n=4 exceeds the n<=2 cap"),
+                        (("hiding", "--n", "3", "--m", "2"),
+                         "n*(2m+3)=21 exceeds the n*(2m+3)<=20 cap"),
+                        (("hiding", "--n", "7"), "n*(2m+3)=21 exceeds")):
+        code = cli.main(["analyze", *argv])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and named in err, err
 
 
 def test_chsh_search_uses_cache(tmp_path, capsys):

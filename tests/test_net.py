@@ -321,6 +321,17 @@ def test_round_count_beyond_the_frame_header_is_rejected_before_connecting():
         run_prover("P", too_long, 1, ("127.0.0.1", 0), ready=bound)
 
 
+def test_committed_value_outside_field_or_domain_is_rejected_before_binding():
+    def bound(endpoint):
+        pytest.fail(f"run_prover listened on {endpoint} for a value it cannot commit")
+    gf256 = SchemeParams(FieldSpec.default(8), m=2)
+    four_bits = SchemeParams(FieldSpec.default(8), m=2, domain_bits=4)
+    for params, value in ((gf256, 0x100), (four_bits, 0x10)):
+        for role in ("P", "Q"):
+            with pytest.raises(ValueError):
+                run_prover(role, params, 1, ("127.0.0.1", 0), value=value, ready=bound)
+
+
 def test_verifier_never_relays_prover_messages():
     params = SchemeParams(FieldSpec.default(8), m=4)
     traces = {"P": [], "Q": []}

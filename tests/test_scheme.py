@@ -1,4 +1,4 @@
-"""Scheme operations: worked traces, opening rules, eligibility, composition."""
+"""Scheme operations: worked traces, opening rules, multi-round verification."""
 
 import random
 from itertools import product
@@ -9,14 +9,10 @@ from relcommit.field import FieldSpec
 from relcommit.scheme import (
     BOT,
     SchemeParams,
-    check_eligible,
-    chsh_descriptor,
     chsh_response,
-    compose,
     extr_bit_i,
     extr_i,
     k_of_extr,
-    multiround_descriptor,
     multiround_verify,
     restrict_domain,
 )
@@ -174,46 +170,3 @@ def test_params_validation():
         SchemeParams(GF8, domain_bits=4)
     with pytest.raises(ValueError):
         SchemeParams(GF8, first_committer="R")
-
-
-def test_eligibility_chsh_pairs():
-    spec = FieldSpec.default(3)
-    chsh = chsh_descriptor(spec, "P")
-    xchsh = chsh_descriptor(spec, "Q")
-    ok, _ = check_eligible(chsh, xchsh)
-    assert ok
-    ok, reason = check_eligible(chsh, chsh)
-    assert not ok and "commits via" in reason
-    composed = compose(chsh, xchsh)
-    ok, _ = check_eligible(xchsh, composed)
-    assert ok
-    # A composed scheme cannot sit on the left: its opening is interactive
-    # and involves both provers.
-    ok, reason = check_eligible(composed, chsh)
-    assert not ok and reason
-
-
-def test_compose_requires_eligibility():
-    spec = FieldSpec.default(3)
-    chsh = chsh_descriptor(spec, "P")
-    with pytest.raises(ValueError):
-        compose(chsh, chsh)
-
-
-def test_compose_counts_rounds_and_roles():
-    spec = FieldSpec.default(3)
-    d0 = multiround_descriptor(spec, 0)
-    assert d0.sustain_rounds == 0 and d0.name == "chsh"
-    d3 = multiround_descriptor(spec, 3)
-    assert d3.sustain_rounds == 3
-    assert d3.committer == "P"
-    # Round 3 is Q's, so the final opening comes from P.
-    assert d3.opener == "P"
-    d2 = multiround_descriptor(spec, 2)
-    assert d2.opener == "Q"
-
-
-def test_composed_descriptor_matches_direct_params():
-    spec = FieldSpec.default(3)
-    assert multiround_descriptor(spec, 2).to_params() == SchemeParams(spec, m=2)
-    assert multiround_descriptor(spec, 0).to_params() == SchemeParams(spec, m=0)
