@@ -233,10 +233,15 @@ def test_attack_path_with_honest_strategies_matches_honest_session():
         a = run_honest_session(params, 9, seed)
         b = run_attack_session(params, HonestCommit(9), HonestOpen(), seed)
         assert a.to_text() == b.to_text()
-        # Replaying the recorded challenges reproduces the session.
-        replayed = run_attack_session(params, HonestCommit(9), HonestOpen(), seed,
-                                      fixed_challenges=a.challenges())
-        assert replayed.to_text() == a.to_text()
+
+
+def test_replay_reproduces_transcript():
+    # Re-running strategies against the recorded challenges reproduces the session.
+    params = make_params(3, 3)
+    t = run_honest_session(params, 5, 321)
+    again = run_attack_session(t.params, HonestCommit(5), HonestOpen(), t.seed,
+                               fixed_challenges=t.challenges())
+    assert again.to_text() == t.to_text()
 
 
 class PeekingStrategy(HonestOpen):
