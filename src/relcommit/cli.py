@@ -51,9 +51,14 @@ def _get(args, cfg, key, cast, default=None):
         v = cfg.get(key)
     if v is None:
         if default is None:
-            raise SystemExit(f"error: missing required option --{key.replace('_', '-')}")
+            raise ValueError(f"missing required option --{key.replace('_', '-')}")
         return default
     return cast(v)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("--trials must be >= 1")
 
 
 def _field(args, cfg) -> FieldSpec:
@@ -126,8 +131,7 @@ def cmd_run(args, cfg) -> int:
     seed = _get(args, cfg, "seed", int)
     trials = _get(args, cfg, "trials", int, 1)
     workers = _get(args, cfg, "workers", int, 1)
-    if trials < 1:
-        raise SystemExit("error: --trials must be >= 1")
+    _check_trials(trials)
     spec = params.field
     fails = sum(_fanout(_honest_chunk, (params, value, seed), trials, workers))
     out = _outpath(getattr(args, "out", None) or cfg.get("out"))
@@ -164,6 +168,7 @@ def cmd_attack(args, cfg) -> int:
     seed = _get(args, cfg, "seed", int)
     trials = _get(args, cfg, "trials", int)
     workers = _get(args, cfg, "workers", int, 1)
+    _check_trials(trials)
     spec = params.field
 
     if args.attack_kind == "tightness":
@@ -230,7 +235,7 @@ def cmd_analyze(args, cfg) -> int:
         spec = _field(args, cfg)
         eps = Fraction(1, spec.order)
         if spec.n % 2:
-            raise SystemExit("error: extractor analysis uses even n (alpha = sqrt(eps))")
+            raise ValueError("extractor analysis uses even n (alpha = sqrt(eps))")
         if spec.n > 2:
             raise ValueError(f"analyze extractor enumerates 2^(n*2^n) commit tables; "
                              f"n={spec.n} exceeds the n<=2 cap")
@@ -251,6 +256,7 @@ def cmd_analyze(args, cfg) -> int:
     elif metric == "coupling":
         trials = _get(args, cfg, "trials", int, 1000)
         seed = _get(args, cfg, "seed", int, 1)
+        _check_trials(trials)
         bad = 0
         for t in range(trials):
             u = engine.stream_u64(seed, engine.STREAM_TRIAL, t)
@@ -266,7 +272,7 @@ def cmd_analyze(args, cfg) -> int:
         lines.append(analysis.report_line("coupling", 0, Fraction(bad, trials),
                                           Fraction(0), bad == 0))
     else:
-        raise SystemExit(f"error: unknown metric {metric!r}")
+        raise ValueError(f"unknown metric {metric!r}")
     code = 0
     for line in lines:
         print(line)

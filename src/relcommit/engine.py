@@ -2,7 +2,8 @@
 
 One session is driven by a 64-bit master seed.  Labeled values are derived
 with the SplitMix64 sequence (Steele/Lea/Flood's mix, as in SplittableRandom):
-value(seed, stream, index) = mix64(seed + ((stream << 32) | index) * GAMMA).
+value(seed, stream, index) is the SplitMix64 finalizer of
+seed + ((stream << 32) | index) * GAMMA mod 2^64 (see ``stream_u64``).
 The verifier's challenge stream is labeled 'V'; prover-side randomness hangs
 off a separate root split so strategies can never reconstruct upcoming
 challenges.  2^64 is a multiple of 2^n, so reducing a stream value mod 2^n
@@ -46,16 +47,12 @@ STREAM_PMF_P = 0x70       # 'p': first random pmf of the coupling check
 STREAM_PMF_Q = 0x71       # 'q': second random pmf of the coupling check
 
 
-def mix64(x: int) -> int:
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
-
-
 def stream_u64(seed: int, stream: int, index: int) -> int:
     """index-th value of the labeled stream derived from seed."""
-    return mix64(seed + (((stream << 32) | index) * _GAMMA))
+    z = (seed + (((stream << 32) | index) * _GAMMA)) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def stream_value(seed: int, stream: int, index: int, n: int) -> int:
@@ -70,11 +67,18 @@ def prover_root_seed(master_seed: int) -> int:
 
 def shared_pads(prover_seed: int, n: int) -> Callable[[int], int]:
     """The honest provers' shared pads (their joint randomness) under
-    prover_seed: the returned pad(i) is y_i."""
+    prover_seed: the returned pad(i) is y_i.  It keeps the last (i, y_i):
+    an honest reply at round i reads y_{i-1}, then y_i."""
     mask = (1 << n) - 1
+    last = (-1, 0)
 
     def pad(i: int) -> int:
-        return stream_u64(prover_seed, STREAM_SHARED, i) & mask
+        nonlocal last
+        j, y = last
+        if j != i:
+            y = stream_u64(prover_seed, STREAM_SHARED, i) & mask
+            last = (i, y)
+        return y
     return pad
 
 
@@ -105,7 +109,7 @@ class ProtocolViolation(Exception):
     """A strategy asked for a message outside its visible set."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundMessage:
     """One protocol message; the payload is a raw field element."""
 
@@ -134,35 +138,49 @@ class Transcript:
                 if m.receiver == "V" and m.round <= self.params.m]
 
     def final_opening(self) -> int:
-        last = self.messages[-1]
-        if last.round != self.params.m + 1:
+        if not self.messages or self.messages[-1].round != self.params.m + 1:
             raise ValueError("transcript has no final opening message")
-        return last.payload
+        return self.messages[-1].payload
 
     def to_text(self) -> str:
-        p = self.params
-        lines = [f"#relcommit v1 n={p.field.n} poly=0x{p.field.poly:x} "
-                 f"m={p.m} seed={self.seed}"]
+        spec = self.params.field
+        fmt = f"0{(spec.n + 3) // 4}x"
+        order = spec.order
+        lines = [_header(self.params, self.seed)]
         for msg in self.messages:
+            v = msg.payload
+            if not 0 <= v < order:
+                spec.check(v)
             lines.append(f"round={msg.round} from={msg.sender} "
-                         f"to={msg.receiver} payload={p.field.to_hex(msg.payload)}")
-        out = "BOT" if self.outcome is BOT else p.field.to_hex(self.outcome)
+                         f"to={msg.receiver} payload={v:{fmt}}")
+        out = "BOT" if self.outcome is BOT else spec.to_hex(self.outcome)
         lines.append(f"outcome={out}")
         return "\n".join(lines) + "\n"
 
 
-def check_message_slot(params: SchemeParams, k: int, msg: RoundMessage) -> None:
-    """Raise ValueError unless msg fits as a session's k-th message: rounds
-    0..m are a challenge to the prover that ``active_prover`` names and its
+def _header(params: SchemeParams, seed: int) -> str:
+    return (f"#relcommit v1 n={params.field.n} poly=0x{params.field.poly:x} "
+            f"m={params.m} seed={seed}")
+
+
+def message_slot(params: SchemeParams, k: int) -> Tuple[int, str, str]:
+    """(round, sender, receiver) of a session's k-th message: rounds 0..m
+    are a challenge to the prover that ``active_prover`` names and its
     reply, round m+1 is that prover's opening alone."""
     if k > 2 * params.m + 2:
         raise ValueError(f"message {k} follows the opening")
     i = k // 2
     prover = active_prover(params, i)
-    want = (i, "V", prover) if k % 2 == 0 and i <= params.m else (i, prover, "V")
-    if (msg.round, msg.sender, msg.receiver) != want:
-        raise ValueError(f"message {k} must be round={want[0]} from={want[1]} "
-                         f"to={want[2]}")
+    if k % 2 == 0 and i <= params.m:
+        return i, "V", prover
+    return i, prover, "V"
+
+
+def _hex_field(spec: FieldSpec, width: int, text: str, what: str) -> int:
+    """The v with ``spec.to_hex(v) == text``, width being ceil(n/4)."""
+    if len(text) != width or text.strip("0123456789abcdef"):
+        raise ValueError(f"{what} {text!r} is not {width} lowercase hex digits")
+    return spec.check(int(text, 16))
 
 
 class TranscriptParseError(Exception):
@@ -172,8 +190,10 @@ class TranscriptParseError(Exception):
 
 
 def parse_transcript(text: str) -> Transcript:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#relcommit v1 "):
+    """Read back only what ``Transcript.to_text`` writes (README, "File
+    formats"); anything else raises TranscriptParseError at its line."""
+    lines = text.split("\n")
+    if not lines[0].startswith("#relcommit v1 "):
         raise TranscriptParseError(1, "missing '#relcommit v1' header")
     try:
         hdr = dict(kv.split("=", 1) for kv in lines[0].split()[2:])
@@ -182,30 +202,43 @@ def parse_transcript(text: str) -> Transcript:
         seed = int(hdr["seed"])
     except (KeyError, ValueError) as e:
         raise TranscriptParseError(1, f"bad header: {e}") from None
+    if _header(params, seed) != lines[0]:
+        raise TranscriptParseError(1, f"header must read {_header(params, seed)!r}")
+    last = len(lines) - 1
+    while last and not lines[last].strip():
+        last -= 1
+    has_outcome = lines[last].startswith("outcome=")
+    width = (spec.n + 3) // 4
     t = Transcript(params, seed)
-    outcome_seen = False
-    for lineno, line in enumerate(lines[1:], start=2):
+    messages = t.messages
+    for idx in range(1, last if has_outcome else last + 1):
+        line = lines[idx]
         if not line.strip():
             continue
-        if line.startswith("outcome="):
-            val = line.split("=", 1)[1]
-            t.outcome = BOT if val == "BOT" else spec.from_hex(val)
-            outcome_seen = True
-            continue
+        k = len(messages)
         try:
-            kv = dict(p.split("=", 1) for p in line.split())
-            msg = RoundMessage(
-                int(kv["round"]), kv["from"], kv["to"], spec.from_hex(kv["payload"]))
-            if not t.messages and msg.receiver in ("P", "Q"):
+            if k == 0 and line.startswith("round=0 from=V to=Q "):
                 # The header does not name the first committer; the round-0
                 # challenge goes to it.
-                t.params = replace(t.params, first_committer=msg.receiver)
-            check_message_slot(t.params, len(t.messages), msg)
-            t.messages.append(msg)
-        except (KeyError, ValueError) as e:
-            raise TranscriptParseError(lineno, f"bad message line: {e}") from None
-    if not outcome_seen:
-        raise TranscriptParseError(len(lines) + 1, "missing outcome line")
+                params = t.params = replace(params, first_committer="Q")
+            i, sender, receiver = message_slot(params, k)
+            head = f"round={i} from={sender} to={receiver} payload="
+            if not line.startswith(head):
+                raise ValueError(f"message {k} must be round={i} from={sender} "
+                                 f"to={receiver}")
+            messages.append(RoundMessage(
+                i, sender, receiver, _hex_field(spec, width, line[len(head):], "payload")))
+        except ValueError as e:
+            why = ("outcome line before the last line" if line.startswith("outcome=")
+                   else f"bad message line: {e}")
+            raise TranscriptParseError(idx + 1, why) from None
+    if not has_outcome:
+        raise TranscriptParseError(last + 2, "missing outcome line")
+    val = lines[last][len("outcome="):]
+    try:
+        t.outcome = BOT if val == "BOT" else _hex_field(spec, width, val, "outcome")
+    except ValueError as e:
+        raise TranscriptParseError(last + 1, f"bad outcome line: {e}") from None
     return t
 
 

@@ -54,15 +54,48 @@ def test_run_statistics_pass(capsys):
     assert "pass=true" in text
 
 
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command; a usage error exits 2, apart
+    from the 1 that a failed check (pass=false) exits with."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 def test_run_rejects_zero_trials(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["run", "--n", "3", "--m", "1", "--value", "01",
-                  "--seed", "7", "--trials", "0"])
+    code, err = usage_error(capsys, "run", "--n", "3", "--m", "1", "--value", "01",
+                            "--seed", "7", "--trials", "0")
+    assert code == 2 and err == "error: --trials must be >= 1\n"
 
 
 def test_run_missing_seed_is_usage_error(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["run", "--n", "3", "--m", "1", "--value", "01"])
+    code, err = usage_error(capsys, "run", "--n", "3", "--m", "1", "--value", "01")
+    assert code == 2 and err == "error: missing required option --seed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "random-open", "--n", "2", "--m", "1", "--seed", "1", "--trials", "0"),
+    ("attack", "tightness", "--n", "2", "--m", "1", "--target", "1", "--seed", "1",
+     "--trials", "-5"),
+    ("analyze", "coupling", "--trials", "0"),
+])
+def test_trial_counts_below_one_are_usage_errors(capsys, argv):
+    code, err = usage_error(capsys, *argv)
+    assert code == 2 and err == "error: --trials must be >= 1\n"
+
+
+def test_odd_n_extractor_is_usage_error(capsys):
+    code, err = usage_error(capsys, "analyze", "extractor", "--n", "3")
+    assert code == 2 and err.startswith("error: extractor analysis uses even n"), err
+
+
+def test_unknown_analyze_metric_is_usage_error():
+    # argparse refuses it on the command line; cmd_analyze refuses it too.
+    args = cli.build_parser().parse_args(["analyze", "k", "--n", "2"])
+    args.metric = "bogus"
+    with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+        cli.cmd_analyze(args, {})
 
 
 def test_run_workers_match_serial_counts(capsys):
@@ -195,11 +228,13 @@ def test_verify_rejects_a_reply_from_the_wrong_prover(tmp_path, capsys):
 
 def test_verify_truncated_file(tmp_path, capsys):
     path = tmp_path / "broken.txt"
-    path.write_text("\n".join(WORKED_TRACE.splitlines()[:3]) + "\n")
-    code = cli.main(["verify", str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "parse-error" in err
+    lines = WORKED_TRACE.splitlines()
+    for kept in (lines[:3], [lines[0], lines[-1]]):
+        path.write_text("\n".join(kept) + "\n")
+        code = cli.main(["verify", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "parse-error" in err
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -2,10 +2,15 @@
 
 import math
 import time
+from dataclasses import replace
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relcommit import engine
+from relcommit import adversary, engine
 from relcommit.engine import (
     STREAM_CHALLENGE,
     HonestCommit,
@@ -20,7 +25,7 @@ from relcommit.engine import (
     stream_u64,
     stream_value,
 )
-from relcommit.field import FieldSpec
+from relcommit.field import FieldError, FieldSpec
 from relcommit.scheme import BOT, SchemeParams
 
 
@@ -80,6 +85,10 @@ def test_transcript_text_round_trip():
     assert back.to_text() == t.to_text()
     assert back.outcome == t.outcome
     assert back.challenges() == t.challenges()
+    for bad in (8, -1):  # the writer refuses a payload outside GF(8)
+        t.messages[1] = replace(t.messages[1], payload=bad)
+        with pytest.raises(FieldError):
+            t.to_text()
 
 
 def test_transcript_parse_errors_carry_line_numbers():
@@ -118,6 +127,92 @@ def test_messages_out_of_their_slot_are_rejected():
     back = parse_transcript(q_first.to_text())
     assert back.params.first_committer == "Q"
     assert back.to_text() == q_first.to_text()
+
+
+STRICT_BASE = run_honest_session(make_params(8, 2), 0xA5, 11).to_text().splitlines()
+
+
+def _payload_at_line_3(text):
+    return STRICT_BASE[:2] + [f"round=0 from=P to=V payload={text}"] + STRICT_BASE[3:]
+
+
+@pytest.mark.parametrize("lines, lineno", [
+    (_payload_at_line_3("A5"), 3),
+    (_payload_at_line_3("5"), 3),
+    (_payload_at_line_3("0a5"), 3),
+    (_payload_at_line_3("+a5"), 3),
+    (_payload_at_line_3("0xa5"), 3),
+    (_payload_at_line_3("a5 note=1"), 3),
+    (STRICT_BASE[:2] + ["from=P round=0 to=V payload=a5"] + STRICT_BASE[3:], 3),
+    (STRICT_BASE[:2] + ["round=0 from=P to=V via=Q payload=a5"] + STRICT_BASE[3:], 3),
+    (STRICT_BASE + ["outcome=BOT"], len(STRICT_BASE)),
+    (STRICT_BASE[:3] + STRICT_BASE[-1:] + STRICT_BASE[3:-1], 4),
+    (STRICT_BASE[:-1] + ["outcome=A5"], len(STRICT_BASE)),
+    (STRICT_BASE[:-1] + ["outcome=5"], len(STRICT_BASE)),
+    ([STRICT_BASE[0].replace("n=8 poly=0x11b", "poly=0x11b n=8")] + STRICT_BASE[1:], 1),
+    ([STRICT_BASE[0].replace("poly=0x", "poly=0X")] + STRICT_BASE[1:], 1),
+    ([STRICT_BASE[0] + " note=1"] + STRICT_BASE[1:], 1),
+], ids=["upper-hex", "short-hex", "long-hex", "plus", "0x", "extra-key-after",
+        "reordered-keys", "extra-key-inside", "second-outcome", "outcome-inside",
+        "upper-outcome", "short-outcome", "header-order", "header-0X", "header-extra"])
+def test_only_what_to_text_writes_parses(lines, lineno):
+    parse_transcript("\n".join(_payload_at_line_3("a5")) + "\n")  # the canonical form
+    with pytest.raises(TranscriptParseError) as e:
+        parse_transcript("\n".join(lines) + "\n")
+    assert e.value.lineno == lineno, e.value
+
+
+@lru_cache(maxsize=None)
+def _tables(n):
+    spec = FieldSpec.default(n)
+    if n <= 3:
+        return adversary.brute_force_chsh(spec)
+    # Beyond the searched widths, x = y = 0, which wins exactly when a*s = 0.
+    zeros = (0,) * spec.order
+    return adversary.ChshTables(spec, zeros, zeros,
+                                Fraction(2 * spec.order - 1, spec.order ** 2))
+
+
+@st.composite
+def transcripts(draw):
+    """Honest and tightness-attack transcripts, n <= 8 and m <= 6, either
+    prover first, finished or cut off as an aborted session leaves them."""
+    n = draw(st.integers(1, 8))
+    params = make_params(n, draw(st.integers(0, 6)),
+                         first_committer=draw(st.sampled_from("PQ")))
+    value = draw(st.integers(0, (1 << n) - 1))
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    if draw(st.booleans()):
+        t = run_honest_session(params, value, seed)
+    else:
+        t = run_attack_session(params, *adversary.tightness_strategy(
+            value, _tables(n), params), seed)
+    cut = draw(st.integers(0, len(t.messages)))
+    if cut < len(t.messages):
+        t = Transcript(t.params, t.seed, t.messages[:cut])
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(transcripts())
+def test_transcript_text_round_trips(t):
+    text = t.to_text()
+    assert parse_transcript(text).to_text() == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(transcripts(), st.data())
+def test_one_substituted_character_is_refused_or_round_trips(t, data):
+    text = t.to_text()
+    at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c != "\n"]))
+    ch = data.draw(st.characters(exclude_characters="\n").filter(
+        lambda c: c != text[at]))
+    mutated = text[:at] + ch + text[at + 1:]
+    try:
+        back = parse_transcript(mutated)
+    except TranscriptParseError:
+        return
+    assert back.to_text() == mutated
 
 
 def test_visibility_examples():
