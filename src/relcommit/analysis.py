@@ -1,13 +1,14 @@
 """Exact and Monte-Carlo measurement of binding and hiding properties.
 
 Definitional measurements (max p0+p1, simultaneous opening, extractor
-quality, hiding distance) run in exact rational arithmetic over exhaustive
-deterministic strategy spaces: commit tables a -> x and constant opening
-strings, which suffice because randomized provers are convex mixtures of
-deterministic ones.  The binding maxima choose the table's entry for each
-challenge separately (pointwise), which reaches the same maximum as
-enumerating whole tables.  Monte-Carlo paths are separate functions that
-always report trial counts alongside the estimate.
+quality, hiding distance) run exactly over exhaustive deterministic strategy
+spaces: commit tables a -> x and constant opening strings, which suffice
+because randomized provers are convex mixtures of deterministic ones.  The
+arithmetic is on integers, pmfs being integer weights over one total; a
+Fraction is built only for a reported value.  The binding maxima choose the
+table's entry for each challenge separately (pointwise), which reaches the
+same maximum as enumerating whole tables.  Monte-Carlo paths are separate
+functions that always report trial counts alongside the estimate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt, sqrt
+from math import gcd, isqrt, lcm, sqrt
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import engine
@@ -28,80 +29,89 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _key(x):
-    return (type(x).__name__, repr(x))
-
-
 class Dist:
-    """Finite probability mass function with exact rational weights."""
+    """Exact finite pmf: integer weights over one positive total, reduced
+    by their gcd so that equal pmfs store equal weights."""
 
-    __slots__ = ("_mass",)
+    __slots__ = ("_w", "_total")
 
     def __init__(self, mass: Mapping):
-        d = {}
-        total = ZERO
-        for k, v in mass.items():
-            f = Fraction(v)
+        fracs = {k: Fraction(v) for k, v in mass.items()}
+        for k, f in fracs.items():
             if f < 0:
                 raise ValueError(f"negative mass at {k!r}")
-            if f:
-                d[k] = f
-                total += f
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, not 1")
-        self._mass = d
+        # The lcm of the denominators is the least total: no gcd is left.
+        den = lcm(*(f.denominator for f in fracs.values()))
+        self._w = {k: f.numerator * (den // f.denominator) for k, f in fracs.items() if f}
+        self._total = den
+        if sum(self._w.values()) != den:
+            raise ValueError(f"masses sum to {sum(fracs.values())}, not 1")
 
     @classmethod
     def from_counts(cls, counts: Mapping) -> "Dist":
+        """The pmf proportional to nonnegative integer counts."""
         total = sum(counts.values())
-        return cls({k: Fraction(v, total) for k, v in counts.items()})
+        if total <= 0 or min(counts.values()) < 0:
+            raise ValueError("counts must be nonnegative with a positive sum")
+        g = gcd(total, *counts.values())
+        d = cls.__new__(cls)
+        d._w = {k: v // g for k, v in counts.items() if v}
+        d._total = total // g
+        return d
 
     def mass(self, x) -> Fraction:
-        return self._mass.get(x, ZERO)
+        return Fraction(self._w.get(x, 0), self._total)
 
     @property
     def support(self) -> frozenset:
-        return frozenset(self._mass)
+        return frozenset(self._w)
 
     def items(self):
-        return sorted(self._mass.items(), key=lambda kv: _key(kv[0]))
+        t = self._total
+        return [(k, Fraction(w, t)) for k, w in sorted(
+            self._w.items(), key=lambda kw: (type(kw[0]).__name__, repr(kw[0])))]
 
     def __eq__(self, other):
-        return isinstance(other, Dist) and self._mass == other._mass
+        return (isinstance(other, Dist) and self._total == other._total
+                and self._w == other._w)
 
     def __repr__(self):
         inner = ", ".join(f"{k!r}: {v}" for k, v in self.items())
-        return f"Dist({{{inner}}})"
+        return f"{type(self).__name__}({{{inner}}})"
 
 
-class JointDist:
+class JointDist(Dist):
     """Exact pmf over pairs, with marginal extraction."""
 
-    __slots__ = ("_mass",)
+    __slots__ = ()
 
     def __init__(self, mass: Mapping):
         if any(len(k) != 2 for k in mass):
             raise ValueError("joint outcomes must be pairs")
-        self._mass = Dist(mass)._mass
+        super().__init__(mass)
 
     def mass(self, x, y) -> Fraction:
-        return self._mass.get((x, y), ZERO)
-
-    def items(self):
-        return sorted(self._mass.items(), key=lambda kv: _key(kv[0]))
+        return Fraction(self._w.get((x, y), 0), self._total)
 
     def marginal(self, axis: int) -> Dist:
         out: Dict = {}
-        for (x, y), w in self._mass.items():
-            k = (x, y)[axis]
-            out[k] = out.get(k, ZERO) + w
-        return Dist(out)
+        for k, w in self._w.items():
+            x = k[axis]
+            out[x] = out.get(x, 0) + w
+        return Dist.from_counts(out)
+
+
+def _over_common_total(p: Dist, q: Dist):
+    """The keys of p or q, and each pmf's weights over T = t_p * t_q."""
+    keys = p._w.keys() | q._w.keys()
+    return (keys, {k: p._w.get(k, 0) * q._total for k in keys},
+            {k: q._w.get(k, 0) * p._total for k in keys})
 
 
 def stat_distance(p: Dist, q: Dist) -> Fraction:
     """Half the L1 distance, exact."""
-    keys = p.support | q.support
-    return sum((abs(p.mass(k) - q.mass(k)) for k in keys), ZERO) / 2
+    keys, ps, qs = _over_common_total(p, q)
+    return Fraction(sum(abs(ps[k] - qs[k]) for k in keys), 2 * p._total * q._total)
 
 
 def couple_max_diagonal(p: Dist, q: Dist) -> JointDist:
@@ -109,42 +119,48 @@ def couple_max_diagonal(p: Dist, q: Dist) -> JointDist:
 
     Diagonal mass is the pointwise minimum of the two pmfs; the leftover
     mass is spread as the product of the two residual conditionals, which
-    makes the pair independent conditioned on disagreeing.
+    makes the pair independent conditioned on disagreeing.  Over T = t_p t_q
+    the diagonal is d_k = min(p_k t_q, q_k t_p) and the residue R = T - sum d;
+    the weights are d_k R on the diagonal, (p_u - d_u)(q_v - d_v) off it.
     """
-    keys = sorted(p.support | q.support, key=_key)
-    diag = {k: min(p.mass(k), q.mass(k)) for k in keys}
-    residue = 1 - sum(diag.values(), ZERO)
-    joint: Dict = {}
-    for k, w in diag.items():
-        if w:
-            joint[(k, k)] = w
-    if residue:
-        for u in keys:
-            pu = p.mass(u) - diag[u]
-            if not pu:
-                continue
-            for v in keys:
-                qv = q.mass(v) - diag[v]
-                if qv:
-                    joint[(u, v)] = joint.get((u, v), ZERO) + pu * qv / residue
-    return JointDist(joint)
+    keys, ps, qs = _over_common_total(p, q)
+    # R = 0 only when p = q: nothing is off the diagonal, any R > 0 will do.
+    residue = p._total * q._total - sum(min(ps[k], qs[k]) for k in keys) or 1
+    joint = {(k, k): min(ps[k], qs[k]) * residue for k in keys}
+    # Rows (p_u > q_u) and columns (q_v > p_v) are disjoint sets of keys.
+    joint.update(((u, v), (ps[u] - qs[u]) * (qs[v] - ps[v]))
+                 for u in keys if ps[u] > qs[u] for v in keys if qs[v] > ps[v])
+    return JointDist.from_counts(joint)
 
 
 def cond_indep_given_neq(j: JointDist) -> bool:
     """Whether the law conditioned on disagreement factorizes, exactly.
 
-    A zero-probability disagreement event counts as independent.
+    A zero-probability disagreement event counts as independent.  The test
+    is homogeneous, so integer weights serve.
     """
-    off = [((x, y), w) for (x, y), w in j.items() if x != y]
-    d = sum((w for _, w in off), ZERO)
+    off = [((x, y), w) for (x, y), w in j._w.items() if x != y]
+    d = sum(w for _, w in off)
     if not d:
         return True
     row: Dict = {}
     col: Dict = {}
     for (x, y), w in off:
-        row[x] = row.get(x, ZERO) + w
-        col[y] = col.get(y, ZERO) + w
+        row[x] = row.get(x, 0) + w
+        col[y] = col.get(y, 0) + w
     return all(w * d == row[x] * col[y] for (x, y), w in off)
+
+
+def maximal_coupling_holds(p: Dist, q: Dist) -> bool:
+    """Whether couple_max_diagonal(p, q) has marginals p and q, min(p_k, q_k)
+    on its diagonal, and independence given disagreement."""
+    j = couple_max_diagonal(p, q)
+    if not (j.marginal(0) == p and j.marginal(1) == q and cond_indep_given_neq(j)):
+        return False
+    # j_kk / t_j == min(p_k t_q, q_k t_p) / (t_p t_q), cross-multiplied.
+    keys, ps, qs = _over_common_total(p, q)
+    total = p._total * q._total
+    return all(j._w.get((k, k), 0) * total == min(ps[k], qs[k]) * j._total for k in keys)
 
 
 # -- exhaustive binding measurements for the commit phase --------------------
@@ -361,12 +377,9 @@ def view_distribution(params: SchemeParams, verifier_strategy, value: int,
         raise ValueError("horizon beyond the last round")
     if spec.n * (m + 1) > 18:
         raise ValueError("view space too large to enumerate exactly")
-    counts: Dict[tuple, int] = {}
-    for pads in product(range(spec.order), repeat=m + 1):
-        key = _honest_view(params, verifier_strategy, value, horizon,
-                           pads.__getitem__)
-        counts[key] = counts.get(key, 0) + 1
-    return Dist.from_counts(counts)
+    return Dist.from_counts(Counter(
+        _honest_view(params, verifier_strategy, value, horizon, pads.__getitem__)
+        for pads in product(range(spec.order), repeat=m + 1)))
 
 
 def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
@@ -375,6 +388,24 @@ def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
     return stat_distance(
         view_distribution(params, verifier_strategy, s0, horizon),
         view_distribution(params, verifier_strategy, s1, horizon))
+
+
+def max_hiding_distance(params: SchemeParams) -> Fraction:
+    """Worst hiding distance before the final round over fixed challenge
+    tuples, each value s1 != 0 against value 0 (built once per tuple)."""
+    spec = params.field
+    size = spec.n * (2 * params.m + 3)
+    if size > 20:
+        raise ValueError(f"analyze hiding builds ~2^(n*(2m+3)) views; "
+                         f"n*(2m+3)={size} exceeds the n*(2m+3)<=20 cap")
+    worst = ZERO
+    for fixed in product(range(spec.order), repeat=params.m + 1):
+        strat = fixed_challenge_strategy(fixed)
+        base = view_distribution(params, strat, 0, params.m)
+        for s1 in range(1, spec.order):
+            worst = max(worst, stat_distance(
+                base, view_distribution(params, strat, s1, params.m)))
+    return worst
 
 
 # -- the open-to-uniform-target game ------------------------------------------

@@ -201,91 +201,56 @@ def cmd_attack(args, cfg) -> int:
 
 def cmd_analyze(args, cfg) -> int:
     metric = args.metric
-    lines = []
-    if metric == "p0p1":
-        spec = _field(args, cfg)
-        value = analysis.max_p0_plus_p1(spec)
-        bound = 1 + Fraction(1, spec.order)
-        lines.append(analysis.report_line("p0p1", spec.n, value, bound,
-                                          value <= bound))
-    elif metric == "sim-open":
-        spec = _field(args, cfg)
-        value = analysis.sim_open_epsilon(spec)
-        bound = Fraction(1, spec.order)
-        lines.append(analysis.report_line("sim-open", spec.n, value, bound,
-                                          value <= bound))
-    elif metric == "hiding":
-        params = _params(args, cfg)
-        spec = params.field
-        # Challenge tuples x committed values x pad tuples: 2^(n*(2m+3)) views.
-        size = spec.n * (2 * params.m + 3)
-        if size > 20:
-            raise ValueError(f"analyze hiding builds ~2^(n*(2m+3)) views; "
-                             f"n*(2m+3)={size} exceeds the n*(2m+3)<=20 cap")
-        worst = Fraction(0)
-        for fixed in product(range(spec.order), repeat=params.m + 1):
-            strat = analysis.fixed_challenge_strategy(fixed)
-            base = analysis.view_distribution(params, strat, 0, params.m)
-            for s1 in range(1, spec.order):
-                worst = max(worst, analysis.stat_distance(
-                    base, analysis.view_distribution(params, strat, s1, params.m)))
-        lines.append(analysis.report_line("hiding", spec.n, worst, Fraction(0),
-                                          worst == 0))
-    elif metric == "extractor":
-        spec = _field(args, cfg)
-        eps = Fraction(1, spec.order)
-        if spec.n % 2:
-            raise ValueError("extractor analysis uses even n (alpha = sqrt(eps))")
-        if spec.n > 2:
-            raise ValueError(f"analyze extractor enumerates 2^(n*2^n) commit tables; "
-                             f"n={spec.n} exceeds the n<=2 cap")
-        alpha = Fraction(1, 2 ** (spec.n // 2))
-        bound = 2 * alpha
-        openings = list(range(spec.order))
-        worst = Fraction(0)
-        for table in product(range(spec.order), repeat=spec.order):
-            shat = analysis.fairly_binding_extractor(spec, table, openings, alpha)
-            worst = max(worst, analysis.extractor_violation(spec, table, openings, shat))
-        lines.append(analysis.report_line("extractor", spec.n, worst, bound,
-                                          worst < bound))
-    elif metric == "k":
-        spec = _field(args, cfg)
-        k = k_of_extr(spec)
-        lines.append(analysis.report_line("k", spec.n, Fraction(k), Fraction(1),
-                                          k == 1))
-    elif metric == "coupling":
+    if metric == "coupling":
         trials = _get(args, cfg, "trials", int, 1000)
         seed = _get(args, cfg, "seed", int, 1)
         _check_trials(trials)
         bad = 0
         for t in range(trials):
             u = engine.stream_u64(seed, engine.STREAM_TRIAL, t)
-            p = _random_pmf(u, engine.STREAM_PMF_P)
-            q = _random_pmf(u, engine.STREAM_PMF_Q)
-            j = analysis.couple_max_diagonal(p, q)
-            good = (j.marginal(0) == p and j.marginal(1) == q
-                    and analysis.cond_indep_given_neq(j)
-                    and all(j.mass(k, k) == min(p.mass(k), q.mass(k))
-                            for k in p.support | q.support))
-            if not good:
+            if not analysis.maximal_coupling_holds(_random_pmf(u, engine.STREAM_PMF_P),
+                                                   _random_pmf(u, engine.STREAM_PMF_Q)):
                 bad += 1
-        lines.append(analysis.report_line("coupling", 0, Fraction(bad, trials),
-                                          Fraction(0), bad == 0))
+        n, value, bound = 0, Fraction(bad, trials), Fraction(0)
+        ok = bad == 0
+    elif metric == "hiding":
+        params = _params(args, cfg)
+        n, value, bound = params.field.n, analysis.max_hiding_distance(params), Fraction(0)
+        ok = value == 0
     else:
-        raise ValueError(f"unknown metric {metric!r}")
-    code = 0
-    for line in lines:
-        print(line)
-        if "pass=false" in line:
-            code = 1
-    return code
+        spec = _field(args, cfg)
+        n = spec.n
+        if metric == "p0p1":
+            value, bound = analysis.max_p0_plus_p1(spec), 1 + Fraction(1, spec.order)
+            ok = value <= bound
+        elif metric == "sim-open":
+            value, bound = analysis.sim_open_epsilon(spec), Fraction(1, spec.order)
+            ok = value <= bound
+        elif metric == "extractor":
+            if spec.n % 2:
+                raise ValueError("extractor analysis uses even n (alpha = sqrt(eps))")
+            if spec.n > 2:
+                raise ValueError(f"analyze extractor enumerates 2^(n*2^n) commit tables; "
+                                 f"n={spec.n} exceeds the n<=2 cap")
+            alpha = Fraction(1, 2 ** (spec.n // 2))
+            openings = list(range(spec.order))
+            value, bound = Fraction(0), 2 * alpha
+            for table in product(range(spec.order), repeat=spec.order):
+                shat = analysis.fairly_binding_extractor(spec, table, openings, alpha)
+                value = max(value, analysis.extractor_violation(spec, table, openings, shat))
+            ok = value < bound
+        elif metric == "k":
+            value, bound = Fraction(k_of_extr(spec)), Fraction(1)
+            ok = value == 1
+        else:
+            raise ValueError(f"unknown metric {metric!r}")
+    print(analysis.report_line(metric, n, value, bound, ok))
+    return 0 if ok else 1
 
 
 def _random_pmf(seed: int, stream: int) -> analysis.Dist:
-    weights = [engine.stream_u64(seed, stream, i) % 97 + (1 if i == 0 else 0)
-               for i in range(5)]
-    total = sum(weights)
-    return analysis.Dist({i: Fraction(w, total) for i, w in enumerate(weights) if w})
+    return analysis.Dist.from_counts(
+        {i: engine.stream_u64(seed, stream, i) % 97 + (i == 0) for i in range(5)})
 
 
 def cmd_chsh_search(args, cfg) -> int:

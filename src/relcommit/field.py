@@ -150,6 +150,7 @@ class FieldSpec:
         exp, log = _checked_tables(self.n, self.poly)
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_hex", f"0{(self.n + 3) // 4}x")
 
     def __reduce__(self):
         return FieldSpec, (self.n, self.poly)
@@ -201,7 +202,7 @@ class FieldSpec:
 
     def to_hex(self, v: int) -> str:
         """Big-endian lowercase hex, ceil(n/4) digits."""
-        return format(self.check(v), f"0{(self.n + 3) // 4}x")
+        return format(self.check(v), self._hex)
 
     def from_hex(self, s: str) -> int:
         return self.check(int(s, 16))

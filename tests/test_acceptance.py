@@ -195,12 +195,7 @@ def test_c11_coupling_and_hat_distribution():
                 w[0] = 1
             tot = sum(w)
             return Dist({i: F(x, tot) for i, x in enumerate(w) if x})
-        p, q = pmf(), pmf()
-        j = analysis.couple_max_diagonal(p, q)
-        ok &= j.marginal(0) == p and j.marginal(1) == q
-        ok &= all(j.mass(k, k) == min(p.mass(k), q.mass(k))
-                  for k in p.support | q.support)
-        ok &= analysis.cond_indep_given_neq(j)
+        ok &= analysis.maximal_coupling_holds(pmf(), pmf())
     for _ in range(1000):
         eps = F(rng.randint(1, 60), 20)
         n_big = max(2, analysis._ceil_sqrt(F(2) / eps))

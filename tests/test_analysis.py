@@ -125,6 +125,116 @@ def test_coupling_properties(pq):
     assert prob_equal(j) == 1 - stat_distance(p, q)
 
 
+# -- a Fraction-only reference for the integer-weight pmfs ---------------------
+#
+# Masses are plain dicts of Fractions, written from the definitions and
+# sharing no code with analysis, so they check its integer arithmetic.
+
+
+def ref_stat_distance(p, q):
+    keys = p.keys() | q.keys()
+    return sum((abs(p.get(k, F(0)) - q.get(k, F(0))) for k in keys), F(0)) / 2
+
+
+def ref_coupling(p, q):
+    """min(p, q) on the diagonal; the residual conditionals' product, times
+    the residue, off it."""
+    keys = p.keys() | q.keys()
+    diag = {k: min(p.get(k, F(0)), q.get(k, F(0))) for k in keys}
+    residue = 1 - sum(diag.values(), F(0))
+    joint = {(k, k): w for k, w in diag.items() if w}
+    for u in keys:
+        for v in keys:
+            w = (p.get(u, F(0)) - diag[u]) * (q.get(v, F(0)) - diag[v])
+            if w:
+                joint[(u, v)] = joint.get((u, v), F(0)) + w / residue
+    return joint
+
+
+def ref_marginal(joint, axis):
+    out = {}
+    for k, w in joint.items():
+        out[k[axis]] = out.get(k[axis], F(0)) + w
+    return {k: w for k, w in out.items() if w}
+
+
+def ref_cond_indep(joint):
+    """P(x, y | x != y) == P(x | x != y) * P(y | x != y) on the support."""
+    off = {k: w for k, w in joint.items() if k[0] != k[1] and w}
+    d = sum(off.values(), F(0))
+    if not d:
+        return True
+    cond = {k: w / d for k, w in off.items()}
+    rows, cols = ref_marginal(cond, 0), ref_marginal(cond, 1)
+    return all(w == rows[x] * cols[y] for (x, y), w in cond.items())
+
+
+# Integer keys, and tuple keys shaped like the hiding views (a_0, x_0, ...).
+KEY_SHAPES = (lambda i: i, lambda i: (i % 2, i, 3 * i % 5, 1))
+
+
+def some_weight(weights):
+    return weights if any(weights) else [1] + weights[1:]
+
+
+def masses(weights, shape):
+    """A pmf as Fractions, zero weights kept, each entry reduced on its own
+    so that denominators differ within and across pmfs."""
+    total = sum(weights)
+    return {KEY_SHAPES[shape](i): F(w, total) for i, w in enumerate(weights)}
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=6),
+       st.lists(st.integers(0, 30), min_size=1, max_size=6),
+       st.integers(0, len(KEY_SHAPES) - 1), st.booleans())
+def test_integer_pmfs_agree_with_fraction_reference(pw, qw, shape, same):
+    pw, qw = some_weight(pw), some_weight(qw)
+    pm = masses(pw, shape)
+    qm = pm if same else masses(qw, shape)  # same: the residue R is 0
+    p, q = Dist(pm), Dist(qm)
+    assert p == Dist.from_counts(dict(zip(pm, pw)))
+    assert stat_distance(p, q) == ref_stat_distance(pm, qm)
+    j = couple_max_diagonal(p, q)
+    ref = ref_coupling(pm, qm)
+    assert dict(j.items()) == ref
+    assert dict(j.marginal(0).items()) == ref_marginal(ref, 0)
+    assert dict(j.marginal(1).items()) == ref_marginal(ref, 1)
+    assert cond_indep_given_neq(j) and ref_cond_indep(ref)
+    assert analysis.maximal_coupling_holds(p, q)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(0, 9), min_size=9, max_size=9),
+       st.integers(0, len(KEY_SHAPES) - 1))
+def test_joint_pmfs_agree_with_fraction_reference(weights, shape):
+    key = KEY_SHAPES[shape]
+    cells = [(key(x), key(y)) for x in range(3) for y in range(3)]
+    jm = dict(zip(cells, masses(some_weight(weights), 0).values()))
+    j = JointDist(jm)
+    assert dict(j.items()) == {k: w for k, w in jm.items() if w}
+    assert dict(j.marginal(0).items()) == ref_marginal(jm, 0)
+    assert dict(j.marginal(1).items()) == ref_marginal(jm, 1)
+    assert cond_indep_given_neq(j) == ref_cond_indep(jm)
+
+
+def test_pmfs_with_non_dividing_denominators():
+    p = Dist({0: F(1, 3), 1: F(2, 3)})
+    q = Dist({0: F(1, 4), 1: F(1, 6), 2: F(7, 12)})
+    assert stat_distance(p, q) == ref_stat_distance(
+        {0: F(1, 3), 1: F(2, 3)}, {0: F(1, 4), 1: F(1, 6), 2: F(7, 12)}) == F(7, 12)
+    assert q.mass(1) == F(1, 6) and q.mass(5) == 0
+    assert repr(q) == "Dist({0: 1/4, 1: 1/6, 2: 7/12})"
+
+
+def test_equal_pmfs_compare_equal_however_built():
+    assert Dist({0: F(1, 2), 1: F(1, 2)}) == Dist.from_counts({0: 2, 1: 2})
+    assert Dist.from_counts({0: 3, 1: 0, 2: 6}) == Dist({0: F(1, 3), 2: F(2, 3)})
+    assert Dist({0: F(1, 2), 1: F(1, 2)}) != Dist.from_counts({0: 1, 1: 2})
+    with pytest.raises(ValueError):
+        Dist.from_counts({0: 2, 1: -1})
+
+
 def test_cond_indep_counterexample():
     j = JointDist({(0, 1): F(1, 2), (1, 2): F(1, 4), (1, 0): F(1, 4)})
     assert not cond_indep_given_neq(j)

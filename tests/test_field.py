@@ -191,3 +191,6 @@ def test_hex_serialization():
     assert spec.from_hex("1ff") == 0x1FF
     with pytest.raises(FieldError):
         spec.from_hex("200")
+    for bad in (0x200, -1):
+        with pytest.raises(FieldError):
+            spec.to_hex(bad)
