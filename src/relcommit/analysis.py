@@ -7,8 +7,8 @@ because randomized provers are convex mixtures of deterministic ones.  The
 arithmetic is on integers, pmfs being integer weights over one total; a
 Fraction is built only for a reported value.  The binding maxima choose the
 table's entry for each challenge separately (pointwise), which reaches the
-same maximum as enumerating whole tables.  Monte-Carlo paths are separate
-functions that always report trial counts alongside the estimate.
+same maximum as enumerating whole tables.  Every Monte-Carlo estimate runs
+through seeded_trials: one seed per trial, counts summed into a GameResult.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, sqrt
+from multiprocessing import Pool
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from . import engine
@@ -179,7 +180,7 @@ def max_p0_plus_p1(spec: FieldSpec) -> Fraction:
         raise ValueError(f"max_p0_plus_p1 evaluates the opening maps ~2^(4n) times; "
                          f"n={spec.n} exceeds the n<=3 cap")
     order = spec.order
-    best = ZERO
+    best = 0
     for y0 in range(order):
         for y1 in range(order):
             total = sum(
@@ -190,8 +191,8 @@ def max_p0_plus_p1(spec: FieldSpec) -> Fraction:
                 )
                 for a in range(order)
             )
-            best = max(best, Fraction(total, order))
-    return best
+            best = max(best, total)
+    return Fraction(best, order)
 
 
 def sim_open_epsilon(spec: FieldSpec) -> Fraction:
@@ -269,15 +270,15 @@ def extractor_violation(spec: FieldSpec, commit_table: Sequence[int],
                         shat: Mapping[Tuple[int, int], int]) -> Fraction:
     """max over openings and targets of p(opened = target != predicted)."""
     order = spec.order
-    worst = ZERO
+    worst = 0
     for y in opening_family:
         for target in range(order):
             hits = sum(
                 1 for a in range(order)
                 if extr_i(spec, y, a, commit_table[a]) == target
                 and shat[(a, commit_table[a])] != target)
-            worst = max(worst, Fraction(hits, order))
-    return worst
+            worst = max(worst, hits)
+    return Fraction(worst, order)
 
 
 # -- the descending-probability hat distribution ------------------------------
@@ -408,7 +409,7 @@ def max_hiding_distance(params: SchemeParams) -> Fraction:
     return worst
 
 
-# -- the open-to-uniform-target game ------------------------------------------
+# -- seeded Monte-Carlo trials ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -427,27 +428,47 @@ class GameResult:
         return sqrt(p * (1 - p) / self.conditioned)
 
 
-def open_game_success(params: SchemeParams, strategy_family, trials: int,
-                      seed: int, condition_nonzero: bool = False) -> GameResult:
-    """Monte-Carlo success at opening to a fresh uniform target per trial.
+def _trial_chunk(job) -> Tuple[int, int]:
+    trial, seed, start, stop = job
+    hits = kept = 0
+    for t in range(start, stop):
+        hit, keep = trial(engine.stream_u64(seed, STREAM_TRIAL, t))
+        hits += hit
+        kept += keep
+    return hits, kept
+
+
+def seeded_trials(trial: Callable[[int], Tuple[int, int]], trials: int, seed: int,
+                  workers: int = 1) -> GameResult:
+    """Sum trial(tseed) -> (hit, kept) over trials t, tseed = stream_u64(seed,
+    STREAM_TRIAL, t).  One chunk in process, or eight per worker on a pool
+    of at most min(workers, chunks) processes; trial must then pickle."""
+    pieces = workers * 8 if workers > 1 else 1
+    step = max(1, (trials + pieces - 1) // pieces)
+    jobs = [(trial, seed, lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+    if workers > 1 and len(jobs) > 1:
+        with Pool(min(workers, len(jobs))) as pool:
+            parts = pool.map(_trial_chunk, jobs)
+    else:
+        parts = [_trial_chunk(j) for j in jobs]
+    return GameResult(sum(h for h, _ in parts), trials, sum(k for _, k in parts))
+
+
+def open_game_trial(params: SchemeParams, strategy_family, tseed: int,
+                    target=None, condition_nonzero: bool = False) -> Tuple[bool, int]:
+    """One session of the open-to-target game: (hit, kept).
 
     strategy_family(target) returns the (commit, open) strategy pair aimed
-    at that target.  With condition_nonzero, trials containing a zero
-    challenge are excluded from the denominator.
+    at target; without one, the target is uniform from STREAM_TARGET.  With
+    condition_nonzero, a session with a zero challenge is not kept.
     """
-    hits = 0
-    kept = 0
-    for t in range(trials):
-        tseed = engine.stream_u64(seed, STREAM_TRIAL, t)
+    if target is None:
         target = stream_value(tseed, STREAM_TARGET, 0, params.field.n)
-        commit, open_ = strategy_family(target)
-        transcript = engine.run_attack_session(params, commit, open_, tseed)
-        if condition_nonzero and 0 in transcript.challenges():
-            continue
-        kept += 1
-        if transcript.outcome == target:
-            hits += 1
-    return GameResult(hits, trials, kept)
+    commit, open_ = strategy_family(target)
+    transcript = engine.run_attack_session(params, commit, open_, tseed)
+    if condition_nonzero and 0 in transcript.challenges():
+        return False, 0
+    return transcript.outcome == target, 1
 
 
 # -- the accept-everything-or-nothing toy scheme -------------------------------

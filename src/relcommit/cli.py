@@ -8,13 +8,12 @@ knob is RELCOMMIT_OUTDIR, which relocates relative output paths.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from multiprocessing import Pool
 
 from . import adversary, analysis, engine, net
 from .analysis import frac_text
@@ -56,9 +55,14 @@ def _get(args, cfg, key, cast, default=None):
     return cast(v)
 
 
-def _check_trials(trials: int) -> None:
+def _trials_workers(args, cfg, default=None):
+    trials = _get(args, cfg, "trials", int, default)
+    workers = _get(args, cfg, "workers", int, 1)
     if trials < 1:
         raise ValueError("--trials must be >= 1")
+    if workers < 1:
+        raise ValueError("--workers must be >= 1")
+    return trials, workers
 
 
 def _field(args, cfg) -> FieldSpec:
@@ -82,69 +86,31 @@ def _endpoint(text: str):
     return (host or "127.0.0.1", int(port))
 
 
-# -- worker-pool fanout -------------------------------------------------------
-
-
-def _honest_chunk(job):
-    params, value, seed, start, stop = job
-    fails = 0
-    for t in range(start, stop):
-        tseed = engine.stream_u64(seed, engine.STREAM_TRIAL, t)
-        if engine.run_honest_session(params, value, tseed).outcome != value:
-            fails += 1
-    return fails
-
-
-def _tightness_chunk(job):
-    params, target, tables, seed, start, stop = job
-    hits = kept = 0
-    for t in range(start, stop):
-        tseed = engine.stream_u64(seed, engine.STREAM_TRIAL, t)
-        commit, open_ = adversary.tightness_strategy(target, tables, params)
-        tr = engine.run_attack_session(params, commit, open_, tseed)
-        if 0 in tr.challenges():
-            continue
-        kept += 1
-        if tr.outcome == target:
-            hits += 1
-    return hits, kept
-
-
-def _fanout(fn, job, trials, workers):
-    """fn over the jobs job + (start, stop) that split range(trials): one
-    chunk in process, eight per worker on a pool."""
-    pieces = workers * 8 if workers > 1 else 1
-    step = max(1, (trials + pieces - 1) // pieces)
-    jobs = [job + (lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with Pool(workers) as pool:
-        return pool.map(fn, jobs)
-
-
 # -- subcommands --------------------------------------------------------------
+
+
+def _honest_trial(params, value, tseed):
+    return engine.run_honest_session(params, value, tseed).outcome != value, 1
 
 
 def cmd_run(args, cfg) -> int:
     params = _params(args, cfg)
     value = _get(args, cfg, "value", lambda v: int(v, 16))
     seed = _get(args, cfg, "seed", int)
-    trials = _get(args, cfg, "trials", int, 1)
-    workers = _get(args, cfg, "workers", int, 1)
-    _check_trials(trials)
-    spec = params.field
-    fails = sum(_fanout(_honest_chunk, (params, value, seed), trials, workers))
+    trials, workers = _trials_workers(args, cfg, 1)
+    res = analysis.seeded_trials(partial(_honest_trial, params, value), trials, seed,
+                                 workers)
     out = _outpath(getattr(args, "out", None) or cfg.get("out"))
     if out:
         first = engine.run_honest_session(
             params, value, engine.stream_u64(seed, engine.STREAM_TRIAL, 0))
         with open(out, "w") as fh:
             fh.write(first.to_text())
-    expected = 1 - (1 - 2.0 ** -spec.n) ** (params.m + 1)
-    sigma = math.sqrt(expected * (1 - expected) / trials)
-    rate = fails / trials
+    expected = 1 - (1 - 2.0 ** -params.field.n) ** (params.m + 1)
+    sigma = res.sigma(expected)
+    rate = float(res.rate)
     ok = abs(rate - expected) <= 3 * sigma
-    print(f"trials={trials} accept={trials - fails} reject={fails} "
+    print(f"trials={trials} accept={trials - res.hits} reject={res.hits} "
           f"failure_rate={rate:.6f} expected={expected:.6f} "
           f"sigma={sigma:.6f} pass={'true' if ok else 'false'}")
     return 0 if ok else 1
@@ -163,31 +129,29 @@ def _load_or_search_tables(spec: FieldSpec, args, cfg) -> adversary.ChshTables:
     return tables
 
 
+def _random_open_family(value, target):
+    return engine.HonestCommit(value), adversary.RandomOpen()
+
+
 def cmd_attack(args, cfg) -> int:
     params = _params(args, cfg)
     seed = _get(args, cfg, "seed", int)
-    trials = _get(args, cfg, "trials", int)
-    workers = _get(args, cfg, "workers", int, 1)
-    _check_trials(trials)
+    trials, workers = _trials_workers(args, cfg)
     spec = params.field
 
     if args.attack_kind == "tightness":
         target = _get(args, cfg, "target", lambda v: int(v, 16))
         tables = _load_or_search_tables(spec, args, cfg)
-        parts = _fanout(_tightness_chunk, (params, target, tables, seed),
-                        trials, workers)
-        res = analysis.GameResult(sum(h for h, _ in parts), trials,
-                                  sum(k for _, k in parts))
+        family = partial(adversary.tightness_strategy, tables=tables, params=params)
         closed = adversary.tightness_success_probability(tables.q, params.m)
     else:
-        value = _get(args, cfg, "value", lambda v: int(v, 16), 0)
-
-        def family(target):
-            return engine.HonestCommit(value), adversary.RandomOpen()
-
-        res = analysis.open_game_success(params, family, trials, seed,
-                                         condition_nonzero=True)
+        target = None
+        family = partial(_random_open_family,
+                         _get(args, cfg, "value", lambda v: int(v, 16), 0))
         closed = Fraction(1, spec.order)
+    res = analysis.seeded_trials(
+        partial(analysis.open_game_trial, params, family, target=target,
+                condition_nonzero=True), trials, seed, workers)
     cf = float(closed)
     sigma = res.sigma(cf)
     emp = float(res.rate)
@@ -202,15 +166,9 @@ def cmd_attack(args, cfg) -> int:
 def cmd_analyze(args, cfg) -> int:
     metric = args.metric
     if metric == "coupling":
-        trials = _get(args, cfg, "trials", int, 1000)
+        trials, workers = _trials_workers(args, cfg, 1000)
         seed = _get(args, cfg, "seed", int, 1)
-        _check_trials(trials)
-        bad = 0
-        for t in range(trials):
-            u = engine.stream_u64(seed, engine.STREAM_TRIAL, t)
-            if not analysis.maximal_coupling_holds(_random_pmf(u, engine.STREAM_PMF_P),
-                                                   _random_pmf(u, engine.STREAM_PMF_Q)):
-                bad += 1
+        bad = analysis.seeded_trials(_coupling_trial, trials, seed, workers).hits
         n, value, bound = 0, Fraction(bad, trials), Fraction(0)
         ok = bad == 0
     elif metric == "hiding":
@@ -251,6 +209,11 @@ def cmd_analyze(args, cfg) -> int:
 def _random_pmf(seed: int, stream: int) -> analysis.Dist:
     return analysis.Dist.from_counts(
         {i: engine.stream_u64(seed, stream, i) % 97 + (i == 0) for i in range(5)})
+
+
+def _coupling_trial(tseed):
+    return not analysis.maximal_coupling_holds(_random_pmf(tseed, engine.STREAM_PMF_P),
+                                               _random_pmf(tseed, engine.STREAM_PMF_Q)), 1
 
 
 def cmd_chsh_search(args, cfg) -> int:

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -23,8 +24,9 @@ from relcommit.analysis import (
     fixed_challenge_strategy,
     hiding_distance,
     max_p0_plus_p1,
-    open_game_success,
+    open_game_trial,
     report_line,
+    seeded_trials,
     sim_open_epsilon,
     stat_distance,
     view_distribution,
@@ -503,7 +505,7 @@ def test_open_game_honest_ignoring_target():
     def family(target):
         return engine.HonestCommit(1), engine.HonestOpen()
 
-    res = open_game_success(params, family, trials=6000, seed=3)
+    res = seeded_trials(partial(open_game_trial, params, family), trials=6000, seed=3)
     sigma = res.sigma(0.25)
     assert abs(float(res.rate) - 0.25) <= 3 * sigma
 
@@ -525,11 +527,11 @@ def test_open_game_random_open_exact_and_mc():
     def family(target):
         return engine.HonestCommit(3), RandomOpen()
 
-    res = open_game_success(params, family, trials=8000, seed=11)
+    res = seeded_trials(partial(open_game_trial, params, family), trials=8000, seed=11)
     sigma = res.sigma(float(exact))
     assert abs(float(res.rate) - float(exact)) <= 3 * sigma
-    cond = open_game_success(params, family, trials=8000, seed=11,
-                             condition_nonzero=True)
+    cond = seeded_trials(partial(open_game_trial, params, family, condition_nonzero=True),
+                         trials=8000, seed=11)
     sigma = cond.sigma(0.25)
     assert abs(float(cond.rate) - 0.25) <= 3 * sigma
 
@@ -542,8 +544,8 @@ def test_open_game_tightness_tracks_accounting():
     def family(target):
         return tightness_strategy(target, tables, params)
 
-    res = open_game_success(params, family, trials=8000, seed=13,
-                            condition_nonzero=True)
+    res = seeded_trials(partial(open_game_trial, params, family, condition_nonzero=True),
+                        trials=8000, seed=13)
     p = float(tightness_success_probability(tables.q, 3))
     assert abs(float(res.rate) - p) <= 3 * res.sigma(p)
 

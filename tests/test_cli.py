@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from relcommit import cli
+from relcommit import analysis, cli
 
 WORKED_TRACE = """#relcommit v1 n=3 poly=0xb m=1 seed=0
 round=0 from=V to=P payload=2
@@ -85,6 +85,19 @@ def test_trial_counts_below_one_are_usage_errors(capsys, argv):
     assert code == 2 and err == "error: --trials must be >= 1\n"
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("run", "--n", "3", "--m", "1", "--value", "01", "--seed", "7", "--trials", "8"),
+    ("attack", "tightness", "--n", "2", "--m", "1", "--target", "1", "--seed", "1",
+     "--trials", "8"),
+    ("attack", "random-open", "--n", "2", "--m", "1", "--seed", "1", "--trials", "8"),
+    ("analyze", "coupling", "--trials", "8"),
+])
+def test_worker_counts_below_one_are_usage_errors(capsys, argv, workers):
+    code, err = usage_error(capsys, *argv, "--workers", workers)
+    assert code == 2 and err == "error: --workers must be >= 1\n"
+
+
 def test_odd_n_extractor_is_usage_error(capsys):
     code, err = usage_error(capsys, "analyze", "extractor", "--n", "3")
     assert code == 2 and err.startswith("error: extractor analysis uses even n"), err
@@ -98,12 +111,48 @@ def test_unknown_analyze_metric_is_usage_error():
         cli.cmd_analyze(args, {})
 
 
-def test_run_workers_match_serial_counts(capsys):
-    _, serial = run_cli(capsys, "run", "--n", "3", "--m", "1", "--value", "01",
-                        "--seed", "5", "--trials", "800")
-    _, pooled = run_cli(capsys, "run", "--n", "3", "--m", "1", "--value", "01",
-                        "--seed", "5", "--trials", "800", "--workers", "2")
+POOLED_COMMANDS = {
+    "run": ("run", "--n", "3", "--m", "1", "--value", "01", "--seed", "5",
+            "--trials", "800"),
+    "tightness": ("attack", "tightness", "--n", "2", "--m", "1", "--target", "2",
+                  "--seed", "7", "--trials", "1500"),
+    "random-open": ("attack", "random-open", "--n", "3", "--m", "2", "--value", "1",
+                    "--seed", "9", "--trials", "2000"),
+    "coupling": ("analyze", "coupling", "--trials", "400", "--seed", "3"),
+}
+
+
+@pytest.mark.parametrize("kind", list(POOLED_COMMANDS))
+def test_run_workers_match_serial_counts(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.chdir(tmp_path)  # the tightness attack caches its tables here
+    _, serial = run_cli(capsys, *POOLED_COMMANDS[kind])
+    _, pooled = run_cli(capsys, *POOLED_COMMANDS[kind], "--workers", "2")
     assert serial == pooled
+
+
+def test_pool_size_is_capped_by_chunks(monkeypatch, capsys):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(analysis, "Pool", InProcessPool)
+    for kind in ("random-open", "coupling"):
+        run_cli(capsys, *POOLED_COMMANDS[kind], "--workers", "2")
+    assert sizes == [2, 2]
+    run_cli(capsys, "run", "--n", "3", "--m", "1", "--value", "01", "--seed", "5",
+            "--trials", "2", "--workers", "8")
+    assert len(sizes) == 3 and sizes[2] <= 2
 
 
 def test_command_output_is_deterministic(capsys):
