@@ -161,44 +161,61 @@ class _TightnessState(ProverStrategy):
     rounds; the partner guesses the chain value with Y one round later and
     commits to the guess honestly.  A correct guess puts the session in an
     honestly-committed state, and everyone plays honestly from there.
+
+    The game draws (r_a, r_s) of an attempt round are read by the faker's
+    play, the partner's guess and both parties' scans.  The commit/open
+    pair shares one cache of them, which begin_session empties, so each
+    round's pair is drawn once per session.
     """
 
-    def __init__(self, target: int, rand: RandomizedChsh):
+    def __init__(self, target: int, rand: RandomizedChsh, drawn: dict):
         self.target = target
         self.rand = rand
+        self._drawn = drawn
 
     def begin_session(self, params: SchemeParams, prover_seed: int):
         super().begin_session(params, prover_seed)
+        self._drawn.clear()
         # party -> (next round to scan, attempt already succeeded, chain value)
         self._chains = {}
 
     def _draws(self, i: int) -> Tuple[int, int]:
-        n = self.params.field.n
-        return (stream_value(self.seed, STREAM_GAME_A, i, n),
-                stream_value(self.seed, STREAM_GAME_B, i, n))
+        pair = self._drawn.get(i)
+        if pair is None:
+            n = self.params.field.n
+            pair = self._drawn[i] = (stream_value(self.seed, STREAM_GAME_A, i, n),
+                                     stream_value(self.seed, STREAM_GAME_B, i, n))
+        return pair
 
     def _scan(self, view: PartyView, upto: int) -> Tuple[bool, int]:
-        """(attempt already succeeded, chain value w_upto) from rounds <= upto.
+        """(False, chain value w_upto) from rounds <= upto, or (True, w) once
+        this party's attempt has succeeded, w then being of no further use.
 
         The chain is carried forward from the last round this party
         reached, each new round read through its view, so a session costs
         O(m) in all.  Each party keeps its own chain: one party's reads
         must not stand in for rounds the other's view cannot see.  Calls
         come in increasing round order within a session, as the engine
-        makes them.
+        makes them.  Once this party's chain records a win the scan stops
+        and returns at once, with no reads and no draws.  That is exact:
+        within a session a party's win is never undone, and after it both
+        TightnessOpen branches answer honestly without reading w.
         """
-        mul = self.params.field.mul_i
         start, won, w = self._chains.get(view.party, (0, False, self.target))
+        if won:
+            return True, w
+        mul = self.params.field.mul_i
         for j in range(start, upto + 1):
             a, x = view.challenge(j), view.response(j)
             w_next = x ^ mul(a, w)
-            if not won and j % 2 == 0:
+            if j % 2 == 0:
                 r_a, r_s = self._draws(j)
                 if self.rand.y_play(w, r_a, r_s) == w_next:
-                    won = True
+                    self._chains[view.party] = (j + 1, True, w_next)
+                    return True, w_next
             w = w_next
-        self._chains[view.party] = (max(start, upto + 1), won, w)
-        return won, w
+        self._chains[view.party] = (max(start, upto + 1), False, w)
+        return False, w
 
 
 class TightnessCommit(_TightnessState):
@@ -241,8 +258,8 @@ def tightness_strategy(target: int, tables: ChshTables,
     exactly; unconditioned runs lose the rounds where a challenge is zero.
     """
     params.field.check(target)
-    rand = RandomizedChsh(tables)
-    return TightnessCommit(target, rand), TightnessOpen(target, rand)
+    rand, drawn = RandomizedChsh(tables), {}
+    return TightnessCommit(target, rand, drawn), TightnessOpen(target, rand, drawn)
 
 
 class RandomOpen(ProverStrategy):

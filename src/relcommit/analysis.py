@@ -238,28 +238,29 @@ def fairly_binding_extractor(spec: FieldSpec, commit_table: Sequence[int],
     ascending, then s ascending); everything left maps to 0.  At most
     1/alpha classes are carved, and on the carved classes the returned map
     predicts the opened value.
+
+    One pass over (i, s) in that order carves the same classes: slices
+    only shrink as the residual does, so a slice passed over stays below
+    alpha.  The slices of one opening are disjoint, so they are grouped
+    from the residual once per opening.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     order = spec.order
+    # A slice of k commitments is carved when k / order >= alpha.
+    need_num, need_den = alpha.numerator * order, alpha.denominator
     residual = {(a, commit_table[a]) for a in range(order)}
     shat: Dict[Tuple[int, int], int] = {}
-    while True:
-        carved = None
-        for i, y in enumerate(opening_family):
-            for s in range(order):
-                block = [c for c in residual if extr_i(spec, y, c[0], c[1]) == s]
-                if Fraction(len(block), order) >= alpha:
-                    carved = (s, block)
-                    break
-            if carved:
-                break
-        if not carved:
-            break
-        s, block = carved
-        for c in block:
-            shat[c] = s
-        residual -= set(block)
+    for y in opening_family:
+        slices: Dict = {}
+        for c in residual:
+            slices.setdefault(extr_i(spec, y, c[0], c[1]), []).append(c)
+        for s in range(order):
+            block = slices.get(s, ())
+            if len(block) * need_den >= need_num:
+                for c in block:
+                    shat[c] = s
+                residual.difference_update(block)
     for c in residual:
         shat[c] = 0
     return shat

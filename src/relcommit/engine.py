@@ -250,41 +250,46 @@ class PartyView:
     is.  Round i is visible when it was already issued or answered as the
     view was made, i <= round, and the party is the verifier, or i is at
     least ``lag`` rounds old (forwarded), or the party answered round i
-    itself.  Any other read, negative rounds included, raises
-    ProtocolViolation.
+    itself.  The first two cases make every round below one bound visible,
+    round + 1 for the verifier and round - lag + 1 for a prover, so the
+    view fixes that bound when it is made and asks ``active_prover`` only
+    about the rounds inside the lag window.  Any other read, negative
+    rounds included, raises ProtocolViolation.
     """
 
-    __slots__ = ("party", "round", "_params", "_lag", "_challenges", "_replies",
-                 "_issued", "_answered")
+    __slots__ = ("party", "round", "_params", "_challenges", "_replies",
+                 "_issued", "_answered", "_open")
 
     def __init__(self, party: str, round_index: int, params: SchemeParams,
                  challenges: Sequence[int], replies: Sequence[int], lag: int = 2):
         self.party = party
         self.round = round_index
         self._params = params
-        self._lag = lag
         self._challenges = challenges
         self._replies = replies
         # The lists may grow after the view is made; later entries stay unseen.
-        self._issued = min(round_index + 1, len(challenges))
-        self._answered = min(round_index + 1, len(replies))
+        end = round_index + 1
+        count = len(challenges)
+        self._issued = count if count < end else end
+        count = len(replies)
+        self._answered = count if count < end else end
+        self._open = end if party == "V" else end - lag
 
-    def _sees(self, i: int, count: int) -> bool:
-        return 0 <= i < count and (
-            self.party == "V" or i <= self.round - self._lag
-            or active_prover(self._params, i) == self.party)
-
-    def _read(self, payloads: Sequence[int], count: int, i: int, kind: str) -> int:
-        if self._sees(i, count):
-            return payloads[i]
-        raise ProtocolViolation(
+    def _violation(self, i: int, kind: str) -> ProtocolViolation:
+        return ProtocolViolation(
             f"{self.party} at round {self.round} may not read the round-{i} {kind}")
 
     def challenge(self, i: int) -> int:
-        return self._read(self._challenges, self._issued, i, "challenge")
+        if 0 <= i < self._issued and (
+                i < self._open or active_prover(self._params, i) == self.party):
+            return self._challenges[i]
+        raise self._violation(i, "challenge")
 
     def response(self, i: int) -> int:
-        return self._read(self._replies, self._answered, i, "response")
+        if 0 <= i < self._answered and (
+                i < self._open or active_prover(self._params, i) == self.party):
+            return self._replies[i]
+        raise self._violation(i, "response")
 
 
 # -- strategies --------------------------------------------------------------

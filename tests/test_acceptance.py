@@ -10,6 +10,7 @@ import random
 import threading
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from relcommit import adversary, analysis, engine, net
@@ -132,19 +133,16 @@ def test_c08_tightness_attack():
     ok = True
     for m in (1, 3, 5):
         params = SchemeParams(spec, m)
-        hits = kept = 0
-        for t in range(trials):
-            tseed = engine.stream_u64(555 + m, engine.STREAM_TRIAL, t)
-            target = engine.stream_value(tseed, engine.STREAM_TARGET, 0, 2)
-            commit, open_ = adversary.tightness_strategy(target, tables, params)
-            tr = engine.run_attack_session(params, commit, open_, tseed)
-            if 0 in tr.challenges():
-                continue
-            kept += 1
-            hits += tr.outcome == target
+        # Uniform targets from each trial's seed; zero-challenge sessions
+        # are not kept.
+        res = analysis.seeded_trials(partial(
+            analysis.open_game_trial, params,
+            partial(adversary.tightness_strategy, tables=tables, params=params),
+            condition_nonzero=True), trials, 555 + m)
+        kept = res.conditioned
         p = float(1 - (1 - tables.q) ** ((m + 1) // 2))
         sigma = math.sqrt(p * (1 - p) / kept)
-        emp = hits / kept
+        emp = res.hits / kept
         ok &= abs(emp - p) <= 3 * sigma
         details.append(f"m={m}: {emp:.4f} vs {p:.4f} (3sigma={3*sigma:.4f})")
     report(8, "tightness attack", ok, "; ".join(details), time.time() - t0, 120)

@@ -1,5 +1,6 @@
 """Game search, randomization wrapper, and attack strategies."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -202,6 +203,25 @@ def test_tightness_attack_never_violates_visibility():
         for seed in range(5):
             commit, open_ = tightness_strategy(2, tables, params)
             run_attack_session(params, commit, open_, seed)
+
+
+def test_tightness_transcripts_are_pinned():
+    # sha256 over the transcripts of a seeded grid: both widths with exact
+    # tables, m = 0..8, both first committers, 150 sessions each.  The
+    # challenges are seeded, so zero challenges occur too.
+    digest = hashlib.sha256()
+    for spec in (GF2, GF4):
+        tables = brute_force_chsh(spec)
+        for m in range(9):
+            for first in ("P", "Q"):
+                params = SchemeParams(spec, m, first_committer=first)
+                for t in range(150):
+                    tseed = stream_u64(77 + m, engine.STREAM_TRIAL, t)
+                    commit, open_ = tightness_strategy(t % spec.order, tables, params)
+                    digest.update(run_attack_session(
+                        params, commit, open_, tseed).to_text().encode())
+    assert digest.hexdigest() == (
+        "270d2466ec705e5b8a07346c06f67397d2bfbe27099a8713c1592552cb4b2ef8")
 
 
 def test_tightness_target_validated():
