@@ -2,10 +2,15 @@
 
 Frame layout: 4-byte big-endian length, then type (1), round (2, big-endian),
 body.  Bodies carry one field element in ceil(n/8) big-endian bytes except
-for ABORT (1-byte reason).  The verifier enforces a wall-clock deadline per
-round on its side only: a response landing later than the deadline after its
-challenge aborts the session, which is what makes the no-communication
-window operational.  Provers are untrusted and untimed.
+for ABORT (1-byte reason).  Every frame of a sustain round (CHALLENGE,
+RESPONSE, the OPEN request and its reply) is exactly 7 + ceil(n/8) bytes, so
+a round's reply is read into a preallocated buffer and refused as soon as
+its first 4 bytes declare any other length.  The verifier enforces a
+wall-clock deadline per round on its side only: one absolute deadline is
+taken just before each challenge is sent, every read waits only for the time
+that remains, and a reply not in by then aborts the session, whatever
+length it declares.  That is what makes the no-communication window
+operational.  Provers are untrusted and untimed.
 
 The verifier connects out to the two prover listeners and drives the same
 sans-IO ``engine.Verifier`` as the in-process engine, with a strict barrier
@@ -43,6 +48,7 @@ ABORT_CONNECTION = 0x03
 
 MAX_FRAME = 1 << 16
 MAX_ROUND = 0xFFFF  # frames carry the round as ">H"; the last one is m + 1
+_HEAD = struct.Struct(">IBH")  # length, type, round
 
 
 class WireError(Exception):
@@ -66,7 +72,7 @@ def frame(msg: WireMessage) -> bytes:
     length = 3 + len(msg.body)
     if length > MAX_FRAME:
         raise WireError("frame exceeds 2^16 bytes")
-    return struct.pack(">IBH", length, msg.type, msg.round) + msg.body
+    return _HEAD.pack(length, msg.type, msg.round) + msg.body
 
 
 def parse(data: bytes) -> WireMessage:
@@ -107,14 +113,54 @@ def _recv_exact(sock: socket.socket, size: int, started: bool = False) -> bytes:
     return buf
 
 
-def recv_frame(sock: socket.socket) -> WireMessage:
-    head = _recv_exact(sock, 4)
-    (length,) = struct.unpack(">I", head)
+def recv_frame(sock: socket.socket, head: bytes = b"") -> WireMessage:
+    """Read one frame, of which head (empty, or at least its 4 length
+    bytes) has already been read; bytes of head past the frame are dropped."""
+    if not head:
+        head = _recv_exact(sock, 4)
+    (length,) = struct.unpack(">I", head[:4])
     if length > MAX_FRAME:
         raise WireError("declared length exceeds 2^16 bytes")
     if length < 3:
         raise WireError("declared length below header size")
-    return parse(head + _recv_exact(sock, length, started=True))
+    return parse(head[:4 + length]
+                 + _recv_exact(sock, 4 + length - len(head), started=True))
+
+
+def _recv_reply(sock: socket.socket, buf: bytearray, expect: bytes, order: int,
+                deadline: Optional[float] = None) -> int:
+    """Read one frame of exactly len(buf) bytes into buf; return 0 when it
+    is the frame expected, else the count of bytes read (at least 4).
+
+    The frame expected starts with the 7 header bytes in expect (length,
+    type, round) and carries a big-endian body below order.  Reading stops
+    as soon as the first 4 bytes declare another length.  With a deadline
+    (a time.monotonic() reading), each recv waits only for the time left
+    and TimeoutError is raised once it has passed, also when the frame is
+    complete.  Raises WireError when the peer closes mid-frame and
+    ConnectionError when it closes before the first byte.
+    """
+    size = len(buf)
+    got = 0
+    while got < size:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("reply deadline passed")
+            sock.settimeout(left)
+        k = sock.recv_into(memoryview(buf)[got:] if got else buf)
+        if not k:
+            if got:
+                raise WireError("truncated frame (peer closed mid-frame)")
+            raise ConnectionError("peer closed the connection")
+        got += k
+        if 4 <= got < size and buf[:4] != expect[:4]:
+            return got
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("reply deadline passed")
+    if buf.startswith(expect) and int.from_bytes(buf[7:], "big") < order:
+        return 0
+    return got
 
 
 def send_frame(sock: socket.socket, msg: WireMessage):
@@ -189,35 +235,25 @@ def serve_verifier(params: SchemeParams, deadlines: DeadlineConfig, seed: int,
                 _abort_all(conns, ABORT_MALFORMED, 0)
                 return _finish(t, out_path, aborted=True, reason=ABORT_MALFORMED)
 
-        def exchange(conn, ask: WireMessage):
-            """Returns (reply, None) or (None, abort reason)."""
-            want = T_RESPONSE if ask.type == T_CHALLENGE else T_OPEN
-            conn.settimeout(timeout)
-            sent_at = time.monotonic()
-            send_frame(conn, ask)
-            try:
-                reply = recv_frame(conn)
-            except (TimeoutError, socket.timeout):
-                return None, ABORT_DEADLINE
-            except WireError:
-                return None, ABORT_MALFORMED
-            if time.monotonic() - sent_at > timeout:
-                return None, ABORT_DEADLINE
-            if (reply.type != want or reply.round != ask.round
-                    or len(reply.body) != nbytes
-                    or int.from_bytes(reply.body, "big") >= spec.order):
-                return None, ABORT_MALFORMED
-            return reply, None
-
+        length = 3 + nbytes
+        codec = struct.Struct(f">IBH{nbytes}s")
+        buf = bytearray(4 + length)
         while not verifier.done:
             i, prover, a = verifier.request()
-            ask = (WireMessage(T_OPEN, i, bytes(nbytes)) if a is None
-                   else WireMessage(T_CHALLENGE, i, element_body(spec.n, a)))
-            reply, reason = exchange(conns[prover], ask)
-            if reply is None:
+            conn = conns[prover]
+            if a is None:
+                ask = codec.pack(length, T_OPEN, i, bytes(nbytes))
+                expect = _HEAD.pack(length, T_OPEN, i)
+            else:
+                ask = codec.pack(length, T_CHALLENGE, i, a.to_bytes(nbytes, "big"))
+                expect = _HEAD.pack(length, T_RESPONSE, i)
+            deadline = time.monotonic() + timeout
+            conn.sendall(ask)
+            reason = _await_reply(conn, buf, expect, spec.order, deadline)
+            if reason is not None:
                 _abort_all(conns, reason, i)
                 return _finish(t, out_path, aborted=True, reason=reason)
-            verifier.receive(int.from_bytes(reply.body, "big"))
+            verifier.receive(int.from_bytes(buf[7:], "big"))
         body = (bot_body(spec.n) if t.outcome is BOT
                 else element_body(spec.n, t.outcome))
         for c in conns.values():
@@ -233,6 +269,19 @@ def serve_verifier(params: SchemeParams, deadlines: DeadlineConfig, seed: int,
     finally:
         for c in conns.values():
             c.close()
+
+
+def _await_reply(conn: socket.socket, buf: bytearray, expect: bytes, order: int,
+                 deadline: float) -> Optional[int]:
+    """The verifier's wait for one reply: None when buf holds the reply
+    expected, else the abort reason.  A closed connection raises
+    ConnectionError, which serve_verifier reports as 0x03."""
+    try:
+        return ABORT_MALFORMED if _recv_reply(conn, buf, expect, order, deadline) else None
+    except TimeoutError:
+        return ABORT_DEADLINE
+    except WireError:
+        return ABORT_MALFORMED
 
 
 def _finish(t: Transcript, out_path: Optional[str], aborted: bool = False,
@@ -290,30 +339,38 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
             return 1
         send_frame(conn, WireMessage(T_OPEN, 0, hello.body))
         m = params.m
-        mine = iter([i for i in range(m + 2) if active_prover(params, i) == role])
-        i = next(mine, None)
-        while True:
-            msg = recv_frame(conn)
+        nbytes = body_len(spec.n)
+        length = 3 + nbytes
+        codec = struct.Struct(f">IBH{nbytes}s")
+        buf = bytearray(4 + length)
+        for i in [i for i in range(m + 2) if active_prover(params, i) == role]:
+            ask = T_CHALLENGE if i <= m else T_OPEN
+            got = _recv_reply(conn, buf, _HEAD.pack(length, ask, i), spec.order)
+            if got:
+                return _refuse(conn, recv_frame(conn, bytes(buf[:got])), trace)
             if trace is not None:
-                trace.append(msg)
-            if msg.type == T_ABORT:
-                return 1
-            if msg.type == T_RESULT and i is None:
-                return 0
-            a = int.from_bytes(msg.body, "big")
-            if (i is None or msg.round != i
-                    or msg.type != (T_CHALLENGE if i <= m else T_OPEN)
-                    or len(msg.body) != body_len(spec.n) or a >= spec.order):
-                send_frame(conn, WireMessage(T_ABORT, msg.round,
-                                             bytes([ABORT_MALFORMED])))
-                return 1
-            x = honest_reply(spec, m, i, a if i <= m else None, pad, value)
+                trace.append(WireMessage(ask, i, bytes(buf[7:])))
+            a = int.from_bytes(buf[7:], "big") if i <= m else None
+            x = honest_reply(spec, m, i, a, pad, value)
             if delay_ms_at_round and delay_ms_at_round[0] == i:
                 time.sleep(delay_ms_at_round[1] / 1000.0)
-            send_frame(conn, WireMessage(T_RESPONSE if i <= m else T_OPEN, i,
-                                         element_body(spec.n, x)))
-            i = next(mine, None)
+            conn.sendall(codec.pack(length, T_RESPONSE if i <= m else T_OPEN, i,
+                                    x.to_bytes(nbytes, "big")))
+        return _refuse(conn, recv_frame(conn), trace, done=True)
     except (WireError, ConnectionError, OSError):
         return 1
     finally:
         conn.close()
+
+
+def _refuse(conn: socket.socket, msg: WireMessage, trace: Optional[list],
+            done: bool = False) -> int:
+    """A prover's answer to a frame other than its next round's: 0 for the
+    RESULT once its rounds are done, 1 for an ABORT, else ABORT 0x02 and 1."""
+    if trace is not None:
+        trace.append(msg)
+    if msg.type == T_RESULT and done:
+        return 0
+    if msg.type != T_ABORT:
+        send_frame(conn, WireMessage(T_ABORT, msg.round, bytes([ABORT_MALFORMED])))
+    return 1

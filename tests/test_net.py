@@ -3,6 +3,7 @@
 import queue
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -127,14 +128,20 @@ def test_loopback_odd_m_final_sender():
     assert res.transcript.messages[-1].sender == "P"
 
 
-def test_delayed_prover_aborts_with_deadline_reason():
-    params = SchemeParams(FieldSpec.default(8), m=4)
+@pytest.mark.parametrize("n", [8, 16])
+def test_delayed_prover_aborts_with_deadline_reason(n):
+    # At n = 16 the ABORT frame (8 bytes) is one byte shorter than the
+    # challenge P waits for; P must still read it as an ABORT and stop.
+    params = SchemeParams(FieldSpec.default(n), m=4)
     endpoints, join = start_provers(params, 42, value=1, delay=(1, 400))
     cfg = DeadlineConfig(100, endpoints["P"], endpoints["Q"])
     res = serve_verifier(params, cfg, 42)
-    join()
+    start = time.monotonic()
+    statuses = join()
+    assert time.monotonic() - start < 3.0
     assert res.aborted
     assert res.abort_reason == ABORT_DEADLINE
+    assert statuses == {"P": 1, "Q": 1}
 
 
 def test_aborted_session_keeps_the_engine_prefix():
@@ -296,6 +303,130 @@ def test_truncated_frame_aborts_malformed():
     assert res.abort_reason == ABORT_MALFORMED
     assert got["last"] is not None and got["last"].type == T_ABORT
     assert got["last"].body == bytes([ABORT_MALFORMED])
+
+
+def serve_against_fake_p(params, seed, deadline_ms, act):
+    """serve_verifier against a real Q and a fake P that completes the
+    handshake, reads the round-0 challenge, calls act(conn) and then holds
+    the connection open until the verifier closes it.  Returns (result,
+    seconds serve_verifier took)."""
+    endpoints = {}
+    ready = threading.Event()
+
+    def on_ready(role):
+        def put(ep):
+            endpoints[role] = ep
+            if len(endpoints) == 2:
+                ready.set()
+        return put
+
+    def fake_p():
+        with socket.socket() as srv:
+            srv.bind(("127.0.0.1", 0))
+            srv.listen(1)
+            on_ready("P")(srv.getsockname())
+            conn, _ = srv.accept()
+        with conn:
+            hello = net.recv_frame(conn)
+            net.send_frame(conn, WireMessage(T_OPEN, 0, hello.body))
+            net.recv_frame(conn)
+            conn.settimeout(5.0)
+            try:
+                act(conn)
+                while conn.recv(64):  # hold the connection until V closes it
+                    pass
+            except OSError:
+                pass  # the verifier has aborted and closed
+
+    threads = [threading.Thread(target=fake_p, daemon=True),
+               threading.Thread(target=run_prover, args=("Q", params, seed, ("127.0.0.1", 0)),
+                                kwargs={"ready": on_ready("Q")}, daemon=True)]
+    for t in threads:
+        t.start()
+    assert ready.wait(5.0)
+    start = time.monotonic()
+    res = serve_verifier(params, DeadlineConfig(deadline_ms, endpoints["P"], endpoints["Q"]),
+                         seed)
+    took = time.monotonic() - start
+    for t in threads:
+        t.join(5.0)
+        assert not t.is_alive()
+    return res, took
+
+
+def trickle(data, every_s=0.08):
+    def act(conn):
+        for b in data:
+            conn.sendall(bytes([b]))
+            time.sleep(every_s)
+    return act
+
+
+@pytest.mark.parametrize("act,reason", [
+    # a well-formed round-0 RESPONSE, one byte every 80 ms
+    (trickle(frame(WireMessage(T_RESPONSE, 0, b"\x2a"))), ABORT_DEADLINE),
+    # a frame declaring 60 bytes, trickled: the deadline passes before
+    # the 4 length bytes are in
+    (trickle(frame(WireMessage(T_RESPONSE, 0, bytes(57)))), ABORT_DEADLINE),
+    # a declared length of 60 sent at once, its body never: refused on the
+    # length alone
+    (lambda conn: conn.sendall(frame(WireMessage(T_RESPONSE, 0, bytes(57)))[:7]),
+     ABORT_MALFORMED),
+], ids=["trickled-reply", "trickled-long-frame", "wrong-length"])
+def test_verifier_decides_within_twice_the_deadline(act, reason):
+    params = SchemeParams(FieldSpec.default(8), m=0)
+    res, took = serve_against_fake_p(params, 9, 100, act)
+    assert res.aborted and res.abort_reason == reason
+    assert took < 0.2
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=80))
+def test_parse_returns_a_message_or_raises_wire_error(data):
+    try:
+        msg = parse(data)
+    except WireError:
+        return
+    assert isinstance(msg, WireMessage)
+    assert frame(msg) == data
+
+
+REPLY_HEAD = frame(WireMessage(T_RESPONSE, 3, b"\x00"))[:7]  # n = 3, round 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([b"", REPLY_HEAD[:4], REPLY_HEAD]), st.binary(max_size=73),
+       st.booleans())
+def test_reply_reader_ends_every_input_within_the_deadline(head, tail, close):
+    # Whatever a prover sends for a round, the verifier's wait ends in
+    # accept (None), 0x01, 0x02 or, as serve_verifier reports a
+    # ConnectionError, 0x03, and within twice the deadline.
+    data = (head + tail)[:80]
+    deadline_s = 0.1
+    v, p = socket.socketpair()
+    with v, p:
+        p.sendall(data)
+        if close:
+            p.shutdown(socket.SHUT_WR)
+        buf = bytearray(8)
+        start = time.monotonic()
+        try:
+            got = net._await_reply(v, buf, REPLY_HEAD, 8, start + deadline_s)
+        except ConnectionError:
+            got = ABORT_CONNECTION
+        took = time.monotonic() - start
+    if len(data) >= 4 and data[:4] != REPLY_HEAD[:4]:
+        want = ABORT_MALFORMED
+    elif len(data) >= 8:
+        want = None if data[:7] == REPLY_HEAD and data[7] < 8 else ABORT_MALFORMED
+    elif close:
+        want = ABORT_MALFORMED if data else ABORT_CONNECTION
+    else:
+        want = ABORT_DEADLINE
+    assert got == want
+    if got is None:
+        assert buf == data[:8]
+    assert took < 2 * deadline_s
 
 
 def test_connection_loss_aborts():
