@@ -81,6 +81,14 @@ def _params(args, cfg) -> SchemeParams:
     return SchemeParams(spec, m, int(k) if k else None, fc)
 
 
+def _write_out(args, cfg, session):
+    """Write the transcript of session() to --out, when one is given."""
+    out = _outpath(getattr(args, "out", None) or cfg.get("out"))
+    if out:
+        with open(out, "w") as fh:
+            fh.write(session().to_text())
+
+
 def _endpoint(text: str):
     host, _, port = text.rpartition(":")
     return (host or "127.0.0.1", int(port))
@@ -100,12 +108,8 @@ def cmd_run(args, cfg) -> int:
     trials, workers = _trials_workers(args, cfg, 1)
     res = analysis.seeded_trials(partial(_honest_trial, params, value), trials, seed,
                                  workers)
-    out = _outpath(getattr(args, "out", None) or cfg.get("out"))
-    if out:
-        first = engine.run_honest_session(
-            params, value, engine.stream_u64(seed, engine.STREAM_TRIAL, 0))
-        with open(out, "w") as fh:
-            fh.write(first.to_text())
+    _write_out(args, cfg, lambda: engine.run_honest_session(
+        params, value, engine.stream_u64(seed, engine.STREAM_TRIAL, 0)))
     expected = 1 - (1 - 2.0 ** -params.field.n) ** (params.m + 1)
     sigma = res.sigma(expected)
     rate = float(res.rate)
@@ -249,11 +253,11 @@ def cmd_serve(args, cfg) -> int:
     dl = net.DeadlineConfig(deadline,
                             _endpoint(_get(args, cfg, "p_endpoint", str)),
                             _endpoint(_get(args, cfg, "q_endpoint", str)))
-    out = _outpath(getattr(args, "out", None) or cfg.get("out"))
-    res = net.serve_verifier(params, dl, seed, out)
+    res = net.serve_verifier(params, dl, seed)
     if res.aborted:
         print(f"aborted reason=0x{res.abort_reason:02x}")
         return 1
+    _write_out(args, cfg, lambda: res.transcript)
     spec = params.field
     o = res.transcript.outcome
     print(f"outcome={'BOT' if o is BOT else spec.to_hex(o)}")

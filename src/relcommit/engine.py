@@ -118,10 +118,6 @@ class RoundMessage:
     receiver: str
     payload: int
 
-    def __post_init__(self):
-        if self.sender == self.receiver:
-            raise ValueError("message sender equals receiver")
-
 
 @dataclass
 class Transcript:

@@ -113,8 +113,8 @@ def _checked_tables(n: int, poly: int) -> Tuple[Optional[tuple], Optional[tuple]
     """
     if not 1 <= n <= MAX_N:
         raise FieldError(f"n must be in 1..{MAX_N}, got {n}")
-    if poly.bit_length() != n + 1:
-        raise FieldError(f"poly 0x{poly:x} does not have degree {n}")
+    if poly >> n != 1:  # degree n; a negative poly has no degree
+        raise FieldError(f"poly {poly:#x} does not have degree {n}")
     if not is_irreducible(poly):
         raise FieldError(f"poly 0x{poly:x} is reducible")
     if n > TABLE_MAX_N:

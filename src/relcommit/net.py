@@ -2,22 +2,18 @@
 
 Frame layout: 4-byte big-endian length, then type (1), round (2, big-endian),
 body.  Bodies carry one field element in ceil(n/8) big-endian bytes except
-for ABORT (1-byte reason).  Every frame of a sustain round (CHALLENGE,
-RESPONSE, the OPEN request and its reply) is exactly 7 + ceil(n/8) bytes, so
-a round's reply is read into a preallocated buffer and refused as soon as
-its first 4 bytes declare any other length.  The verifier enforces a
-wall-clock deadline per round on its side only: one absolute deadline is
-taken just before each challenge is sent, every read waits only for the time
-that remains, and a reply not in by then aborts the session, whatever
+for the handshake and ABORT (1-byte reason).  Each side knows the size of
+every frame it expects, so one reader reads each into a buffer of that size
+and refuses it as soon as its first 4 bytes declare another length.  Only
+the verifier keeps time: one absolute deadline per handshake (SETUP_S) and
+per round (taken as the challenge is sent), each read waiting only for the
+time that remains, so a frame not in by then aborts the session, whatever
 length it declares.  That is what makes the no-communication window
-operational.  Provers are untrusted and untimed.
+operational.  ABORT frames carry the round.
 
-The verifier connects out to the two prover listeners and drives the same
-sans-IO ``engine.Verifier`` as the in-process engine, with a strict barrier
-(never issuing challenge i before response i-1 is validated); it requests
-the final opening with an OPEN frame and distributes the RESULT.  A loopback
-session with the provers seeded like the in-process engine produces a
-byte-identical transcript.
+The verifier drives the same sans-IO ``engine.Verifier`` as the in-process
+engine, never issuing challenge i before response i-1 is validated.  With
+the provers seeded as in the engine, the two transcripts are byte-identical.
 """
 
 from __future__ import annotations
@@ -48,6 +44,7 @@ ABORT_CONNECTION = 0x03
 
 MAX_FRAME = 1 << 16
 MAX_ROUND = 0xFFFF  # frames carry the round as ">H"; the last one is m + 1
+SETUP_S = 5.0  # the verifier's limit on each connect, handshake and RESULT send
 _HEAD = struct.Struct(">IBH")  # length, type, round
 
 
@@ -96,10 +93,6 @@ def element_body(spec_n: int, value: int) -> bytes:
     return value.to_bytes(body_len(spec_n), "big")
 
 
-def bot_body(spec_n: int) -> bytes:
-    return b"\xff" * body_len(spec_n)
-
-
 def _recv_exact(sock: socket.socket, size: int, started: bool = False) -> bytes:
     """Read exactly size bytes; EOF mid-frame is a truncation, not a close."""
     buf = b""
@@ -132,8 +125,8 @@ def _recv_reply(sock: socket.socket, buf: bytearray, expect: bytes, order: int,
     """Read one frame of exactly len(buf) bytes into buf; return 0 when it
     is the frame expected, else the count of bytes read (at least 4).
 
-    The frame expected starts with the 7 header bytes in expect (length,
-    type, round) and carries a big-endian body below order.  Reading stops
+    The frame expected starts with expect (a header or a whole frame) and
+    the bytes after it are a big-endian value below order.  Reading stops
     as soon as the first 4 bytes declare another length.  With a deadline
     (a time.monotonic() reading), each recv waits only for the time left
     and TimeoutError is raised once it has passed, also when the frame is
@@ -158,7 +151,7 @@ def _recv_reply(sock: socket.socket, buf: bytearray, expect: bytes, order: int,
             return got
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("reply deadline passed")
-    if buf.startswith(expect) and int.from_bytes(buf[7:], "big") < order:
+    if buf.startswith(expect) and int.from_bytes(buf[len(expect):], "big") < order:
         return 0
     return got
 
@@ -174,12 +167,14 @@ def _check_round_count(params: SchemeParams):
                          f"got m={params.m}")
 
 
-def _handshake_blob(params: SchemeParams, role: str) -> bytes:
-    return (MAGIC + bytes([VERSION, params.field.n])
+def _hello(params: SchemeParams, role: str) -> bytes:
+    """The handshake frame the verifier sends a prover, which echoes it."""
+    blob = (MAGIC + bytes([VERSION, params.field.n])
             + struct.pack(">IH", params.field.poly, params.m)
             + bytes([params.domain_bits or params.field.n])
             + params.first_committer.encode()
             + role.encode())
+    return frame(WireMessage(T_OPEN, 0, blob))
 
 
 @dataclass
@@ -208,88 +203,83 @@ def _abort_all(conns, reason: int, round_index: int):
             pass
 
 
-def serve_verifier(params: SchemeParams, deadlines: DeadlineConfig, seed: int,
-                   out_path: Optional[str] = None) -> SessionResult:
+def serve_verifier(params: SchemeParams, deadlines: DeadlineConfig,
+                   seed: int) -> SessionResult:
     """Drive one session against listening provers, enforcing deadlines.
 
-    Returns the transcript (written to out_path when given).  Late or
-    malformed responses and connection losses abort with reasons 0x01,
-    0x02 and 0x03 respectively.  Raises ValueError, before connecting,
-    when m + 1 does not fit the 16-bit round field of a frame.
+    A late handshake echo or reply aborts with reason 0x01, a malformed one
+    with 0x02 and a lost connection with 0x03, in ABORT frames that carry
+    the round in progress.  Raises ValueError, before connecting, when
+    m + 1 does not fit the 16-bit round field of a frame.
     """
     _check_round_count(params)
-    spec = params.field
-    nbytes = body_len(spec.n)
-    timeout = deadlines.per_round_ms / 1000.0
-    conns = {}
     verifier = Verifier(params, seed)
-    t = verifier.transcript
+    conns = {}
     try:
-        for role, ep in (("P", deadlines.p_endpoint), ("Q", deadlines.q_endpoint)):
-            c = socket.create_connection(ep, timeout=5.0)
-            conns[role] = c
-            c.settimeout(5.0)
-            send_frame(c, WireMessage(T_OPEN, 0, _handshake_blob(params, role)))
-            echo = recv_frame(c)
-            if echo.body != _handshake_blob(params, role):
-                _abort_all(conns, ABORT_MALFORMED, 0)
-                return _finish(t, out_path, aborted=True, reason=ABORT_MALFORMED)
-
-        length = 3 + nbytes
-        codec = struct.Struct(f">IBH{nbytes}s")
-        buf = bytearray(4 + length)
-        while not verifier.done:
-            i, prover, a = verifier.request()
-            conn = conns[prover]
-            if a is None:
-                ask = codec.pack(length, T_OPEN, i, bytes(nbytes))
-                expect = _HEAD.pack(length, T_OPEN, i)
-            else:
-                ask = codec.pack(length, T_CHALLENGE, i, a.to_bytes(nbytes, "big"))
-                expect = _HEAD.pack(length, T_RESPONSE, i)
-            deadline = time.monotonic() + timeout
-            conn.sendall(ask)
-            reason = _await_reply(conn, buf, expect, spec.order, deadline)
-            if reason is not None:
-                _abort_all(conns, reason, i)
-                return _finish(t, out_path, aborted=True, reason=reason)
-            verifier.receive(int.from_bytes(buf[7:], "big"))
-        body = (bot_body(spec.n) if t.outcome is BOT
-                else element_body(spec.n, t.outcome))
-        for c in conns.values():
-            c.settimeout(5.0)
-            send_frame(c, WireMessage(T_RESULT, params.m + 1, body))
-        return _finish(t, out_path)
-    except WireError:
-        _abort_all(conns, ABORT_MALFORMED, 0)
-        return _finish(t, out_path, aborted=True, reason=ABORT_MALFORMED)
-    except (ConnectionError, OSError):
-        _abort_all(conns, ABORT_CONNECTION, 0)
-        return _finish(t, out_path, aborted=True, reason=ABORT_CONNECTION)
+        try:
+            reason = _session(params, deadlines, verifier, conns)
+        except OSError:  # refused, reset or closed; or a setup step timed out
+            reason = ABORT_CONNECTION
+        if reason is not None:
+            _abort_all(conns, reason, min(verifier.round, params.m + 1))
     finally:
         for c in conns.values():
             c.close()
+    return SessionResult(verifier.transcript, reason is not None, reason)
+
+
+def _session(params: SchemeParams, deadlines: DeadlineConfig, verifier: Verifier,
+             conns: dict) -> Optional[int]:
+    """Connect (into conns), shake hands, run every round and send the
+    RESULT; return None, or the reason an echo or a reply was refused."""
+    for role, ep in (("P", deadlines.p_endpoint), ("Q", deadlines.q_endpoint)):
+        c = conns[role] = socket.create_connection(ep, timeout=SETUP_S)
+        hello = _hello(params, role)
+        deadline = time.monotonic() + SETUP_S
+        c.sendall(hello)
+        reason = _await_reply(c, bytearray(len(hello)), hello, 1, deadline)
+        if reason is not None:
+            return reason
+
+    spec = params.field
+    nbytes = body_len(spec.n)
+    timeout = deadlines.per_round_ms / 1000.0
+    length = 3 + nbytes
+    codec = struct.Struct(f">IBH{nbytes}s")
+    buf = bytearray(4 + length)
+    while not verifier.done:
+        i, prover, a = verifier.request()
+        conn = conns[prover]
+        if a is None:
+            ask = codec.pack(length, T_OPEN, i, bytes(nbytes))
+            expect = _HEAD.pack(length, T_OPEN, i)
+        else:
+            ask = codec.pack(length, T_CHALLENGE, i, a.to_bytes(nbytes, "big"))
+            expect = _HEAD.pack(length, T_RESPONSE, i)
+        deadline = time.monotonic() + timeout
+        conn.sendall(ask)
+        reason = _await_reply(conn, buf, expect, spec.order, deadline)
+        if reason is not None:
+            return reason
+        verifier.receive(int.from_bytes(buf[7:], "big"))
+    outcome = verifier.transcript.outcome
+    body = b"\xff" * nbytes if outcome is BOT else element_body(spec.n, outcome)
+    for c in conns.values():
+        c.settimeout(SETUP_S)
+        send_frame(c, WireMessage(T_RESULT, params.m + 1, body))
+    return None
 
 
 def _await_reply(conn: socket.socket, buf: bytearray, expect: bytes, order: int,
                  deadline: float) -> Optional[int]:
-    """The verifier's wait for one reply: None when buf holds the reply
-    expected, else the abort reason.  A closed connection raises
-    ConnectionError, which serve_verifier reports as 0x03."""
+    """The verifier's wait for one echo or reply: None when buf holds it,
+    else the abort reason; a close raises ConnectionError (0x03)."""
     try:
         return ABORT_MALFORMED if _recv_reply(conn, buf, expect, order, deadline) else None
     except TimeoutError:
         return ABORT_DEADLINE
     except WireError:
         return ABORT_MALFORMED
-
-
-def _finish(t: Transcript, out_path: Optional[str], aborted: bool = False,
-            reason: Optional[int] = None) -> SessionResult:
-    if out_path and not aborted:
-        with open(out_path, "w") as fh:
-            fh.write(t.to_text())
-    return SessionResult(t, aborted, reason)
 
 
 def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
@@ -301,10 +291,10 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
     Both provers must hold the same shared_secret_seed (their joint
     randomness); pads are the same labeled stream the in-process engine
     uses, so equal seeds reproduce engine transcripts byte for byte.
-    The prover answers each of its own rounds once and in order, a
-    CHALLENGE for rounds up to m and the OPEN at m+1; any other frame gets
-    ABORT 0x02, since a second challenge for a round would reveal the
-    committed value.
+    The prover echoes the handshake for its role, answers each of its own
+    rounds once and in order (a CHALLENGE up to m, the OPEN at m+1) and
+    takes the RESULT; any other frame gets ABORT 0x02, since a second
+    challenge for a round would reveal the committed value.
     delay_ms_at_round=(round, ms) stalls one response past the verifier's
     deadline; trace collects every received frame (test hooks).  Returns 0
     on a completed session (RESULT seen), 1 on abort or handshake rejection.
@@ -331,13 +321,14 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
         srv.close()
     try:
         conn.settimeout(30.0)
-        hello = recv_frame(conn)
+        hello = _hello(params, role)
+        buf = bytearray(len(hello))
+        got = _recv_reply(conn, buf, hello, 1)
+        if got:
+            return _refuse(conn, bytes(buf[:got]), trace)
         if trace is not None:
-            trace.append(hello)
-        if hello.type != T_OPEN or hello.body != _handshake_blob(params, role):
-            send_frame(conn, WireMessage(T_ABORT, 0, bytes([ABORT_MALFORMED])))
-            return 1
-        send_frame(conn, WireMessage(T_OPEN, 0, hello.body))
+            trace.append(parse(hello))
+        conn.sendall(hello)
         m = params.m
         nbytes = body_len(spec.n)
         length = 3 + nbytes
@@ -347,7 +338,7 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
             ask = T_CHALLENGE if i <= m else T_OPEN
             got = _recv_reply(conn, buf, _HEAD.pack(length, ask, i), spec.order)
             if got:
-                return _refuse(conn, recv_frame(conn, bytes(buf[:got])), trace)
+                return _refuse(conn, bytes(buf[:got]), trace)
             if trace is not None:
                 trace.append(WireMessage(ask, i, bytes(buf[7:])))
             a = int.from_bytes(buf[7:], "big") if i <= m else None
@@ -356,21 +347,25 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
                 time.sleep(delay_ms_at_round[1] / 1000.0)
             conn.sendall(codec.pack(length, T_RESPONSE if i <= m else T_OPEN, i,
                                     x.to_bytes(nbytes, "big")))
-        return _refuse(conn, recv_frame(conn), trace, done=True)
+        # The RESULT body is a field element or all-FF for a rejection.
+        got = _recv_reply(conn, buf, _HEAD.pack(length, T_RESULT, m + 1), 1 << 8 * nbytes)
+        if got:
+            return _refuse(conn, bytes(buf[:got]), trace)
+        if trace is not None:
+            trace.append(WireMessage(T_RESULT, m + 1, bytes(buf[7:])))
+        return 0
     except (WireError, ConnectionError, OSError):
         return 1
     finally:
         conn.close()
 
 
-def _refuse(conn: socket.socket, msg: WireMessage, trace: Optional[list],
-            done: bool = False) -> int:
-    """A prover's answer to a frame other than its next round's: 0 for the
-    RESULT once its rounds are done, 1 for an ABORT, else ABORT 0x02 and 1."""
+def _refuse(conn: socket.socket, head: bytes, trace: Optional[list]) -> int:
+    """A prover's answer to an unexpected frame, of which head (at least 4
+    bytes) has been read: 1 after an ABORT, else ABORT 0x02 and 1."""
+    msg = recv_frame(conn, head)
     if trace is not None:
         trace.append(msg)
-    if msg.type == T_RESULT and done:
-        return 0
     if msg.type != T_ABORT:
         send_frame(conn, WireMessage(T_ABORT, msg.round, bytes([ABORT_MALFORMED])))
     return 1

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcommit import engine
 from relcommit.adversary import (
@@ -260,3 +262,50 @@ def test_bound_consistency_even_n():
             m *= 2
     with pytest.raises(ValueError):
         tightness_vs_composition_bounds(3, 1)
+
+
+def int_texts(lo, hi):
+    """Integers as a header might spell them: decimal or hex, signed, with
+    or without 0x, plus a few that no base reads."""
+    return st.one_of(
+        st.builds(format, st.integers(lo, hi), st.sampled_from(["d", "x", "#x", "+d", "+#x"])),
+        st.sampled_from(["", "x", "0x", "--1", "1_0", "9" * 40]))
+
+
+TRUE_TABLES = {n: serialize_tables(brute_force_chsh(FieldSpec.default(n))) for n in (1, 2)}
+
+
+@st.composite
+def table_texts(draw):
+    """Table files: the true n <= 2 tables with one header field (say, the
+    same value signed) or one row replaced, or a header and rows drawn at
+    small n."""
+    how = draw(st.sampled_from(["header", "row", "drawn"]))
+    if how != "drawn":
+        lines = TRUE_TABLES[draw(st.integers(1, 2))].splitlines()
+        if how == "header":
+            fields = lines[0].split()
+            k = draw(st.integers(2, len(fields) - 1))
+            key, _, old = fields[k].partition("=")
+            fields[k] = f"{key}={draw(st.one_of(st.just('-' + old), int_texts(-40, 40)))}"
+            lines[0] = " ".join(fields)
+        else:
+            lines[draw(st.integers(1, len(lines) - 1))] = draw(
+                st.sampled_from(["", "0:0", "3:", ":", "0:1:2", "-1:0", "ff:0"]))
+        return "\n".join(lines)
+    head = (f"#chsh-tables v1 n={draw(int_texts(-2, 4))} poly={draw(int_texts(-40, 40))} "
+            f"q={draw(int_texts(-2, 300))}/{draw(int_texts(-2, 300))}")
+    rows = draw(st.lists(st.builds("{}:{}".format, int_texts(-2, 20), int_texts(-2, 20)),
+                         max_size=34))
+    return "\n".join([head] + rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(table_texts(), st.text(max_size=60)))
+def test_parse_tables_returns_tables_or_raises_value_error(text):
+    try:
+        tables = parse_tables(text)
+    except ValueError:
+        return
+    assert isinstance(tables, ChshTables)
+    assert parse_tables(serialize_tables(tables)) == tables

@@ -1,10 +1,20 @@
 """CLI surface: determinism, report formats, exit codes, config handling."""
 
+import contextlib
+import io
+import os
 import socket
+import subprocess
+import sys
+import tempfile
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relcommit
 from relcommit import analysis, cli
 
 WORKED_TRACE = """#relcommit v1 n=3 poly=0xb m=1 seed=0
@@ -253,6 +263,43 @@ def test_corrupt_table_cache_is_usage_error(tmp_path, capsys):
         assert code == 2 and err.startswith("error:") and named in err, err
 
 
+# cli.main in a child process whose address space is capped at 1 GiB, so a
+# runaway field setup ends in MemoryError instead of exhausting the host.
+CAPPED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from relcommit.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def negative_poly_argv(tmp_path, entry):
+    if entry == "flag":
+        return ["run", "--n", "2", "--poly=-7", "--m", "0", "--value", "0", "--seed", "1"]
+    if entry == "transcript":
+        path = tmp_path / "t.txt"
+        path.write_text("#relcommit v1 n=2 poly=-7 m=0 seed=0\noutcome=BOT\n")
+        return ["verify", str(path)]
+    if entry == "tables":
+        cli.main(["chsh-search", "--n", "2", "--cache", str(tmp_path)])
+        cache = tmp_path / "chsh_n2_poly7.tables"
+        cache.write_text(cache.read_text().replace(" poly=0x7", " poly=-7", 1))
+        return ["chsh-search", "--n", "2", "--cache", str(tmp_path)]
+    path = tmp_path / "exp.cfg"
+    path.write_text("n=2\npoly=-7\nm=0\nvalue=0\nseed=1\n")
+    return ["--config", str(path), "run"]
+
+
+@pytest.mark.parametrize("entry", ["flag", "transcript", "tables", "config"])
+def test_negative_polynomial_is_refused_at_every_entry_point(tmp_path, entry):
+    # (-7).bit_length() is 3, which once passed the degree check for n = 2
+    # and sent the generator search into an endless, growing loop.
+    argv = negative_poly_argv(tmp_path, entry)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcommit.__file__)))
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert time.monotonic() - start < 1.0
+    assert done.returncode == 2
+    assert done.stderr.startswith(("error:", "parse-error:")), done.stderr
+
+
 def test_verify_spec_trace_and_tamper(tmp_path, capsys):
     path = tmp_path / "trace.txt"
     path.write_text(WORKED_TRACE)
@@ -293,6 +340,49 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert "trials=50" in with_cfg
     code, overridden = run_cli(capsys, "--config", str(cfg), "run", "--trials", "20")
     assert "trials=20" in overridden
+
+
+def int_texts(lo, hi):
+    """Integers as a config file might spell them: decimal or hex, signed,
+    with or without 0x, plus a few that no base reads."""
+    return st.one_of(
+        st.builds(format, st.integers(lo, hi), st.sampled_from(["d", "x", "#x", "+d", "+#x"])),
+        st.sampled_from(["", "x", "0x", "--1", "1_0", "9" * 40]))
+
+
+# Values for every key run and attack random-open read; n, m and trials stay
+# small so that each example runs in milliseconds.
+CONFIG_VALUES = {
+    "n": int_texts(-2, 6), "poly": int_texts(-80, 80), "m": int_texts(-2, 5),
+    "domain_bits": int_texts(-1, 7), "domain-bits": int_texts(-1, 7),
+    "value": int_texts(-3, 70), "seed": int_texts(-5, 1 << 65), "trials": int_texts(-1, 20),
+    "workers": st.sampled_from(["1", "0", "-1", "x"]),
+    "first_committer": st.sampled_from(["P", "Q", "V", "", "p"]),
+}
+
+
+@st.composite
+def config_texts(draw):
+    lines = [f"{key}={draw(CONFIG_VALUES[key])}"
+             for key in draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=10))]
+    lines += draw(st.lists(st.sampled_from(["", "# note", "=", "n", " n = 3 ", "poly==b"]),
+                           max_size=3))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_texts(), st.sampled_from([["run"], ["attack", "random-open"]]))
+def test_config_files_end_in_a_report_or_a_usage_error(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["--config", path, *command])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
 
 
 def test_outdir_env_override(tmp_path, capsys, monkeypatch):
@@ -339,3 +429,13 @@ def test_serve_and_prove_loopback(tmp_path, capsys):
     assert codes == {"P": 0, "Q": 0}
     verify_code = cli.main(["verify", str(out)])
     assert verify_code == 0
+
+
+def test_serve_writes_out_only_for_a_completed_session(tmp_path, capsys):
+    out = tmp_path / "net.txt"
+    code = cli.main(["serve", "--n", "4", "--m", "2", "--seed", "11",
+                     "--p-endpoint", f"127.0.0.1:{free_port()}",
+                     "--q-endpoint", f"127.0.0.1:{free_port()}", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out.strip() == "aborted reason=0x03"
+    assert not out.exists()

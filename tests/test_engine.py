@@ -441,6 +441,13 @@ def test_challenge_stream_uniformity_chi_square():
     assert chi2 < 37.7  # chi-square df=15, p=0.001
 
 
-def test_round_message_rejects_self_send():
-    with pytest.raises(ValueError):
-        engine.RoundMessage(0, "P", "P", 1)
+def test_message_slot_never_names_one_party_as_sender_and_receiver():
+    # Every message the verifier issues or takes, and every line that
+    # parse_transcript accepts, has the slot message_slot names.
+    for fc in ("P", "Q"):
+        for m in (0, 1, 4):
+            params = make_params(m=m, first_committer=fc)
+            for k in range(2 * m + 3):
+                _, sender, receiver = engine.message_slot(params, k)
+                assert sender != receiver
+                assert "V" in (sender, receiver)

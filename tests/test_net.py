@@ -178,7 +178,7 @@ def test_prover_answers_only_its_next_round(role, script):
         role, params, 5, ("127.0.0.1", 0), value=0x5, ready=endpoint.put)), daemon=True)
     t.start()
     with socket.create_connection(endpoint.get(timeout=5.0), timeout=5.0) as c:
-        net.send_frame(c, WireMessage(T_OPEN, 0, net._handshake_blob(params, role)))
+        c.sendall(net._hello(params, role))
         net.recv_frame(c)
         replies = []
         for msg in script:
@@ -305,11 +305,11 @@ def test_truncated_frame_aborts_malformed():
     assert got["last"].body == bytes([ABORT_MALFORMED])
 
 
-def serve_against_fake_p(params, seed, deadline_ms, act):
-    """serve_verifier against a real Q and a fake P that completes the
-    handshake, reads the round-0 challenge, calls act(conn) and then holds
-    the connection open until the verifier closes it.  Returns (result,
-    seconds serve_verifier took)."""
+def serve_against_fake_p(params, seed, deadline_ms, act, q_trace=None):
+    """serve_verifier against a real Q (recording into q_trace) and a fake P
+    that completes the handshake, reads the round-0 challenge, calls
+    act(conn) and then holds the connection open until the verifier closes
+    it.  Returns (result, seconds serve_verifier took)."""
     endpoints = {}
     ready = threading.Event()
 
@@ -340,7 +340,8 @@ def serve_against_fake_p(params, seed, deadline_ms, act):
 
     threads = [threading.Thread(target=fake_p, daemon=True),
                threading.Thread(target=run_prover, args=("Q", params, seed, ("127.0.0.1", 0)),
-                                kwargs={"ready": on_ready("Q")}, daemon=True)]
+                                kwargs={"ready": on_ready("Q"), "trace": q_trace},
+                                daemon=True)]
     for t in threads:
         t.start()
     assert ready.wait(5.0)
@@ -378,6 +379,71 @@ def test_verifier_decides_within_twice_the_deadline(act, reason):
     res, took = serve_against_fake_p(params, 9, 100, act)
     assert res.aborted and res.abort_reason == reason
     assert took < 0.2
+
+
+def serve_against_fake_hello(params, act):
+    """serve_verifier against a fake P that reads the handshake and calls
+    act(conn, hello); P's handshake fails first, so Q's endpoint, where
+    nothing listens, is never reached.  Returns (result, seconds
+    serve_verifier took)."""
+    with socket.socket() as srv:
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(1)
+
+        def fake_p():
+            conn, _ = srv.accept()
+            with conn:
+                try:
+                    act(conn, net.recv_frame(conn))
+                except OSError:
+                    pass  # the verifier has aborted and closed
+
+        t = threading.Thread(target=fake_p, daemon=True)
+        t.start()
+        start = time.monotonic()
+        res = serve_verifier(params, DeadlineConfig(100, srv.getsockname(), ("127.0.0.1", 1)),
+                             9)
+        took = time.monotonic() - start
+        t.join(5.0)
+        assert not t.is_alive()
+    return res, took
+
+
+def test_trickled_handshake_echo_misses_the_setup_deadline(monkeypatch):
+    # A correct echo, one byte every 80 ms, takes ~2 s; the verifier gives
+    # each handshake one deadline and decides when it passes.
+    monkeypatch.setattr(net, "SETUP_S", 0.3)
+    params = SchemeParams(FieldSpec.default(8), m=2)
+    res, took = serve_against_fake_hello(params, lambda conn, hello: trickle(frame(hello))(conn))
+    assert res.aborted and res.abort_reason == ABORT_DEADLINE
+    assert took < 2 * 0.3
+
+
+def test_trickled_handshake_echo_of_another_length_is_refused_on_its_length():
+    # The echo declares one byte more than the handshake: refused with 0x02
+    # once its 4 length bytes are in (~0.24 s), not after its ~2 s body.
+    params = SchemeParams(FieldSpec.default(8), m=2)
+    res, took = serve_against_fake_hello(
+        params, lambda conn, hello: trickle(frame(WireMessage(T_OPEN, 0, hello.body + b"\0")))(conn))
+    assert res.aborted and res.abort_reason == ABORT_MALFORMED
+    assert took < 0.45
+
+
+def test_abort_frames_carry_the_round_in_progress():
+    # The fake P answers round 0, then closes on round 2's challenge: the
+    # real Q, waiting for round 3, gets ABORT 0x03 marked round 2.
+    params = SchemeParams(FieldSpec.default(8), m=4)
+
+    def act(conn):
+        net.send_frame(conn, WireMessage(T_RESPONSE, 0, b"\x00"))
+        assert net.recv_frame(conn).round == 2
+        conn.close()
+
+    q_trace = []
+    res, _ = serve_against_fake_p(params, 9, 2000, act, q_trace)
+    assert res.aborted and res.abort_reason == ABORT_CONNECTION
+    assert [(msg.type, msg.round) for msg in q_trace[1:]] == [(T_CHALLENGE, 1), (T_ABORT, 2)]
+    assert q_trace[-1].body == bytes([ABORT_CONNECTION])
 
 
 @settings(max_examples=300)
