@@ -224,6 +224,29 @@ def sim_open_epsilon(spec: FieldSpec) -> Fraction:
     return Fraction(best, order)
 
 
+def max_extractor_violation(spec: FieldSpec) -> Tuple[Fraction, Fraction]:
+    """(worst, alpha): the greedy extractor's worst deviation, exactly.
+
+    alpha = 2^(-n/2) is the square root of the simultaneous-opening bound
+    2^-n, so n must be even.  worst is the max of extractor_violation over
+    all 2^(n*2^n) commit tables, each against every constant opening
+    string; the fairly-binding bound asks for worst < 2*alpha.  The
+    enumeration is capped at n <= 2.
+    """
+    if spec.n % 2:
+        raise ValueError("extractor analysis uses even n (alpha = sqrt(eps))")
+    if spec.n > 2:
+        raise ValueError(f"max_extractor_violation enumerates 2^(n*2^n) commit tables; "
+                         f"n={spec.n} exceeds the n<=2 cap")
+    alpha = Fraction(1, 2 ** (spec.n // 2))
+    openings = list(range(spec.order))
+    worst = ZERO
+    for table in product(range(spec.order), repeat=spec.order):
+        shat = fairly_binding_extractor(spec, table, openings, alpha)
+        worst = max(worst, extractor_violation(spec, table, openings, shat))
+    return worst, alpha
+
+
 # -- the greedy partition extractor ------------------------------------------
 
 

@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
-from itertools import product
 
 from . import adversary, analysis, engine, net
 from .analysis import frac_text
@@ -91,6 +90,8 @@ def _write_out(args, cfg, session):
 
 def _endpoint(text: str):
     host, _, port = text.rpartition(":")
+    if not (port.isdigit() and int(port) <= 0xFFFF):
+        raise ValueError(f"endpoint must be host:port with a port in 0..65535, got {text!r}")
     return (host or "127.0.0.1", int(port))
 
 
@@ -189,17 +190,8 @@ def cmd_analyze(args, cfg) -> int:
             value, bound = analysis.sim_open_epsilon(spec), Fraction(1, spec.order)
             ok = value <= bound
         elif metric == "extractor":
-            if spec.n % 2:
-                raise ValueError("extractor analysis uses even n (alpha = sqrt(eps))")
-            if spec.n > 2:
-                raise ValueError(f"analyze extractor enumerates 2^(n*2^n) commit tables; "
-                                 f"n={spec.n} exceeds the n<=2 cap")
-            alpha = Fraction(1, 2 ** (spec.n // 2))
-            openings = list(range(spec.order))
-            value, bound = Fraction(0), 2 * alpha
-            for table in product(range(spec.order), repeat=spec.order):
-                shat = analysis.fairly_binding_extractor(spec, table, openings, alpha)
-                value = max(value, analysis.extractor_violation(spec, table, openings, shat))
+            value, alpha = analysis.max_extractor_violation(spec)
+            bound = 2 * alpha
             ok = value < bound
         elif metric == "k":
             value, bound = Fraction(k_of_extr(spec)), Fraction(1)

@@ -411,8 +411,6 @@ def run_attack_session(params: SchemeParams, commit_strategy, open_strategy,
     return verifier.transcript
 
 
-def run_honest_session(params: SchemeParams, value: int, seed: int,
-                       fixed_challenges: Optional[Sequence[int]] = None) -> Transcript:
+def run_honest_session(params: SchemeParams, value: int, seed: int) -> Transcript:
     """Honest execution committing to value; outcome from multiround_verify."""
-    return run_attack_session(params, HonestCommit(value), HonestOpen(),
-                              seed, fixed_challenges)
+    return run_attack_session(params, HonestCommit(value), HonestOpen(), seed)

@@ -2,14 +2,16 @@
 
 Frame layout: 4-byte big-endian length, then type (1), round (2, big-endian),
 body.  Bodies carry one field element in ceil(n/8) big-endian bytes except
-for the handshake and ABORT (1-byte reason).  Each side knows the size of
-every frame it expects, so one reader reads each into a buffer of that size
-and refuses it as soon as its first 4 bytes declare another length.  Only
-the verifier keeps time: one absolute deadline per handshake (SETUP_S) and
-per round (taken as the challenge is sent), each read waiting only for the
-time that remains, so a frame not in by then aborts the session, whatever
-length it declares.  That is what makes the no-communication window
-operational.  ABORT frames carry the round.
+for the handshake and ABORT (1-byte reason).  One rule, ``_round_frames``,
+gives both ends the layout of every round frame and the RESULT and the
+types asked and answered at each round.  Each side knows the size of every
+frame it expects, so one reader reads each into a buffer of that size and
+refuses it as soon as its first 4 bytes declare another length.  Only the
+verifier keeps time: one absolute deadline per handshake (SETUP_S) and per
+round (taken as the challenge is sent, at most MAX_DEADLINE_MS), each read
+waiting only for the time that remains, so a frame not in by then aborts
+the session, whatever length it declares.  That is what makes the
+no-communication window operational.  ABORT frames carry the round.
 
 The verifier drives the same sans-IO ``engine.Verifier`` as the in-process
 engine, never issuing challenge i before response i-1 is validated.  With
@@ -45,6 +47,7 @@ ABORT_CONNECTION = 0x03
 MAX_FRAME = 1 << 16
 MAX_ROUND = 0xFFFF  # frames carry the round as ">H"; the last one is m + 1
 SETUP_S = 5.0  # the verifier's limit on each connect, handshake and RESULT send
+MAX_DEADLINE_MS = 86_400_000  # one day; far longer ones overflow a socket timeout
 _HEAD = struct.Struct(">IBH")  # length, type, round
 
 
@@ -167,6 +170,21 @@ def _check_round_count(params: SchemeParams):
                          f"got m={params.m}")
 
 
+def _round_frames(params: SchemeParams):
+    """The round-frame rule, for both ends of a session.
+
+    Returns (length, nbytes, pack, kinds).  Every round frame and the
+    RESULT is 4 + length bytes whose body is one field element in nbytes
+    big-endian bytes (all-FF for a rejecting RESULT, zero for the OPEN
+    request); pack(length, type, round, body) builds one.  kinds[i > m] is
+    the (asked, answered) type pair of round i: a CHALLENGE answered by a
+    RESPONSE up to m, an OPEN request answered by the OPEN at m + 1.
+    """
+    nbytes = body_len(params.field.n)
+    return (3 + nbytes, nbytes, struct.Struct(f">IBH{nbytes}s").pack,
+            ((T_CHALLENGE, T_RESPONSE), (T_OPEN, T_OPEN)))
+
+
 def _hello(params: SchemeParams, role: str) -> bytes:
     """The handshake frame the verifier sends a prover, which echoes it."""
     blob = (MAGIC + bytes([VERSION, params.field.n])
@@ -184,8 +202,9 @@ class DeadlineConfig:
     q_endpoint: Tuple[str, int]
 
     def __post_init__(self):
-        if self.per_round_ms <= 0:
-            raise ValueError("per_round_ms must be positive")
+        if not 0 < self.per_round_ms <= MAX_DEADLINE_MS:
+            raise ValueError(f"per_round_ms must be in 1..{MAX_DEADLINE_MS} (one day), "
+                             f"got {self.per_round_ms}")
 
 
 @dataclass
@@ -241,32 +260,28 @@ def _session(params: SchemeParams, deadlines: DeadlineConfig, verifier: Verifier
         if reason is not None:
             return reason
 
-    spec = params.field
-    nbytes = body_len(spec.n)
+    length, nbytes, pack, kinds = _round_frames(params)
+    m, order = params.m, params.field.order
     timeout = deadlines.per_round_ms / 1000.0
-    length = 3 + nbytes
-    codec = struct.Struct(f">IBH{nbytes}s")
     buf = bytearray(4 + length)
     while not verifier.done:
         i, prover, a = verifier.request()
         conn = conns[prover]
-        if a is None:
-            ask = codec.pack(length, T_OPEN, i, bytes(nbytes))
-            expect = _HEAD.pack(length, T_OPEN, i)
-        else:
-            ask = codec.pack(length, T_CHALLENGE, i, a.to_bytes(nbytes, "big"))
-            expect = _HEAD.pack(length, T_RESPONSE, i)
+        ask, answer = kinds[i > m]
+        request = pack(length, ask, i, (a or 0).to_bytes(nbytes, "big"))  # OPEN: a is None
+        expect = _HEAD.pack(length, answer, i)
         deadline = time.monotonic() + timeout
-        conn.sendall(ask)
-        reason = _await_reply(conn, buf, expect, spec.order, deadline)
+        conn.sendall(request)
+        reason = _await_reply(conn, buf, expect, order, deadline)
         if reason is not None:
             return reason
         verifier.receive(int.from_bytes(buf[7:], "big"))
     outcome = verifier.transcript.outcome
-    body = b"\xff" * nbytes if outcome is BOT else element_body(spec.n, outcome)
+    result = pack(length, T_RESULT, m + 1,
+                  b"\xff" * nbytes if outcome is BOT else outcome.to_bytes(nbytes, "big"))
     for c in conns.values():
         c.settimeout(SETUP_S)
-        send_frame(c, WireMessage(T_RESULT, params.m + 1, body))
+        c.sendall(result)
     return None
 
 
@@ -283,9 +298,7 @@ def _await_reply(conn: socket.socket, buf: bytearray, expect: bytes, order: int,
 
 
 def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
-               endpoint: Tuple[str, int], value: int = 0,
-               delay_ms_at_round: Optional[Tuple[int, int]] = None,
-               ready=None, trace: Optional[list] = None) -> int:
+               endpoint: Tuple[str, int], value: int = 0, ready=None) -> int:
     """Serve one honest prover session on a listening endpoint.
 
     Both provers must hold the same shared_secret_seed (their joint
@@ -294,9 +307,8 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
     The prover echoes the handshake for its role, answers each of its own
     rounds once and in order (a CHALLENGE up to m, the OPEN at m+1) and
     takes the RESULT; any other frame gets ABORT 0x02, since a second
-    challenge for a round would reveal the committed value.
-    delay_ms_at_round=(round, ms) stalls one response past the verifier's
-    deadline; trace collects every received frame (test hooks).  Returns 0
+    challenge for a round would reveal the committed value.  ready, when
+    given, is called with the bound endpoint once listening.  Returns 0
     on a completed session (RESULT seen), 1 on abort or handshake rejection.
     Raises ValueError, before binding, for a bad role, a committed value
     outside the field or the domain, or an m too large for the 16-bit round
@@ -325,47 +337,32 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
         buf = bytearray(len(hello))
         got = _recv_reply(conn, buf, hello, 1)
         if got:
-            return _refuse(conn, bytes(buf[:got]), trace)
-        if trace is not None:
-            trace.append(parse(hello))
+            return _refuse(conn, bytes(buf[:got]))
         conn.sendall(hello)
+        length, nbytes, pack, kinds = _round_frames(params)
         m = params.m
-        nbytes = body_len(spec.n)
-        length = 3 + nbytes
-        codec = struct.Struct(f">IBH{nbytes}s")
         buf = bytearray(4 + length)
         for i in [i for i in range(m + 2) if active_prover(params, i) == role]:
-            ask = T_CHALLENGE if i <= m else T_OPEN
+            ask, answer = kinds[i > m]
             got = _recv_reply(conn, buf, _HEAD.pack(length, ask, i), spec.order)
             if got:
-                return _refuse(conn, bytes(buf[:got]), trace)
-            if trace is not None:
-                trace.append(WireMessage(ask, i, bytes(buf[7:])))
+                return _refuse(conn, bytes(buf[:got]))
             a = int.from_bytes(buf[7:], "big") if i <= m else None
             x = honest_reply(spec, m, i, a, pad, value)
-            if delay_ms_at_round and delay_ms_at_round[0] == i:
-                time.sleep(delay_ms_at_round[1] / 1000.0)
-            conn.sendall(codec.pack(length, T_RESPONSE if i <= m else T_OPEN, i,
-                                    x.to_bytes(nbytes, "big")))
+            conn.sendall(pack(length, answer, i, x.to_bytes(nbytes, "big")))
         # The RESULT body is a field element or all-FF for a rejection.
         got = _recv_reply(conn, buf, _HEAD.pack(length, T_RESULT, m + 1), 1 << 8 * nbytes)
-        if got:
-            return _refuse(conn, bytes(buf[:got]), trace)
-        if trace is not None:
-            trace.append(WireMessage(T_RESULT, m + 1, bytes(buf[7:])))
-        return 0
+        return _refuse(conn, bytes(buf[:got])) if got else 0
     except (WireError, ConnectionError, OSError):
         return 1
     finally:
         conn.close()
 
 
-def _refuse(conn: socket.socket, head: bytes, trace: Optional[list]) -> int:
+def _refuse(conn: socket.socket, head: bytes) -> int:
     """A prover's answer to an unexpected frame, of which head (at least 4
     bytes) has been read: 1 after an ABORT, else ABORT 0x02 and 1."""
     msg = recv_frame(conn, head)
-    if trace is not None:
-        trace.append(msg)
     if msg.type != T_ABORT:
         send_frame(conn, WireMessage(T_ABORT, msg.round, bytes([ABORT_MALFORMED])))
     return 1

@@ -7,12 +7,12 @@ calibration.
 
 import math
 import random
-import threading
 import time
 from fractions import Fraction
 from functools import partial
 from itertools import product
 
+import loopback
 from relcommit import adversary, analysis, engine, net
 from relcommit.field import FieldSpec
 from relcommit.scheme import SchemeParams, k_of_extr
@@ -49,14 +49,14 @@ def test_c02_completeness():
     t0 = time.time()
     params = SchemeParams(FieldSpec.default(8), m=4)
     trials = 100_000
-    fails = 0
-    for t in range(trials):
-        tseed = engine.stream_u64(20240, engine.STREAM_TRIAL, t)
-        if engine.run_honest_session(params, 1, tseed).outcome != 1:
-            fails += 1
+
+    def trial(tseed):
+        return engine.run_honest_session(params, 1, tseed).outcome != 1, 1
+
+    res = analysis.seeded_trials(trial, trials, 20240)
     expected = 1 - (1 - 2.0**-8) ** 5
-    sigma = math.sqrt(expected * (1 - expected) / trials)
-    rate = fails / trials
+    sigma = res.sigma(expected)
+    rate = float(res.rate)
     ok = abs(rate - expected) <= 3 * sigma
     report(2, "completeness", ok,
            f"failure rate {rate:.5f} vs {expected:.5f} (3sigma={3*sigma:.5f})",
@@ -140,7 +140,7 @@ def test_c08_tightness_attack():
             partial(adversary.tightness_strategy, tables=tables, params=params),
             condition_nonzero=True), trials, 555 + m)
         kept = res.conditioned
-        p = float(1 - (1 - tables.q) ** ((m + 1) // 2))
+        p = float(adversary.tightness_success_probability(tables.q, m))
         sigma = math.sqrt(p * (1 - p) / kept)
         emp = res.hits / kept
         ok &= abs(emp - p) <= 3 * sigma
@@ -150,14 +150,9 @@ def test_c08_tightness_attack():
 
 def test_c09_extractor():
     t0 = time.time()
-    spec = FieldSpec.default(2)
-    alpha = F(1, 2)  # sqrt of the simultaneous-opening bound 1/4
+    # alpha = 1/2, the square root of the simultaneous-opening bound 1/4
+    worst, alpha = analysis.max_extractor_violation(FieldSpec.default(2))
     bound = 2 * alpha
-    openings = list(range(4))
-    worst = F(0)
-    for table in product(range(4), repeat=4):
-        shat = analysis.fairly_binding_extractor(spec, table, openings, alpha)
-        worst = max(worst, analysis.extractor_violation(spec, table, openings, shat))
     ok = worst < bound
     report(9, "greedy extractor", ok,
            f"worst deviation {worst} < {bound} over all 256 commit tables",
@@ -221,40 +216,16 @@ def test_c12_separation_fixture():
            time.time() - t0, 1)
 
 
-def test_c13_networked_mode():
+def test_c13_networked_mode(monkeypatch):
     t0 = time.time()
     params = SchemeParams(FieldSpec.default(8), m=4)
     seed = 42
 
-    def session(delay):
-        endpoints = {}
-        ready = threading.Event()
-
-        def runner(role):
-            def on_ready(ep):
-                endpoints[role] = ep
-                if len(endpoints) == 2:
-                    ready.set()
-            net.run_prover(role, params, seed, ("127.0.0.1", 0), value=0x17,
-                           delay_ms_at_round=(delay if role == "Q" else None),
-                           ready=on_ready)
-
-        threads = [threading.Thread(target=runner, args=(r,), daemon=True)
-                   for r in ("P", "Q")]
-        for t in threads:
-            t.start()
-        ready.wait(5.0)
-        cfg = net.DeadlineConfig(100 if delay else 2000,
-                                 endpoints["P"], endpoints["Q"])
-        res = net.serve_verifier(params, cfg, seed)
-        for t in threads:
-            t.join(10.0)
-        return res
-
-    clean = session(None)
+    clean, _, _ = loopback.run(params, seed, 2000, *loopback.honest(params, seed, 0x17))
     engine_text = engine.run_honest_session(params, 0x17, seed).to_text()
     ok = not clean.aborted and clean.transcript.to_text() == engine_text
-    delayed = session((1, 400))
+    loopback.late_reply(monkeypatch, 1, 400)  # round 1 is Q's
+    delayed, _, _ = loopback.run(params, seed, 100, *loopback.honest(params, seed, 0x17))
     ok &= delayed.aborted and delayed.abort_reason == net.ABORT_DEADLINE
     report(13, "networked mode", ok,
            "loopback transcript byte-identical; late response aborts 0x01",

@@ -23,6 +23,7 @@ from relcommit.analysis import (
     fairly_weak_hat_distribution,
     fixed_challenge_strategy,
     hiding_distance,
+    max_extractor_violation,
     max_p0_plus_p1,
     open_game_trial,
     report_line,
@@ -342,13 +343,8 @@ def test_extractor_honest_table_bound():
 
 
 def test_extractor_worst_case_over_all_tables():
-    spec = GF4
-    alpha = F(1, 2)
-    openings = list(range(4))
-    worst = F(0)
-    for table in product(range(4), repeat=4):
-        shat = fairly_binding_extractor(spec, table, openings, alpha)
-        worst = max(worst, extractor_violation(spec, table, openings, shat))
+    worst, alpha = max_extractor_violation(GF4)
+    assert alpha == F(1, 2)
     assert worst < 2 * alpha
     assert worst == F(1, 2)  # recorded worst case at n=2
 

@@ -400,6 +400,35 @@ def free_port():
     return port
 
 
+@pytest.mark.parametrize("argv", [
+    ("prove", "--role", "P", "--endpoint", "127.0.0.1:99999"),
+    ("prove", "--role", "Q", "--endpoint", "127.0.0.1:-1"),
+    ("serve", "--p-endpoint", "127.0.0.1:99999", "--q-endpoint", "127.0.0.1:1"),
+    ("serve", "--p-endpoint", "127.0.0.1:1", "--q-endpoint", "localhost"),
+])
+def test_endpoint_ports_outside_0_to_65535_are_usage_errors(capsys, argv):
+    # Once a bind() OverflowError traceback (prove), an abort 0x03 (serve)
+    # and, without a port, an int() message that named no endpoint.
+    code, err = usage_error(capsys, *argv, "--n", "4", "--m", "2", "--seed", "1")
+    assert code == 2 and err.startswith("error: endpoint must be host:port with a port "
+                                        "in 0..65535, got '"), err
+
+
+@pytest.mark.parametrize("entry", ["flag", "config"])
+def test_deadlines_beyond_a_day_are_usage_errors(tmp_path, capsys, entry):
+    # 10^13 ms once overflowed the socket timeout of the first round read.
+    argv = ["serve", "--n", "4", "--m", "2", "--seed", "1",
+            "--p-endpoint", "127.0.0.1:1", "--q-endpoint", "127.0.0.1:1"]
+    if entry == "flag":
+        argv += ["--deadline-ms", "10000000000000"]
+    else:
+        cfg = tmp_path / "serve.cfg"
+        cfg.write_text("deadline_ms=10000000000000\n")
+        argv = ["--config", str(cfg)] + argv
+    code, err = usage_error(capsys, *argv)
+    assert code == 2 and err.startswith("error: per_round_ms must be in 1..86400000"), err
+
+
 def test_serve_and_prove_loopback(tmp_path, capsys):
     p_port, q_port = free_port(), free_port()
     codes = {}

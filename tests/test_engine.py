@@ -58,7 +58,7 @@ def test_honest_outcome_with_nonzero_challenges():
 
 def test_forced_zero_commit_challenge_erases_value():
     params = make_params(3, 1)
-    t = run_honest_session(params, 5, 99, fixed_challenges=[0, 3])
+    t = run_attack_session(params, HonestCommit(5), HonestOpen(), 99, fixed_challenges=[0, 3])
     assert t.outcome in (0, BOT)
     assert t.outcome == 0  # honest x_0 equals y_0, so the canonical rule fires
 

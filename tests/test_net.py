@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopback
 from relcommit import engine, net
 from relcommit.field import FieldSpec
 from relcommit.net import (
@@ -74,35 +75,9 @@ def test_parse_rejects_bad_frames():
         frame(WireMessage(T_OPEN, 0, b"\x00" * (1 << 16)))
 
 
-def start_provers(params, seed, value=0, delay=None, traces=None):
-    """Spawn both prover threads on ephemeral ports; returns (deadline_cfg_endpoints, joiner)."""
-    endpoints = {}
-    statuses = {}
-    ready = threading.Event()
-
-    def runner(role):
-        def on_ready(ep):
-            endpoints[role] = ep
-            if len(endpoints) == 2:
-                ready.set()
-        statuses[role] = run_prover(
-            role, params, seed, ("127.0.0.1", 0), value=value,
-            delay_ms_at_round=(delay if role == "Q" else None),
-            ready=on_ready,
-            trace=traces[role] if traces is not None else None)
-
-    threads = [threading.Thread(target=runner, args=(r,), daemon=True)
-               for r in ("P", "Q")]
-    for t in threads:
-        t.start()
-    assert ready.wait(5.0)
-
-    def join():
-        for t in threads:
-            t.join(10.0)
-        return statuses
-
-    return endpoints, join
+def start_provers(params, seed, value=0):
+    """Both honest provers listening on ephemeral ports: (endpoints, join)."""
+    return loopback.start(*loopback.honest(params, seed, value))
 
 
 def test_loopback_transcript_matches_engine():
@@ -129,11 +104,13 @@ def test_loopback_odd_m_final_sender():
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_delayed_prover_aborts_with_deadline_reason(n):
+def test_delayed_prover_aborts_with_deadline_reason(monkeypatch, n):
     # At n = 16 the ABORT frame (8 bytes) is one byte shorter than the
     # challenge P waits for; P must still read it as an ABORT and stop.
+    # Round 1 is Q's, so Q is the late prover.
     params = SchemeParams(FieldSpec.default(n), m=4)
-    endpoints, join = start_provers(params, 42, value=1, delay=(1, 400))
+    loopback.late_reply(monkeypatch, 1, 400)
+    endpoints, join = start_provers(params, 42, value=1)
     cfg = DeadlineConfig(100, endpoints["P"], endpoints["Q"])
     res = serve_verifier(params, cfg, 42)
     start = time.monotonic()
@@ -144,14 +121,15 @@ def test_delayed_prover_aborts_with_deadline_reason(n):
     assert statuses == {"P": 1, "Q": 1}
 
 
-def test_aborted_session_keeps_the_engine_prefix():
+def test_aborted_session_keeps_the_engine_prefix(monkeypatch):
     # Q stalls its round-3 response: the verifier has issued challenges
     # 0..3 and taken responses 0..2, the first 2k+1 messages of the
     # in-process session with the same seed.  Q stalling the opening at
     # round m+1 = 5 leaves all 2(m+1) challenge and response messages.
     params = SchemeParams(FieldSpec.default(8), m=4)
     for k, kept in ((3, 7), (5, 10)):
-        endpoints, join = start_provers(params, 42, value=0x17, delay=(k, 400))
+        loopback.late_reply(monkeypatch, k, 400)
+        endpoints, join = start_provers(params, 42, value=0x17)
         res = serve_verifier(params, DeadlineConfig(100, endpoints["P"], endpoints["Q"]), 42)
         join()
         assert res.aborted and res.abort_reason == ABORT_DEADLINE
@@ -191,32 +169,40 @@ def test_prover_answers_only_its_next_round(role, script):
     assert status == [1]
 
 
+def test_prover_answers_on_the_wire():
+    # n = 3, m = 1, seed 11: P answers the round-0 CHALLENGE (a = 3) with a
+    # RESPONSE and the round-2 OPEN request with an OPEN, each 8 bytes,
+    # carrying x_0 = 7 and y = 2 as the engine records them for challenges
+    # 3 and 6; then it takes the RESULT and reports success.
+    params = SchemeParams(FieldSpec.default(3), m=1)
+    status = []
+    endpoint = queue.Queue()
+    t = threading.Thread(target=lambda: status.append(run_prover(
+        "P", params, 11, ("127.0.0.1", 0), value=0x5, ready=endpoint.put)), daemon=True)
+    t.start()
+    with socket.create_connection(endpoint.get(timeout=5.0), timeout=5.0) as c:
+        c.sendall(net._hello(params, "P"))
+        net.recv_frame(c)
+        replies = []
+        for ask in ("0000000401000003", "0000000403000200"):
+            c.sendall(bytes.fromhex(ask))
+            replies.append(frame(net.recv_frame(c)).hex())
+        c.sendall(bytes.fromhex("0000000404000205"))
+    t.join(10.0)
+    assert not t.is_alive()
+    assert replies == ["0000000402000007", "0000000403000202"]
+    assert status == [0]
+
+
 def test_mismatched_seeds_break_opening():
     params = SchemeParams(FieldSpec.default(8), m=2)
     value = 0x33
     wrong = 0
     runs = 60
     for i in range(runs):
-        endpoints = {}
-        ready = threading.Event()
-
-        def runner(role, seed):
-            def on_ready(ep):
-                endpoints[role] = ep
-                if len(endpoints) == 2:
-                    ready.set()
-            run_prover(role, params, seed, ("127.0.0.1", 0), value=value,
-                       ready=on_ready)
-
-        threads = [threading.Thread(target=runner, args=("P", 1000 + i), daemon=True),
-                   threading.Thread(target=runner, args=("Q", 2000 + i), daemon=True)]
-        for t in threads:
-            t.start()
-        assert ready.wait(5.0)
-        res = serve_verifier(params, DeadlineConfig(2000, endpoints["P"], endpoints["Q"]),
-                             seed=3000 + i)
-        for t in threads:
-            t.join(10.0)
+        res, _, _ = loopback.run(params, 3000 + i, 2000,
+                                 loopback.prover("P", params, 1000 + i, value),
+                                 loopback.prover("Q", params, 2000 + i, value))
         if res.transcript.outcome == value:
             wrong += 1
     assert wrong <= 2  # chance alignment only
@@ -225,29 +211,22 @@ def test_mismatched_seeds_break_opening():
 def test_role_mismatch_rejected():
     # Both listeners claim role P; the verifier's Q handshake must fail.
     params = SchemeParams(FieldSpec.default(3), m=0)
-    endpoints = {}
-    statuses = {}
-    ready = threading.Event()
-
-    def runner(slot):
-        def on_ready(ep):
-            endpoints[slot] = ep
-            if len(endpoints) == 2:
-                ready.set()
-        statuses[slot] = run_prover("P", params, 5, ("127.0.0.1", 0),
-                                    ready=on_ready)
-
-    threads = [threading.Thread(target=runner, args=(s,), daemon=True)
-               for s in ("P", "Q")]
-    for t in threads:
-        t.start()
-    assert ready.wait(5.0)
-    res = serve_verifier(params, DeadlineConfig(2000, endpoints["P"], endpoints["Q"]), 5)
-    for t in threads:
-        t.join(10.0)
+    res, statuses, _ = loopback.run(params, 5, 2000, loopback.prover("P", params, 5),
+                                    loopback.prover("P", params, 5))
     assert res.aborted
     assert res.abort_reason == ABORT_MALFORMED
     assert statuses["Q"] == 1
+
+
+def after_round_0_challenge(act):
+    """A fake P's script: echo the handshake, read the round-0 challenge,
+    then return act(conn)."""
+    def script(conn):
+        hello = net.recv_frame(conn)
+        net.send_frame(conn, WireMessage(T_OPEN, 0, hello.body))
+        net.recv_frame(conn)
+        return act(conn)
+    return script
 
 
 def test_truncated_frame_aborts_malformed():
@@ -255,103 +234,40 @@ def test_truncated_frame_aborts_malformed():
     # prefix; the verifier must abort with reason 0x02.
     params = SchemeParams(FieldSpec.default(8), m=0)
     seed = 9
-    got = {}
 
-    def fake_prover(sock_ready):
-        srv = socket.socket()
-        srv.bind(("127.0.0.1", 0))
-        srv.listen(1)
-        sock_ready(srv.getsockname())
-        conn, _ = srv.accept()
-        srv.close()
-        hello = net.recv_frame(conn)
-        net.send_frame(conn, WireMessage(T_OPEN, 0, hello.body))
-        net.recv_frame(conn)  # the round-0 challenge
+    def lie(conn):
         conn.sendall(b"\x00\x00\x00\x09\x02\x00\x00\xab")  # declares 9, carries 4
         conn.shutdown(socket.SHUT_WR)
         try:
-            got["last"] = net.recv_frame(conn)
+            return net.recv_frame(conn)
         except Exception:
-            got["last"] = None
-        conn.close()
+            return None
 
-    endpoints = {}
-    ready = threading.Event()
-
-    def real_q():
-        def on_ready(ep):
-            endpoints["Q"] = ep
-            if len(endpoints) == 2:
-                ready.set()
-        run_prover("Q", params, seed, ("127.0.0.1", 0), ready=on_ready)
-
-    def fake_p():
-        def on_ready(ep):
-            endpoints["P"] = ep
-            if len(endpoints) == 2:
-                ready.set()
-        fake_prover(on_ready)
-
-    threads = [threading.Thread(target=fake_p, daemon=True),
-               threading.Thread(target=real_q, daemon=True)]
-    for t in threads:
-        t.start()
-    assert ready.wait(5.0)
-    res = serve_verifier(params, DeadlineConfig(500, endpoints["P"], endpoints["Q"]), seed)
-    threads[0].join(10.0)
+    res, got, _ = loopback.run(params, seed, 500, loopback.fake(after_round_0_challenge(lie)),
+                               loopback.prover("Q", params, seed))
     assert res.aborted
     assert res.abort_reason == ABORT_MALFORMED
-    assert got["last"] is not None and got["last"].type == T_ABORT
-    assert got["last"].body == bytes([ABORT_MALFORMED])
+    assert got["P"] is not None and got["P"].type == T_ABORT
+    assert got["P"].body == bytes([ABORT_MALFORMED])
 
 
-def serve_against_fake_p(params, seed, deadline_ms, act, q_trace=None):
-    """serve_verifier against a real Q (recording into q_trace) and a fake P
-    that completes the handshake, reads the round-0 challenge, calls
-    act(conn) and then holds the connection open until the verifier closes
-    it.  Returns (result, seconds serve_verifier took)."""
-    endpoints = {}
-    ready = threading.Event()
+def serve_against_fake_p(params, seed, deadline_ms, act):
+    """serve_verifier against a real Q and a fake P that completes the
+    handshake, reads the round-0 challenge, calls act(conn) and then holds
+    the connection open until the verifier closes it.  Returns (result,
+    seconds serve_verifier took)."""
+    def hold(conn):
+        conn.settimeout(5.0)
+        try:
+            act(conn)
+            while conn.recv(64):  # hold the connection until V closes it
+                pass
+        except OSError:
+            pass  # the verifier has aborted and closed
 
-    def on_ready(role):
-        def put(ep):
-            endpoints[role] = ep
-            if len(endpoints) == 2:
-                ready.set()
-        return put
-
-    def fake_p():
-        with socket.socket() as srv:
-            srv.bind(("127.0.0.1", 0))
-            srv.listen(1)
-            on_ready("P")(srv.getsockname())
-            conn, _ = srv.accept()
-        with conn:
-            hello = net.recv_frame(conn)
-            net.send_frame(conn, WireMessage(T_OPEN, 0, hello.body))
-            net.recv_frame(conn)
-            conn.settimeout(5.0)
-            try:
-                act(conn)
-                while conn.recv(64):  # hold the connection until V closes it
-                    pass
-            except OSError:
-                pass  # the verifier has aborted and closed
-
-    threads = [threading.Thread(target=fake_p, daemon=True),
-               threading.Thread(target=run_prover, args=("Q", params, seed, ("127.0.0.1", 0)),
-                                kwargs={"ready": on_ready("Q"), "trace": q_trace},
-                                daemon=True)]
-    for t in threads:
-        t.start()
-    assert ready.wait(5.0)
-    start = time.monotonic()
-    res = serve_verifier(params, DeadlineConfig(deadline_ms, endpoints["P"], endpoints["Q"]),
-                         seed)
-    took = time.monotonic() - start
-    for t in threads:
-        t.join(5.0)
-        assert not t.is_alive()
+    res, _, took = loopback.run(params, seed, deadline_ms,
+                                loopback.fake(after_round_0_challenge(hold)),
+                                loopback.prover("Q", params, seed))
     return res, took
 
 
@@ -429,7 +345,7 @@ def test_trickled_handshake_echo_of_another_length_is_refused_on_its_length():
     assert took < 0.45
 
 
-def test_abort_frames_carry_the_round_in_progress():
+def test_abort_frames_carry_the_round_in_progress(monkeypatch):
     # The fake P answers round 0, then closes on round 2's challenge: the
     # real Q, waiting for round 3, gets ABORT 0x03 marked round 2.
     params = SchemeParams(FieldSpec.default(8), m=4)
@@ -439,8 +355,8 @@ def test_abort_frames_carry_the_round_in_progress():
         assert net.recv_frame(conn).round == 2
         conn.close()
 
-    q_trace = []
-    res, _ = serve_against_fake_p(params, 9, 2000, act, q_trace)
+    q_trace = loopback.record_reads(monkeypatch)["Q"]
+    res, _ = serve_against_fake_p(params, 9, 2000, act)
     assert res.aborted and res.abort_reason == ABORT_CONNECTION
     assert [(msg.type, msg.round) for msg in q_trace[1:]] == [(T_CHALLENGE, 1), (T_ABORT, 2)]
     assert q_trace[-1].body == bytes([ABORT_CONNECTION])
@@ -529,10 +445,10 @@ def test_committed_value_outside_field_or_domain_is_rejected_before_binding():
                 run_prover(role, params, 1, ("127.0.0.1", 0), value=value, ready=bound)
 
 
-def test_verifier_never_relays_prover_messages():
+def test_verifier_never_relays_prover_messages(monkeypatch):
     params = SchemeParams(FieldSpec.default(8), m=4)
-    traces = {"P": [], "Q": []}
-    endpoints, join = start_provers(params, 42, value=0x17, traces=traces)
+    traces = loopback.record_reads(monkeypatch)
+    endpoints, join = start_provers(params, 42, value=0x17)
     cfg = DeadlineConfig(2000, endpoints["P"], endpoints["Q"])
     res = serve_verifier(params, cfg, 42)
     join()
@@ -555,3 +471,7 @@ def test_verifier_never_relays_prover_messages():
 def test_deadline_config_validation():
     with pytest.raises(ValueError):
         DeadlineConfig(0, ("h", 1), ("h", 2))
+    # Far longer deadlines overflow the socket timeout of a round read.
+    DeadlineConfig(net.MAX_DEADLINE_MS, ("h", 1), ("h", 2))
+    with pytest.raises(ValueError, match="one day"):
+        DeadlineConfig(net.MAX_DEADLINE_MS + 1, ("h", 1), ("h", 2))
