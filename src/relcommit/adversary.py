@@ -152,8 +152,8 @@ def tightness_success_probability(q: Fraction, m: int) -> Fraction:
     return 1 - (1 - q) ** (m // 2 + 1)
 
 
-class _TightnessState(ProverStrategy):
-    """Shared logic for both attack strategies.
+class TightnessStrategy(ProverStrategy):
+    """Both provers' play in the multi-round attack, every round.
 
     The target chain w_i is the opening string that round i would have to
     carry for the session to open to the target: w_{-1} = target and
@@ -163,19 +163,18 @@ class _TightnessState(ProverStrategy):
     honestly-committed state, and everyone plays honestly from there.
 
     The game draws (r_a, r_s) of an attempt round are read by the faker's
-    play, the partner's guess and both parties' scans.  The commit/open
-    pair shares one cache of them, which begin_session empties, so each
-    round's pair is drawn once per session.
+    play, the partner's guess and both parties' scans.  They are cached,
+    and begin_session empties the cache, so each round's pair is drawn
+    once per session.
     """
 
-    def __init__(self, target: int, rand: RandomizedChsh, drawn: dict):
+    def __init__(self, target: int, rand: RandomizedChsh):
         self.target = target
         self.rand = rand
-        self._drawn = drawn
 
     def begin_session(self, params: SchemeParams, prover_seed: int):
         super().begin_session(params, prover_seed)
-        self._drawn.clear()
+        self._drawn = {}
         # party -> (next round to scan, attempt already succeeded, chain value)
         self._chains = {}
 
@@ -198,8 +197,8 @@ class _TightnessState(ProverStrategy):
         come in increasing round order within a session, as the engine
         makes them.  Once this party's chain records a win the scan stops
         and returns at once, with no reads and no draws.  That is exact:
-        within a session a party's win is never undone, and after it both
-        TightnessOpen branches answer honestly without reading w.
+        within a session a party's win is never undone, and after it every
+        branch of __call__ answers honestly without reading w.
         """
         start, won, w = self._chains.get(view.party, (0, False, self.target))
         if won:
@@ -217,14 +216,6 @@ class _TightnessState(ProverStrategy):
         self._chains[view.party] = (max(start, upto + 1), False, w)
         return False, w
 
-
-class TightnessCommit(_TightnessState):
-    def __call__(self, party: str, round_index: int, view: PartyView) -> int:
-        r_a, r_s = self._draws(0)
-        return self.rand.x_play(view.challenge(0), r_a, r_s)
-
-
-class TightnessOpen(_TightnessState):
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
         spec = self.params.field
         m = self.params.m
@@ -250,16 +241,17 @@ class TightnessOpen(_TightnessState):
 
 
 def tightness_strategy(target: int, tables: ChshTables,
-                       params: SchemeParams) -> Tuple[TightnessCommit, TightnessOpen]:
-    """Commit/open strategy pair opening to target with the tight probability.
+                       params: SchemeParams) -> Tuple[TightnessStrategy, TightnessStrategy]:
+    """Commit/open strategy pair opening to target with the tight probability:
+    one TightnessStrategy, which plays round 0 as every other even round.
 
     Conditioned on all verifier challenges being nonzero, the opened value
     equals target with probability tightness_success_probability(q, m),
     exactly; unconditioned runs lose the rounds where a challenge is zero.
     """
     params.field.check(target)
-    rand, drawn = RandomizedChsh(tables), {}
-    return TightnessCommit(target, rand, drawn), TightnessOpen(target, rand, drawn)
+    attack = TightnessStrategy(target, RandomizedChsh(tables))
+    return attack, attack
 
 
 class RandomOpen(ProverStrategy):

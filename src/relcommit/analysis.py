@@ -451,6 +451,13 @@ class GameResult:
             return 0.0
         return sqrt(p * (1 - p) / self.conditioned)
 
+    def three_sigma(self, p: float) -> Tuple[float, float, bool]:
+        """(rate, sigma, pass): the rate as a float, the binomial sigma at
+        p, and whether the rate lies within 3 sigma of p."""
+        sigma = self.sigma(p)
+        rate = float(self.rate)
+        return rate, sigma, abs(rate - p) <= 3 * sigma
+
 
 def _trial_chunk(job) -> Tuple[int, int]:
     trial, seed, start, stop = job

@@ -21,8 +21,6 @@ from .scheme import BOT, SchemeParams, k_of_extr, multiround_verify
 
 
 def _outpath(path):
-    if path is None:
-        return None
     outdir = os.environ.get("RELCOMMIT_OUTDIR")
     if outdir and not os.path.isabs(path):
         os.makedirs(outdir, exist_ok=True)
@@ -43,10 +41,8 @@ def _load_config(path):
     return cfg
 
 
-def _get(args, cfg, key, cast, default=None):
-    v = getattr(args, key, None)
-    if v is None:
-        v = cfg.get(key)
+def _get(args, key, cast, default=None):
+    v = getattr(args, key)
     if v is None:
         if default is None:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
@@ -54,9 +50,9 @@ def _get(args, cfg, key, cast, default=None):
     return cast(v)
 
 
-def _trials_workers(args, cfg, default=None):
-    trials = _get(args, cfg, "trials", int, default)
-    workers = _get(args, cfg, "workers", int, 1)
+def _trials_workers(args, default=None):
+    trials = _get(args, "trials", int, default)
+    workers = _get(args, "workers", int, 1)
     if trials < 1:
         raise ValueError("--trials must be >= 1")
     if workers < 1:
@@ -64,27 +60,25 @@ def _trials_workers(args, cfg, default=None):
     return trials, workers
 
 
-def _field(args, cfg) -> FieldSpec:
-    n = _get(args, cfg, "n", int)
-    poly = getattr(args, "poly", None) or cfg.get("poly")
-    if poly is None:
+def _field(args) -> FieldSpec:
+    n = _get(args, "n", int)
+    if not args.poly:
         return FieldSpec.default(n)
-    return FieldSpec(n, int(poly, 16))
+    return FieldSpec(n, int(args.poly, 16))
 
 
-def _params(args, cfg) -> SchemeParams:
-    spec = _field(args, cfg)
-    m = _get(args, cfg, "m", int, 0)
-    k = getattr(args, "domain_bits", None) or cfg.get("domain_bits")
-    fc = _get(args, cfg, "first_committer", str, "P")
+def _params(args) -> SchemeParams:
+    spec = _field(args)
+    m = _get(args, "m", int, 0)
+    k = args.domain_bits
+    fc = _get(args, "first_committer", str, "P")
     return SchemeParams(spec, m, int(k) if k else None, fc)
 
 
-def _write_out(args, cfg, session):
+def _write_out(args, session):
     """Write the transcript of session() to --out, when one is given."""
-    out = _outpath(getattr(args, "out", None) or cfg.get("out"))
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(_outpath(args.out), "w") as fh:
             fh.write(session().to_text())
 
 
@@ -102,27 +96,25 @@ def _honest_trial(params, value, tseed):
     return engine.run_honest_session(params, value, tseed).outcome != value, 1
 
 
-def cmd_run(args, cfg) -> int:
-    params = _params(args, cfg)
-    value = _get(args, cfg, "value", lambda v: int(v, 16))
-    seed = _get(args, cfg, "seed", int)
-    trials, workers = _trials_workers(args, cfg, 1)
+def cmd_run(args) -> int:
+    params = _params(args)
+    value = _get(args, "value", lambda v: int(v, 16))
+    seed = _get(args, "seed", int)
+    trials, workers = _trials_workers(args, 1)
     res = analysis.seeded_trials(partial(_honest_trial, params, value), trials, seed,
                                  workers)
-    _write_out(args, cfg, lambda: engine.run_honest_session(
+    _write_out(args, lambda: engine.run_honest_session(
         params, value, engine.stream_u64(seed, engine.STREAM_TRIAL, 0)))
     expected = 1 - (1 - 2.0 ** -params.field.n) ** (params.m + 1)
-    sigma = res.sigma(expected)
-    rate = float(res.rate)
-    ok = abs(rate - expected) <= 3 * sigma
+    rate, sigma, ok = res.three_sigma(expected)
     print(f"trials={trials} accept={trials - res.hits} reject={res.hits} "
           f"failure_rate={rate:.6f} expected={expected:.6f} "
           f"sigma={sigma:.6f} pass={'true' if ok else 'false'}")
     return 0 if ok else 1
 
 
-def _load_or_search_tables(spec: FieldSpec, args, cfg) -> adversary.ChshTables:
-    cache_dir = _outpath(getattr(args, "cache", None) or cfg.get("cache") or ".")
+def _load_or_search_tables(spec: FieldSpec, args) -> adversary.ChshTables:
+    cache_dir = _outpath(args.cache or ".")
     path = os.path.join(cache_dir, f"chsh_n{spec.n}_poly{spec.poly:x}.tables")
     if os.path.exists(path):
         with open(path) as fh:
@@ -138,29 +130,26 @@ def _random_open_family(value, target):
     return engine.HonestCommit(value), adversary.RandomOpen()
 
 
-def cmd_attack(args, cfg) -> int:
-    params = _params(args, cfg)
-    seed = _get(args, cfg, "seed", int)
-    trials, workers = _trials_workers(args, cfg)
+def cmd_attack(args) -> int:
+    params = _params(args)
+    seed = _get(args, "seed", int)
+    trials, workers = _trials_workers(args)
     spec = params.field
 
     if args.attack_kind == "tightness":
-        target = _get(args, cfg, "target", lambda v: int(v, 16))
-        tables = _load_or_search_tables(spec, args, cfg)
+        target = _get(args, "target", lambda v: int(v, 16))
+        tables = _load_or_search_tables(spec, args)
         family = partial(adversary.tightness_strategy, tables=tables, params=params)
         closed = adversary.tightness_success_probability(tables.q, params.m)
     else:
         target = None
         family = partial(_random_open_family,
-                         _get(args, cfg, "value", lambda v: int(v, 16), 0))
+                         _get(args, "value", lambda v: int(v, 16), 0))
         closed = Fraction(1, spec.order)
     res = analysis.seeded_trials(
         partial(analysis.open_game_trial, params, family, target=target,
                 condition_nonzero=True), trials, seed, workers)
-    cf = float(closed)
-    sigma = res.sigma(cf)
-    emp = float(res.rate)
-    ok = abs(emp - cf) <= 3 * sigma
+    emp, sigma, ok = res.three_sigma(float(closed))
     print(f"attack={args.attack_kind} n={spec.n} m={params.m} trials={trials} "
           f"conditioned={res.conditioned} hits={res.hits} empirical={emp:.6f} "
           f"closed_form={frac_text(closed)} sigma={sigma:.6f} "
@@ -168,20 +157,20 @@ def cmd_attack(args, cfg) -> int:
     return 0 if ok else 1
 
 
-def cmd_analyze(args, cfg) -> int:
+def cmd_analyze(args) -> int:
     metric = args.metric
     if metric == "coupling":
-        trials, workers = _trials_workers(args, cfg, 1000)
-        seed = _get(args, cfg, "seed", int, 1)
+        trials, workers = _trials_workers(args, 1000)
+        seed = _get(args, "seed", int, 1)
         bad = analysis.seeded_trials(_coupling_trial, trials, seed, workers).hits
         n, value, bound = 0, Fraction(bad, trials), Fraction(0)
         ok = bad == 0
     elif metric == "hiding":
-        params = _params(args, cfg)
+        params = _params(args)
         n, value, bound = params.field.n, analysis.max_hiding_distance(params), Fraction(0)
         ok = value == 0
     else:
-        spec = _field(args, cfg)
+        spec = _field(args)
         n = spec.n
         if metric == "p0p1":
             value, bound = analysis.max_p0_plus_p1(spec), 1 + Fraction(1, spec.order)
@@ -212,18 +201,18 @@ def _coupling_trial(tseed):
                                                _random_pmf(tseed, engine.STREAM_PMF_Q)), 1
 
 
-def cmd_chsh_search(args, cfg) -> int:
-    spec = _field(args, cfg)
-    tables = _load_or_search_tables(spec, args, cfg)
+def cmd_chsh_search(args) -> int:
+    spec = _field(args)
+    tables = _load_or_search_tables(spec, args)
     print(f"chsh-search n={spec.n} poly=0x{spec.poly:x} q={frac_text(tables.q)}")
     return 0
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args) -> int:
     try:
         with open(args.path) as fh:
             t = engine.parse_transcript(fh.read())
-        k = getattr(args, "domain_bits", None)
+        k = args.domain_bits
         params = t.params if not k else replace(t.params, domain_bits=int(k))
         outcome = multiround_verify(params, t.challenges(), t.responses(),
                                     t.final_opening())
@@ -238,30 +227,30 @@ def cmd_verify(args, cfg) -> int:
     return 0 if match else 1
 
 
-def cmd_serve(args, cfg) -> int:
-    params = _params(args, cfg)
-    seed = _get(args, cfg, "seed", int)
-    deadline = _get(args, cfg, "deadline_ms", int, 1000)
+def cmd_serve(args) -> int:
+    params = _params(args)
+    seed = _get(args, "seed", int)
+    deadline = _get(args, "deadline_ms", int, 1000)
     dl = net.DeadlineConfig(deadline,
-                            _endpoint(_get(args, cfg, "p_endpoint", str)),
-                            _endpoint(_get(args, cfg, "q_endpoint", str)))
+                            _endpoint(_get(args, "p_endpoint", str)),
+                            _endpoint(_get(args, "q_endpoint", str)))
     res = net.serve_verifier(params, dl, seed)
     if res.aborted:
         print(f"aborted reason=0x{res.abort_reason:02x}")
         return 1
-    _write_out(args, cfg, lambda: res.transcript)
+    _write_out(args, lambda: res.transcript)
     spec = params.field
     o = res.transcript.outcome
     print(f"outcome={'BOT' if o is BOT else spec.to_hex(o)}")
     return 0
 
 
-def cmd_prove(args, cfg) -> int:
-    params = _params(args, cfg)
-    seed = _get(args, cfg, "seed", int)
-    value = _get(args, cfg, "value", lambda v: int(v, 16), 0)
-    role = _get(args, cfg, "role", str)
-    ep = _endpoint(_get(args, cfg, "endpoint", str))
+def cmd_prove(args) -> int:
+    params = _params(args)
+    seed = _get(args, "seed", int)
+    value = _get(args, "value", lambda v: int(v, 16), 0)
+    role = _get(args, "role", str)
+    ep = _endpoint(_get(args, "endpoint", str))
     return net.run_prover(role, params, seed, ep, value)
 
 
@@ -335,7 +324,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return args.fn(args, cfg)
+        # A config key fills a flag of the command that was not given; the
+        # command's own choices (fn, metric, ...) are never None.
+        for key, value in cfg.items():
+            if getattr(args, key, "") is None:
+                setattr(args, key, value)
+        return args.fn(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -210,8 +210,11 @@ class DeadlineConfig:
 @dataclass
 class SessionResult:
     transcript: Transcript
-    aborted: bool = False
     abort_reason: Optional[int] = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
 
 def _abort_all(conns, reason: int, round_index: int):
@@ -244,7 +247,7 @@ def serve_verifier(params: SchemeParams, deadlines: DeadlineConfig,
     finally:
         for c in conns.values():
             c.close()
-    return SessionResult(verifier.transcript, reason is not None, reason)
+    return SessionResult(verifier.transcript, reason)
 
 
 def _session(params: SchemeParams, deadlines: DeadlineConfig, verifier: Verifier,

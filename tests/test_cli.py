@@ -118,7 +118,7 @@ def test_unknown_analyze_metric_is_usage_error():
     args = cli.build_parser().parse_args(["analyze", "k", "--n", "2"])
     args.metric = "bogus"
     with pytest.raises(ValueError, match="unknown metric 'bogus'"):
-        cli.cmd_analyze(args, {})
+        cli.cmd_analyze(args)
 
 
 POOLED_COMMANDS = {
@@ -340,6 +340,48 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert "trials=50" in with_cfg
     code, overridden = run_cli(capsys, "--config", str(cfg), "run", "--trials", "20")
     assert "trials=20" in overridden
+
+
+# Each flag once read through a copy of "flag, then config" of its own, as
+# (argv without it, key, value); {dir} is a directory of each form's own.
+SAME_INPUT_CASES = {
+    "verify --domain-bits": (["verify", "{transcript}"], "domain_bits", "1"),
+    "run --poly": (["run", "--n", "3", "--m", "1", "--value", "5", "--seed", "1",
+                    "--trials", "1", "--out", "{dir}/t.txt"], "poly", "d"),
+    "run --out": (["run", "--n", "3", "--m", "1", "--value", "5", "--seed", "1",
+                   "--trials", "1"], "out", "{dir}/t.txt"),
+    "chsh-search --cache": (["chsh-search", "--n", "2"], "cache", "{dir}"),
+    "attack tightness --cache": (["attack", "tightness", "--n", "2", "--m", "1",
+                                  "--target", "1", "--seed", "1", "--trials", "8"],
+                                 "cache", "{dir}"),
+}
+
+
+@pytest.mark.parametrize("case", list(SAME_INPUT_CASES))
+def test_config_and_flag_are_the_same_input(tmp_path, capsys, monkeypatch, case):
+    # verify once read --domain-bits from the flag alone: the config form
+    # printed outcome=5 ... match=true where the flag form prints BOT.
+    monkeypatch.chdir(tmp_path)
+    transcript = tmp_path / "session.txt"
+    cli.main(["run", "--n", "3", "--m", "0", "--value", "5", "--seed", "1",
+              "--trials", "1", "--out", str(transcript)])
+    capsys.readouterr()
+    argv, key, value = SAME_INPUT_CASES[case]
+    seen = {}
+    for form in ("none", "flag", "config"):
+        d = tmp_path / form
+        d.mkdir()
+        full = [a.format(transcript=transcript, dir=d) for a in argv]
+        if form == "flag":
+            full += ["--" + key.replace("_", "-"), value.format(dir=d)]
+        elif form == "config":
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"{key}={value.format(dir=d)}\n")
+            full = ["--config", str(cfg)] + full
+        code = cli.main(full)
+        files = {p.name: p.read_bytes() for p in d.iterdir()}
+        seen[form] = code, capsys.readouterr().out, files
+    assert seen["config"] == seen["flag"] != seen["none"]
 
 
 def int_texts(lo, hi):
