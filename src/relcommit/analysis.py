@@ -369,24 +369,6 @@ def fixed_challenge_strategy(challenges: Sequence[int]) -> Callable[[int, tuple]
     return strategy
 
 
-def _honest_view(params: SchemeParams, verifier_strategy, value: int,
-                 horizon: int, pad) -> tuple:
-    """The verifier's view (a_0, x_0, ..., a_h, x_h[, y_m]) of an honest
-    session committing to value, with shared pads y_i = pad(i)."""
-    spec = params.field
-    m = params.m
-    view: tuple = ()
-    responses: tuple = ()
-    for i in range(min(horizon, m) + 1):
-        a = spec.check(verifier_strategy(i, responses))
-        x = honest_reply(spec, m, i, a, pad, value)
-        view += (a, x)
-        responses += (x,)
-    if horizon == m + 1:
-        view += (honest_reply(spec, m, m + 1, None, pad),)
-    return view
-
-
 def view_distribution(params: SchemeParams, verifier_strategy, value: int,
                       horizon: int) -> Dist:
     """Exact verifier-view distribution up to the given round.
@@ -394,17 +376,47 @@ def view_distribution(params: SchemeParams, verifier_strategy, value: int,
     The verifier strategy is a deterministic map (round, responses so far)
     -> challenge.  Views are tuples (a_0, x_0, ..., a_h, x_h), with the
     opening string appended when horizon = m + 1.  Exhausts the provers'
-    shared pads, so the enumeration has 2^(n*(m+1)) branches.
+    shared pads up to the horizon: 2^(n*(min(h, m)+1)) branches.
+    """
+    return _view_distribution(params, verifier_strategy, value, horizon, {})
+
+
+def _view_distribution(params: SchemeParams, verifier_strategy, value: int,
+                       horizon: int, rows: Dict[Tuple[int, int], List[int]]) -> Dist:
+    """view_distribution, enumerated round by round.
+
+    Level i holds the pairs (view prefix, y_{i-1}), from ((), value).  The
+    strategy is asked once per prefix, which each pad y_i then extends.
+    Every round 0..m replies x_i = y_i + a_i*y_{i-1}, so the replies to
+    (a_i, y_{i-1}) form one row over the pads: round 0's honest reply with
+    y_{-1} = y_{i-1}.  rows maps (a, y_{i-1}) to that row, filled as needed;
+    callers may share it between calls.  Pads past the horizon would scale
+    every view's count alike, so they are not enumerated.
     """
     spec = params.field
     m = params.m
-    if horizon > m + 1:
-        raise ValueError("horizon beyond the last round")
+    if not 0 <= horizon <= m + 1:
+        raise ValueError(f"horizon {horizon} outside rounds 0..{m + 1}")
     if spec.n * (m + 1) > 18:
         raise ValueError("view space too large to enumerate exactly")
-    return Dist.from_counts(Counter(
-        _honest_view(params, verifier_strategy, value, horizon, pads.__getitem__)
-        for pads in product(range(spec.order), repeat=m + 1)))
+    spec.check(value)
+    pads = range(spec.order)
+    level = [((), value)]
+    for i in range(min(horizon, m) + 1):
+        grown = []
+        for view, prev in level:
+            a = spec.check(verifier_strategy(i, view[1::2]))
+            row = rows.get((a, prev))
+            if row is None:
+                row = rows[a, prev] = [honest_reply(spec, m, 0, a, (y,).__getitem__, prev)
+                                       for y in pads]
+            grown.extend([(view + (a, x), y) for y, x in zip(pads, row)])
+        level = grown
+    if horizon > m:
+        return Dist.from_counts(Counter([
+            view + (honest_reply(spec, m, m + 1, None, {m: y}.__getitem__),)
+            for view, y in level]))
+    return Dist.from_counts(Counter([view for view, _ in level]))
 
 
 def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
@@ -417,19 +429,21 @@ def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
 
 def max_hiding_distance(params: SchemeParams) -> Fraction:
     """Worst hiding distance before the final round over fixed challenge
-    tuples, each value s1 != 0 against value 0 (built once per tuple)."""
+    tuples, each value s1 != 0 against value 0 (built once per tuple).  The
+    enumerations share one table of honest reply rows."""
     spec = params.field
     size = spec.n * (2 * params.m + 3)
     if size > 20:
         raise ValueError(f"analyze hiding builds ~2^(n*(2m+3)) views; "
                          f"n*(2m+3)={size} exceeds the n*(2m+3)<=20 cap")
     worst = ZERO
+    rows: Dict[Tuple[int, int], List[int]] = {}
     for fixed in product(range(spec.order), repeat=params.m + 1):
         strat = fixed_challenge_strategy(fixed)
-        base = view_distribution(params, strat, 0, params.m)
+        base = _view_distribution(params, strat, 0, params.m, rows)
         for s1 in range(1, spec.order):
             worst = max(worst, stat_distance(
-                base, view_distribution(params, strat, s1, params.m)))
+                base, _view_distribution(params, strat, s1, params.m, rows)))
     return worst
 
 

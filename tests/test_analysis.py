@@ -1,6 +1,7 @@
 """Exact distribution tools and binding/hiding measurements."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -32,7 +33,7 @@ from relcommit.analysis import (
     stat_distance,
     view_distribution,
 )
-from relcommit.field import FieldSpec
+from relcommit.field import FieldError, FieldSpec
 from relcommit.scheme import SchemeParams, extr_i
 
 F = Fraction
@@ -490,6 +491,85 @@ def test_hiding_horizon_validation_and_size_cap():
     with pytest.raises(ValueError, match="too large to enumerate"):
         view_distribution(SchemeParams(FieldSpec.default(8), 4),
                           fixed_challenge_strategy((1,) * 5), 0, horizon=4)
+
+
+def test_view_distribution_refuses_negative_horizon():
+    params = SchemeParams(GF4, 1)
+    with pytest.raises(ValueError, match="horizon -1"):
+        hiding_distance(params, fixed_challenge_strategy((1, 2)), 0, 1, horizon=-1)
+
+
+def test_view_distribution_refuses_value_outside_field():
+    with pytest.raises(FieldError):
+        view_distribution(SchemeParams(GF8, 1), fixed_challenge_strategy((1, 2)), 9,
+                          horizon=1)
+
+
+def product_over_pads_view_distribution(params, verifier_strategy, value, horizon):
+    """The view distribution built one whole session per tuple of shared
+    pads (y_0, ..., y_m), every round asking the strategy afresh."""
+    spec, m = params.field, params.m
+    views = []
+    for pads in product(range(spec.order), repeat=m + 1):
+        view, responses = (), ()
+        for i in range(min(horizon, m) + 1):
+            a = spec.check(verifier_strategy(i, responses))
+            x = engine.honest_reply(spec, m, i, a, pads.__getitem__, value)
+            view += (a, x)
+            responses += (x,)
+        if horizon == m + 1:
+            view += (engine.honest_reply(spec, m, m + 1, None, pads.__getitem__),)
+        views.append(view)
+    return Dist.from_counts(Counter(views))
+
+
+def test_view_distribution_matches_product_over_pads():
+    for n in range(1, 7):
+        spec = FieldSpec.default(n)
+        for m in range(6 // n):
+            params = SchemeParams(spec, m)
+            challenges = sorted({0, 1, spec.order - 1})
+            strategies = [fixed_challenge_strategy(fixed)
+                          for fixed in product(challenges, repeat=m + 1)]
+            strategies.append(lambda i, responses, order=spec.order:
+                              (sum(responses) + i) % order)
+            for strat in strategies:
+                for value in range(spec.order):
+                    for horizon in range(m + 2):
+                        assert view_distribution(params, strat, value, horizon) == \
+                            product_over_pads_view_distribution(params, strat, value, horizon)
+
+
+def test_view_distribution_asks_strategy_once_per_prefix():
+    calls = []
+
+    def counting(i, responses):
+        calls.append((i, responses))
+        return 1
+
+    view_distribution(SchemeParams(GF4, 1), counting, 2, horizon=1)
+    assert sorted(calls) == [(0, ())] + [(1, (x,)) for x in range(4)]
+
+
+def deterministic_verifiers(spec, m):
+    """Every deterministic verifier: a_i is any function of x_0..x_{i-1}."""
+    order = spec.order
+    tables = [[dict(zip(product(range(order), repeat=i), table))
+               for table in product(range(order), repeat=order ** i)]
+              for i in range(m + 1)]
+    for choice in product(*tables):
+        yield lambda i, responses, choice=choice: choice[i][responses]
+
+
+def test_hiding_zero_for_every_deterministic_adaptive_verifier():
+    for n, m, count in ((1, 1, 8), (1, 2, 128), (2, 1, 1024)):
+        spec = FieldSpec.default(n)
+        params = SchemeParams(spec, m)
+        verifiers = list(deterministic_verifiers(spec, m))
+        assert len(verifiers) == count
+        for verifier in verifiers:
+            for s1 in range(1, spec.order):
+                assert hiding_distance(params, verifier, 0, s1, horizon=m) == 0
 
 
 # -- open game -----------------------------------------------------------------
