@@ -110,7 +110,10 @@ def _over_common_total(p: Dist, q: Dist):
 
 
 def stat_distance(p: Dist, q: Dist) -> Fraction:
-    """Half the L1 distance, exact."""
+    """Half the L1 distance, exact.  Equal pmfs store equal weights, so they
+    are at distance 0 without a common total."""
+    if p == q:
+        return ZERO
     keys, ps, qs = _over_common_total(p, q)
     return Fraction(sum(abs(ps[k] - qs[k]) for k in keys), 2 * p._total * q._total)
 
@@ -167,6 +170,12 @@ def maximal_coupling_holds(p: Dist, q: Dist) -> bool:
 # -- exhaustive binding measurements for the commit phase --------------------
 
 
+def _opening_table(spec: FieldSpec, extr_fn) -> List[List[List]]:
+    """opened[y][a][x] = extr_fn(spec, y, a, x): each opening evaluated once."""
+    elems = range(spec.order)
+    return [[[extr_fn(spec, y, a, x) for x in elems] for a in elems] for y in elems]
+
+
 def max_p0_plus_p1(spec: FieldSpec) -> Fraction:
     """Exact max of p(b_0=0) + p(b_1=1) for the bit scheme.
 
@@ -174,25 +183,19 @@ def max_p0_plus_p1(spec: FieldSpec) -> Fraction:
     of constant opening strings (y_0, y_1), under a uniform challenge.
     f(a) is chosen separately for each challenge a, so the table is
     optimized pointwise: max_f sum_a g(a, f(a)) = sum_a max_x g(a, x).
-    It evaluates the opening maps ~2^(4n) times, hence the n <= 3 cap.
+    The 2^(3n) bit openings (y, a, x) are evaluated once, into one table,
+    whose rows a of y_0 and y_1 are combined x by x: 2^(4n) pairs in all,
+    hence the n <= 3 cap.
     """
     if spec.n > 3:
-        raise ValueError(f"max_p0_plus_p1 evaluates the opening maps ~2^(4n) times; "
-                         f"n={spec.n} exceeds the n<=3 cap")
-    order = spec.order
-    best = 0
-    for y0 in range(order):
-        for y1 in range(order):
-            total = sum(
-                max(
-                    (extr_bit_i(spec, y0, a, x) == 0)
-                    + (extr_bit_i(spec, y1, a, x) == 1)
-                    for x in range(order)
-                )
-                for a in range(order)
-            )
-            best = max(best, total)
-    return Fraction(best, order)
+        raise ValueError(f"max_p0_plus_p1 combines 2^(4n) pairs from a table of 2^(3n) "
+                         f"openings; n={spec.n} exceeds the n<=3 cap")
+    opened = _opening_table(spec, extr_bit_i)
+    best = max(
+        sum(max((b0 == 0) + (b1 == 1) for b0, b1 in zip(row0, row1))
+            for row0, row1 in zip(rows0, rows1))
+        for rows0 in opened for rows1 in opened)
+    return Fraction(best, spec.order)
 
 
 def sim_open_epsilon(spec: FieldSpec) -> Fraction:
@@ -203,25 +206,25 @@ def sim_open_epsilon(spec: FieldSpec) -> Fraction:
     table is optimized pointwise: challenge a counts as a hit for (t, t')
     when some x opens to t under y_0 and to t' under y_1.  So for each
     (y_0, y_1) every challenge adds one to each distinct target pair it can
-    reach, and the best pair's count is the maximum.  It evaluates the
-    opening maps ~2^(4n+1) times; the n <= 3 cap keeps it at the sizes the
-    other exact measurements run.
+    reach, and the best pair's count is the maximum.  The 2^(3n) openings
+    (y, a, x) are evaluated once, into one table, and each (y_0, y_1, a)
+    zips two of its rows into the target pairs that a reaches: 2^(4n) pairs
+    in all, hence the n <= 3 cap.
     """
     if spec.n > 3:
-        raise ValueError(f"sim_open_epsilon evaluates the opening maps ~2^(4n+1) times; "
-                         f"n={spec.n} exceeds the n<=3 cap")
-    order = spec.order
+        raise ValueError(f"sim_open_epsilon combines 2^(4n) pairs from a table of 2^(3n) "
+                         f"openings; n={spec.n} exceeds the n<=3 cap")
+    opened = _opening_table(spec, extr_i)
     best = 0
-    for y0 in range(order):
-        for y1 in range(order):
+    for rows0 in opened:
+        for rows1 in opened:
             hits = Counter()
-            for a in range(order):
-                hits.update({(extr_i(spec, y0, a, x), extr_i(spec, y1, a, x))
-                             for x in range(order)})
+            for row0, row1 in zip(rows0, rows1):
+                hits.update(set(zip(row0, row1)))
             for (t, t2), c in hits.items():
                 if t is not BOT and t2 is not BOT and t != t2:
                     best = max(best, c)
-    return Fraction(best, order)
+    return Fraction(best, spec.order)
 
 
 def max_extractor_violation(spec: FieldSpec) -> Tuple[Fraction, Fraction]:
@@ -292,16 +295,22 @@ def fairly_binding_extractor(spec: FieldSpec, commit_table: Sequence[int],
 def extractor_violation(spec: FieldSpec, commit_table: Sequence[int],
                         opening_family: Sequence[int],
                         shat: Mapping[Tuple[int, int], int]) -> Fraction:
-    """max over openings and targets of p(opened = target != predicted)."""
+    """max over openings and targets of p(opened = target != predicted).
+
+    Each opening is evaluated once per challenge, and the challenges where
+    it opens to a value other than the prediction are counted by that value.
+    """
     order = spec.order
+    commitments = [(a, commit_table[a]) for a in range(order)]
+    predicted = [shat[c] for c in commitments]
     worst = 0
     for y in opening_family:
-        for target in range(order):
-            hits = sum(
-                1 for a in range(order)
-                if extr_i(spec, y, a, commit_table[a]) == target
-                and shat[(a, commit_table[a])] != target)
-            worst = max(worst, hits)
+        missed: Dict[int, int] = {}
+        for (a, x), p in zip(commitments, predicted):
+            s = extr_i(spec, y, a, x)
+            if s is not BOT and s != p:
+                missed[s] = missed.get(s, 0) + 1
+                worst = max(worst, missed[s])
     return Fraction(worst, order)
 
 

@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import adversary, analysis, engine, net
 from .analysis import frac_text
@@ -212,13 +212,14 @@ def cmd_verify(args) -> int:
     try:
         with open(args.path) as fh:
             t = engine.parse_transcript(fh.read())
-        k = args.domain_bits
-        params = t.params if not k else replace(t.params, domain_bits=int(k))
-        outcome = multiround_verify(params, t.challenges(), t.responses(),
-                                    t.final_opening())
+        y_final = t.final_opening()
     except (engine.TranscriptParseError, ValueError) as e:
         print(f"parse-error: {e}", file=sys.stderr)
         return 2
+    # The transcript parsed; a bad --domain-bits is a flag error for main.
+    k = args.domain_bits
+    params = t.params if not k else replace(t.params, domain_bits=int(k))
+    outcome = multiround_verify(params, t.challenges(), t.responses(), y_final)
     spec = params.field
     fmt = lambda o: "BOT" if o is BOT else spec.to_hex(o)
     match = outcome == t.outcome
@@ -320,8 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on first use, once per process.  Parsing
+    fills a fresh namespace each call, so no call sees another's flags."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         # A config key fills a flag of the command that was not given; the

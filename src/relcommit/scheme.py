@@ -145,11 +145,12 @@ def k_of_extr(spec: FieldSpec,
               extr_fn: Callable[[FieldSpec, int, int, int], OpenOutcome] = extr_i) -> int:
     """max over commitments c and values s of |{y : extr(y, c) = s}|.
 
-    Fully exhaustive over (a, x, s, y), so refuses n above 8.
+    Evaluates extr once per (a, x, y), 2^(3n) triples, and counts the
+    openings of each commitment (a, x) by value; refuses n above 8.
     """
     if spec.n > 8:
         raise ValueError(
-            f"k_of_extr enumerates 2^(4n) tuples; n={spec.n} exceeds the "
+            f"k_of_extr evaluates 2^(3n) triples (a, x, y); n={spec.n} exceeds the "
             "n<=8 cap")
     order = spec.order
     best = 0

@@ -1,6 +1,7 @@
 """Exact distribution tools and binding/hiding measurements."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -34,7 +35,7 @@ from relcommit.analysis import (
     view_distribution,
 )
 from relcommit.field import FieldError, FieldSpec
-from relcommit.scheme import SchemeParams, extr_i
+from relcommit.scheme import BOT, SchemeParams, extr_bit_i, extr_i
 
 F = Fraction
 GF2 = FieldSpec.default(1)
@@ -277,7 +278,6 @@ def test_honest_commit_reaches_one():
     spec = GF4
     y = 2
     table = tuple(y ^ spec.mul_i(a, 0) for a in range(4))
-    from relcommit.scheme import extr_bit_i
     p0 = sum(1 for a in range(4) if extr_bit_i(spec, y, a, table[a]) == 0)
     assert p0 == 4
 
@@ -307,6 +307,48 @@ def test_sim_open_equal_openings_cannot_hit_distinct_targets():
                            and extr_i(spec, y, a, table[a]) == t2)
                 best = max(best, F(hits, 4))
     assert best == 0
+
+
+# Every field of n <= 3, with a second irreducible polynomial at n = 3.
+SMALL_FIELDS = [GF2, GF4, GF8, FieldSpec(3, 0xD)]
+
+
+def opening_by_opening_max_p0_plus_p1(spec):
+    """max p(b_0=0) + p(b_1=1), evaluating the bit opening afresh for every
+    (y_0, y_1, a, x)."""
+    order = spec.order
+    best = 0
+    for y0 in range(order):
+        for y1 in range(order):
+            total = sum(
+                max((extr_bit_i(spec, y0, a, x) == 0) + (extr_bit_i(spec, y1, a, x) == 1)
+                    for x in range(order))
+                for a in range(order))
+            best = max(best, total)
+    return F(best, order)
+
+
+def opening_by_opening_sim_open_epsilon(spec):
+    """max p(s = t and s' = t'), evaluating both openings afresh for every
+    (y_0, y_1, a, x)."""
+    order = spec.order
+    best = 0
+    for y0 in range(order):
+        for y1 in range(order):
+            hits = Counter()
+            for a in range(order):
+                hits.update({(extr_i(spec, y0, a, x), extr_i(spec, y1, a, x))
+                             for x in range(order)})
+            for (t, t2), c in hits.items():
+                if t is not BOT and t2 is not BOT and t != t2:
+                    best = max(best, c)
+    return F(best, order)
+
+
+def test_binding_maxima_match_opening_by_opening_loops():
+    for spec in SMALL_FIELDS:
+        assert max_p0_plus_p1(spec) == opening_by_opening_max_p0_plus_p1(spec)
+        assert sim_open_epsilon(spec) == opening_by_opening_sim_open_epsilon(spec)
 
 
 # -- extractor -----------------------------------------------------------------
@@ -348,6 +390,46 @@ def test_extractor_worst_case_over_all_tables():
     assert alpha == F(1, 2)
     assert worst < 2 * alpha
     assert worst == F(1, 2)  # recorded worst case at n=2
+
+
+def target_by_target_extractor_violation(spec, commit_table, opening_family, shat):
+    """max over openings and targets of p(opened = target != predicted),
+    evaluating the opening afresh for every (y, target, a)."""
+    order = spec.order
+    worst = 0
+    for y in opening_family:
+        for target in range(order):
+            hits = sum(
+                1 for a in range(order)
+                if extr_i(spec, y, a, commit_table[a]) == target
+                and shat[(a, commit_table[a])] != target)
+            worst = max(worst, hits)
+    return F(worst, order)
+
+
+def assert_violation_matches_reference(spec, table, alpha):
+    openings = list(range(spec.order))
+    shat = fairly_binding_extractor(spec, table, openings, alpha)
+    for family in [openings] + [[y] for y in openings]:
+        assert extractor_violation(spec, table, family, shat) == \
+            target_by_target_extractor_violation(spec, table, family, shat)
+
+
+def test_extractor_violation_matches_reference_on_every_n2_table():
+    for table in product(range(4), repeat=4):
+        assert_violation_matches_reference(GF4, table, F(1, 2))
+
+
+def test_extractor_violation_matches_reference_in_small_fields():
+    rng = random.Random(17)
+    for spec in SMALL_FIELDS:
+        order = spec.order
+        honest = [tuple(y ^ spec.mul_i(a, s) for a in range(order))
+                  for s in range(order) for y in range(order)]
+        drawn = [tuple(rng.randrange(order) for _ in range(order)) for _ in range(64)]
+        for table in honest + drawn:
+            for alpha in (F(1, order), F(1, 2 ** ((spec.n + 1) // 2)), F(1, 2)):
+                assert_violation_matches_reference(spec, table, alpha)
 
 
 @settings(max_examples=80)

@@ -333,6 +333,66 @@ def test_verify_truncated_file(tmp_path, capsys):
         assert "parse-error" in err
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("bits", ["0", "x", "4"])
+def test_verify_bad_domain_bits_is_a_flag_error(tmp_path, capsys, form, bits):
+    # The transcript parses; only the k-bit domain (n = 3 here) is bad.
+    path = tmp_path / "trace.txt"
+    path.write_text(WORKED_TRACE)
+    if form == "flag":
+        argv = ["verify", str(path), "--domain-bits", bits]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"domain_bits={bits}\n")
+        argv = ["--config", str(cfg), "verify", str(path)]
+    code, err = usage_error(capsys, *argv)
+    assert code == 2 and err.startswith("error: "), err
+
+
+def in_process(argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of python -m relcommit.cli argv."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(relcommit.__file__)))
+    done = subprocess.run([sys.executable, "-m", "relcommit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_calls_in_one_process_share_a_parser_and_print_as_fresh_ones(tmp_path, monkeypatch):
+    # The same usage width in both, whatever the terminal.
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n=3\nm=1\nvalue=01\nseed=7\ntrials=50\n")
+    # A config-filled call, then one without flags: the config's values
+    # must not carry over.  An argparse usage error, then a valid call.
+    calls = [["--config", str(cfg), "run"], ["run"],
+             ["analyze", "bogus", "--n", "2"], ["analyze", "p0p1", "--n", "2"]]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        seen = [in_process(argv) for argv in calls]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [code for code, _, _ in seen] == [0, 2, 2, 0]
+    assert seen[1][2] == "error: missing required option --n\n"
+    assert "invalid choice: 'bogus'" in seen[2][2]
+    for argv, got in zip(calls, seen):
+        assert got == fresh_process(argv), argv
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n=3\nm=1\nvalue=01\nseed=7\ntrials=50\n")
