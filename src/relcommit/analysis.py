@@ -52,11 +52,16 @@ class Dist:
     def from_counts(cls, counts: Mapping) -> "Dist":
         """The pmf proportional to nonnegative integer counts."""
         total = sum(counts.values())
-        if total <= 0 or min(counts.values()) < 0:
+        low = min(counts.values())
+        if total <= 0 or low < 0:
             raise ValueError("counts must be nonnegative with a positive sum")
-        g = gcd(total, *counts.values())
+        # The gcd of the counts divides their sum.
+        g = gcd(*counts.values())
         d = cls.__new__(cls)
-        d._w = {k: v // g for k, v in counts.items() if v}
+        if g == 1 and low:
+            d._w = dict(counts)
+        else:
+            d._w = {k: v // g for k, v in counts.items() if v}
         d._total = total // g
         return d
 
@@ -94,19 +99,24 @@ class JointDist(Dist):
     def mass(self, x, y) -> Fraction:
         return Fraction(self._w.get((x, y), 0), self._total)
 
+    def _marginal_counts(self) -> Tuple[Dict, Dict]:
+        """Both marginals' weights over this joint's total, unreduced."""
+        rows: Dict = {}
+        cols: Dict = {}
+        for (x, y), w in self._w.items():
+            rows[x] = rows.get(x, 0) + w
+            cols[y] = cols.get(y, 0) + w
+        return rows, cols
+
     def marginal(self, axis: int) -> Dist:
-        out: Dict = {}
-        for k, w in self._w.items():
-            x = k[axis]
-            out[x] = out.get(x, 0) + w
-        return Dist.from_counts(out)
+        return Dist.from_counts(self._marginal_counts()[axis])
 
 
-def _over_common_total(p: Dist, q: Dist):
-    """The keys of p or q, and each pmf's weights over T = t_p * t_q."""
-    keys = p._w.keys() | q._w.keys()
-    return (keys, {k: p._w.get(k, 0) * q._total for k in keys},
-            {k: q._w.get(k, 0) * p._total for k in keys})
+def _over_common_total(p: Dist, q: Dist) -> List[Tuple]:
+    """(k, p_k t_q, q_k t_p) for each key k of p or q: both pmfs' weights
+    over T = t_p * t_q."""
+    pw, qw, tp, tq = p._w, q._w, p._total, q._total
+    return [(k, pw.get(k, 0) * tq, qw.get(k, 0) * tp) for k in pw.keys() | qw.keys()]
 
 
 def stat_distance(p: Dist, q: Dist) -> Fraction:
@@ -114,8 +124,8 @@ def stat_distance(p: Dist, q: Dist) -> Fraction:
     are at distance 0 without a common total."""
     if p == q:
         return ZERO
-    keys, ps, qs = _over_common_total(p, q)
-    return Fraction(sum(abs(ps[k] - qs[k]) for k in keys), 2 * p._total * q._total)
+    return Fraction(sum(abs(pk - qk) for _, pk, qk in _over_common_total(p, q)),
+                    2 * p._total * q._total)
 
 
 def couple_max_diagonal(p: Dist, q: Dist) -> JointDist:
@@ -127,13 +137,22 @@ def couple_max_diagonal(p: Dist, q: Dist) -> JointDist:
     the diagonal is d_k = min(p_k t_q, q_k t_p) and the residue R = T - sum d;
     the weights are d_k R on the diagonal, (p_u - d_u)(q_v - d_v) off it.
     """
-    keys, ps, qs = _over_common_total(p, q)
-    # R = 0 only when p = q: nothing is off the diagonal, any R > 0 will do.
-    residue = p._total * q._total - sum(min(ps[k], qs[k]) for k in keys) or 1
-    joint = {(k, k): min(ps[k], qs[k]) * residue for k in keys}
-    # Rows (p_u > q_u) and columns (q_v > p_v) are disjoint sets of keys.
-    joint.update(((u, v), (ps[u] - qs[u]) * (qs[v] - ps[v]))
-                 for u in keys if ps[u] > qs[u] for v in keys if qs[v] > ps[v])
+    diagonal = []
+    rows = []
+    cols = []
+    # One pass splits the keys into rows (p_u > q_u) and columns (q_v > p_v),
+    # two disjoint sets.
+    for k, pk, qk in _over_common_total(p, q):
+        if pk > qk:
+            rows.append((k, pk - qk))
+        elif qk > pk:
+            cols.append((k, qk - pk))
+        diagonal.append((k, min(pk, qk)))
+    # R is the rows' total excess over the diagonal.  It is 0 only when
+    # p = q: nothing is off the diagonal, and any R > 0 will do.
+    residue = sum(du for _, du in rows) or 1
+    joint = {(k, k): d * residue for k, d in diagonal}
+    joint.update(((u, v), du * dv) for u, du in rows for v, dv in cols)
     return JointDist.from_counts(joint)
 
 
@@ -143,28 +162,39 @@ def cond_indep_given_neq(j: JointDist) -> bool:
     A zero-probability disagreement event counts as independent.  The test
     is homogeneous, so integer weights serve.
     """
-    off = [((x, y), w) for (x, y), w in j._w.items() if x != y]
-    d = sum(w for _, w in off)
-    if not d:
+    off = [(x, y, w) for (x, y), w in j._w.items() if x != y]
+    if not off:
         return True
+    d = 0
     row: Dict = {}
     col: Dict = {}
-    for (x, y), w in off:
+    for x, y, w in off:
+        d += w
         row[x] = row.get(x, 0) + w
         col[y] = col.get(y, 0) + w
-    return all(w * d == row[x] * col[y] for (x, y), w in off)
+    return all(w * d == row[x] * col[y] for x, y, w in off)
+
+
+def _weights_match(counts: Mapping, total: int, p: Dist) -> bool:
+    """Whether positive integer counts summing to total form the pmf p:
+    reduced pmfs are equal exactly when their weights are proportional."""
+    t, w = p._total, p._w
+    return counts.keys() == w.keys() and all(c * t == w[k] * total
+                                             for k, c in counts.items())
 
 
 def maximal_coupling_holds(p: Dist, q: Dist) -> bool:
     """Whether couple_max_diagonal(p, q) has marginals p and q, min(p_k, q_k)
     on its diagonal, and independence given disagreement."""
     j = couple_max_diagonal(p, q)
-    if not (j.marginal(0) == p and j.marginal(1) == q and cond_indep_given_neq(j)):
+    rows, cols = j._marginal_counts()
+    if not (_weights_match(rows, j._total, p) and _weights_match(cols, j._total, q)
+            and cond_indep_given_neq(j)):
         return False
     # j_kk / t_j == min(p_k t_q, q_k t_p) / (t_p t_q), cross-multiplied.
-    keys, ps, qs = _over_common_total(p, q)
     total = p._total * q._total
-    return all(j._w.get((k, k), 0) * total == min(ps[k], qs[k]) * j._total for k in keys)
+    return all(j._w.get((k, k), 0) * total == min(pk, qk) * j._total
+               for k, pk, qk in _over_common_total(p, q))
 
 
 # -- exhaustive binding measurements for the commit phase --------------------
@@ -234,7 +264,8 @@ def max_extractor_violation(spec: FieldSpec) -> Tuple[Fraction, Fraction]:
     2^-n, so n must be even.  worst is the max of extractor_violation over
     all 2^(n*2^n) commit tables, each against every constant opening
     string; the fairly-binding bound asks for worst < 2*alpha.  The
-    enumeration is capped at n <= 2.
+    2^(3n) openings (y, a, x) are evaluated once, into one table, which
+    every commit table reads.  The enumeration is capped at n <= 2.
     """
     if spec.n % 2:
         raise ValueError("extractor analysis uses even n (alpha = sqrt(eps))")
@@ -242,15 +273,57 @@ def max_extractor_violation(spec: FieldSpec) -> Tuple[Fraction, Fraction]:
         raise ValueError(f"max_extractor_violation enumerates 2^(n*2^n) commit tables; "
                          f"n={spec.n} exceeds the n<=2 cap")
     alpha = Fraction(1, 2 ** (spec.n // 2))
-    openings = list(range(spec.order))
-    worst = ZERO
+    opened = _opening_table(spec, extr_i)
+    worst = 0
     for table in product(range(spec.order), repeat=spec.order):
-        shat = fairly_binding_extractor(spec, table, openings, alpha)
-        worst = max(worst, extractor_violation(spec, table, openings, shat))
-    return worst, alpha
+        columns = [[by_a[a][x] for a, x in enumerate(table)] for by_a in opened]
+        worst = max(worst, _missed(columns, _carve(columns, spec.order, alpha)))
+    return Fraction(worst, spec.order), alpha
 
 
 # -- the greedy partition extractor ------------------------------------------
+
+
+def _opened_columns(spec: FieldSpec, commit_table: Sequence[int],
+                    opening_family: Sequence[int]) -> List[List]:
+    """columns[i][a]: the value that opening_family[i] opens (a, f(a)) to."""
+    return [[extr_i(spec, y, a, x) for a, x in enumerate(commit_table)]
+            for y in opening_family]
+
+
+def _carve(columns: Sequence[Sequence], order: int, alpha: Fraction) -> List[int]:
+    """The greedy rule of fairly_binding_extractor over opened columns:
+    the predicted value of each of the order challenges a."""
+    # A slice of k commitments is carved when k / order >= alpha.
+    need_num, need_den = alpha.numerator * order, alpha.denominator
+    predicted = [0] * order
+    residual = set(range(order))
+    for column in columns:
+        slices: Dict = {}
+        for a in residual:
+            slices.setdefault(column[a], []).append(a)
+        # The slices of one opening are disjoint: the carve order among
+        # them does not matter.  BOT is not a value and is never carved.
+        for s, block in slices.items():
+            if s is not BOT and len(block) * need_den >= need_num:
+                for a in block:
+                    predicted[a] = s
+                residual.difference_update(block)
+    return predicted
+
+
+def _missed(columns: Sequence[Sequence], predicted: Sequence[int]) -> int:
+    """max over openings and targets of the number of challenges whose
+    opening is the target but not the prediction."""
+    worst = 0
+    for column in columns:
+        missed: Dict[int, int] = {}
+        for s, p in zip(column, predicted):
+            if s is not BOT and s != p:
+                missed[s] = missed.get(s, 0) + 1
+        if missed:
+            worst = max(worst, max(missed.values()))
+    return worst
 
 
 def fairly_binding_extractor(spec: FieldSpec, commit_table: Sequence[int],
@@ -272,24 +345,9 @@ def fairly_binding_extractor(spec: FieldSpec, commit_table: Sequence[int],
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    order = spec.order
-    # A slice of k commitments is carved when k / order >= alpha.
-    need_num, need_den = alpha.numerator * order, alpha.denominator
-    residual = {(a, commit_table[a]) for a in range(order)}
-    shat: Dict[Tuple[int, int], int] = {}
-    for y in opening_family:
-        slices: Dict = {}
-        for c in residual:
-            slices.setdefault(extr_i(spec, y, c[0], c[1]), []).append(c)
-        for s in range(order):
-            block = slices.get(s, ())
-            if len(block) * need_den >= need_num:
-                for c in block:
-                    shat[c] = s
-                residual.difference_update(block)
-    for c in residual:
-        shat[c] = 0
-    return shat
+    predicted = _carve(_opened_columns(spec, commit_table, opening_family),
+                       spec.order, alpha)
+    return {(a, x): s for a, (x, s) in enumerate(zip(commit_table, predicted))}
 
 
 def extractor_violation(spec: FieldSpec, commit_table: Sequence[int],
@@ -300,18 +358,9 @@ def extractor_violation(spec: FieldSpec, commit_table: Sequence[int],
     Each opening is evaluated once per challenge, and the challenges where
     it opens to a value other than the prediction are counted by that value.
     """
-    order = spec.order
-    commitments = [(a, commit_table[a]) for a in range(order)]
-    predicted = [shat[c] for c in commitments]
-    worst = 0
-    for y in opening_family:
-        missed: Dict[int, int] = {}
-        for (a, x), p in zip(commitments, predicted):
-            s = extr_i(spec, y, a, x)
-            if s is not BOT and s != p:
-                missed[s] = missed.get(s, 0) + 1
-                worst = max(worst, missed[s])
-    return Fraction(worst, order)
+    predicted = [shat[a, x] for a, x in enumerate(commit_table)]
+    columns = _opened_columns(spec, commit_table, opening_family)
+    return Fraction(_missed(columns, predicted), spec.order)
 
 
 # -- the descending-probability hat distribution ------------------------------
@@ -391,16 +440,19 @@ def view_distribution(params: SchemeParams, verifier_strategy, value: int,
 
 
 def _view_distribution(params: SchemeParams, verifier_strategy, value: int,
-                       horizon: int, rows: Dict[Tuple[int, int], List[int]]) -> Dist:
+                       horizon: int,
+                       rows: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], int]]]) -> Dist:
     """view_distribution, enumerated round by round.
 
     Level i holds the pairs (view prefix, y_{i-1}), from ((), value).  The
     strategy is asked once per prefix, which each pad y_i then extends.
     Every round 0..m replies x_i = y_i + a_i*y_{i-1}, so the replies to
     (a_i, y_{i-1}) form one row over the pads: round 0's honest reply with
-    y_{-1} = y_{i-1}.  rows maps (a, y_{i-1}) to that row, filled as needed;
-    callers may share it between calls.  Pads past the horizon would scale
-    every view's count alike, so they are not enumerated.
+    y_{-1} = y_{i-1}.  rows maps (a, y_{i-1}) to that row as the pairs
+    ((a, x_i), y_i), so that each extension is one tuple concatenation.  It
+    is filled as needed, and callers may share it between calls.  Pads past
+    the horizon would scale every view's count alike, so they are not
+    enumerated.
     """
     spec = params.field
     m = params.m
@@ -417,9 +469,10 @@ def _view_distribution(params: SchemeParams, verifier_strategy, value: int,
             a = spec.check(verifier_strategy(i, view[1::2]))
             row = rows.get((a, prev))
             if row is None:
-                row = rows[a, prev] = [honest_reply(spec, m, 0, a, (y,).__getitem__, prev)
-                                       for y in pads]
-            grown.extend([(view + (a, x), y) for y, x in zip(pads, row)])
+                row = rows[a, prev] = [
+                    ((a, honest_reply(spec, m, 0, a, (y,).__getitem__, prev)), y)
+                    for y in pads]
+            grown.extend([(view + ax, y) for ax, y in row])
         level = grown
     if horizon > m:
         return Dist.from_counts(Counter([
@@ -446,7 +499,7 @@ def max_hiding_distance(params: SchemeParams) -> Fraction:
         raise ValueError(f"analyze hiding builds ~2^(n*(2m+3)) views; "
                          f"n*(2m+3)={size} exceeds the n*(2m+3)<=20 cap")
     worst = ZERO
-    rows: Dict[Tuple[int, int], List[int]] = {}
+    rows: Dict = {}
     for fixed in product(range(spec.order), repeat=params.m + 1):
         strat = fixed_challenge_strategy(fixed)
         base = _view_distribution(params, strat, 0, params.m, rows)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcommit import engine
+from relcommit import adversary, engine
 from relcommit.adversary import (
     ChshTables,
     RandomizedChsh,
@@ -97,6 +97,48 @@ def test_q3_is_at_least_three_eighths_by_witness():
     assert Fraction(wins, 64) == Fraction(3, 8)
     spec = FieldSpec(3, 0xB)
     assert ChshTables(spec, xt, yt, Fraction(3, 8)).wins() == 24
+
+
+def loop_best_response(spec, x_table):
+    """Best reply per s, counting each candidate y's wins with a sum over
+    the targets: O(8^n) per table.  Ties go to the smaller y."""
+    order = spec.order
+    total = 0
+    ys = []
+    for s in range(order):
+        targets = [x_table[a] ^ spec.mul_i(a, s) for a in range(order)]
+        best_y, best_c = 0, -1
+        for y in range(order):
+            c = sum(1 for t in targets if t == y)
+            if c > best_c:
+                best_y, best_c = y, c
+        ys.append(best_y)
+        total += best_c
+    return total, tuple(ys)
+
+
+def affine_x_tables(spec):
+    return [tuple(spec.mul_i(u, a) ^ v for a in range(spec.order))
+            for u in range(spec.order) for v in range(spec.order)]
+
+
+def test_best_response_matches_loop_reference():
+    for spec in (GF2, GF4):
+        for xt in product(range(spec.order), repeat=spec.order):
+            assert adversary._best_response(spec, xt) == loop_best_response(spec, xt)
+    for spec in (FieldSpec.default(3), FieldSpec(3, 0xD)):
+        for xt in affine_x_tables(spec):
+            assert adversary._best_response(spec, xt) == loop_best_response(spec, xt)
+    assert adversary._best_response(FieldSpec(3, 0xB), Q3_WITNESS_X)[0] == 24
+
+
+def test_search_tables_match_loop_best_response(monkeypatch):
+    for n in (1, 2, 3):
+        spec = FieldSpec.default(n)
+        counted = serialize_tables(brute_force_chsh(spec))
+        with monkeypatch.context() as mp:
+            mp.setattr(adversary, "_best_response", loop_best_response)
+            assert serialize_tables(brute_force_chsh(spec)) == counted
 
 
 def test_brute_force_refuses_large_fields():

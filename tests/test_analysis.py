@@ -130,6 +130,41 @@ def test_coupling_properties(pq):
     assert prob_equal(j) == 1 - stat_distance(p, q)
 
 
+def diagonal_is_min(j, p, q):
+    return all(j.mass(k, k) == min(p.mass(k), q.mass(k)) for k in p.support | q.support)
+
+
+def test_maximal_coupling_holds_rejects_broken_joints(monkeypatch):
+    p, q = uniform([0, 1, 2]), Dist({0: F(1, 2), 1: F(1, 2)})
+    # (2, 1)'s mass moved to (2, 0): column 0 is 2/3, not 1/2.
+    wrong_marginal = JointDist({(0, 0): F(1, 3), (1, 1): F(1, 3), (2, 0): F(1, 3)})
+    assert wrong_marginal.marginal(1) != q
+    assert diagonal_is_min(wrong_marginal, p, q) and cond_indep_given_neq(wrong_marginal)
+    # The same joint transposed is wrong in its row marginal.
+    wrong_row = JointDist({(y, x): F(1, 3) for x, y in ((0, 0), (1, 1), (2, 0))})
+    assert wrong_row.marginal(0) != q and wrong_row.marginal(1) == p
+    assert diagonal_is_min(wrong_row, q, p) and cond_indep_given_neq(wrong_row)
+    # Row 0 sends all its mass to column 2 and row 1 to column 3.
+    p2, q2 = uniform([0, 1]), uniform([2, 3])
+    dependent = JointDist({(0, 2): F(1, 2), (1, 3): F(1, 2)})
+    assert dependent.marginal(0) == p2 and dependent.marginal(1) == q2
+    assert diagonal_is_min(dependent, p2, q2) and not cond_indep_given_neq(dependent)
+    # The independent coupling of two equal pmfs: right marginals, 1/4 on
+    # each diagonal cell instead of 1/2.  Right marginals and independence
+    # given disagreement force the diagonal to min(p_k, q_k), so a joint with
+    # a wrong diagonal and right marginals is also dependent.
+    independent = JointDist({(x, y): F(1, 4) for x in (0, 1) for y in (0, 1)})
+    u = uniform([0, 1])
+    assert independent.marginal(0) == u and independent.marginal(1) == u
+    assert not diagonal_is_min(independent, u, u) and not cond_indep_given_neq(independent)
+    for (pp, qq), joint in [((p, q), wrong_marginal), ((q, p), wrong_row),
+                            ((p2, q2), dependent), ((u, u), independent)]:
+        assert analysis.maximal_coupling_holds(pp, qq)
+        monkeypatch.setattr(analysis, "couple_max_diagonal", lambda _p, _q, j=joint: j)
+        assert not analysis.maximal_coupling_holds(pp, qq)
+        monkeypatch.undo()
+
+
 # -- a Fraction-only reference for the integer-weight pmfs ---------------------
 #
 # Masses are plain dicts of Fractions, written from the definitions and
@@ -294,19 +329,26 @@ def test_sim_open_exact_values():
     assert sim_open_epsilon(GF8) == F(1, 8)
 
 
-def test_sim_open_equal_openings_cannot_hit_distinct_targets():
-    spec = GF4
-    best = F(0)
-    for table in product(range(4), repeat=4):
-        for y in range(4):
-            for t, t2 in product(range(4), repeat=2):
-                if t == t2:
-                    continue
-                hits = sum(1 for a in range(4)
-                           if extr_i(spec, y, a, table[a]) == t
-                           and extr_i(spec, y, a, table[a]) == t2)
-                best = max(best, F(hits, 4))
-    assert best == 0
+def whole_table_sim_open_epsilon(spec):
+    """max over whole commit tables, opening pairs (y_0, y_1) and distinct
+    targets t != t' of p(s = t and s' = t')."""
+    order = spec.order
+    best = 0
+    for table in product(range(order), repeat=order):
+        opened = [[extr_i(spec, y, a, table[a]) for a in range(order)]
+                  for y in range(order)]
+        for col0, col1 in product(opened, repeat=2):
+            for t, t2 in product(range(order), repeat=2):
+                if t != t2:
+                    best = max(best, sum(1 for s0, s1 in zip(col0, col1)
+                                         if s0 == t and s1 == t2))
+    return F(best, order)
+
+
+def test_sim_open_matches_whole_table_maximum():
+    # The pointwise choice of f(a) reaches the maximum over whole tables.
+    for spec in (GF2, GF4):
+        assert sim_open_epsilon(spec) == whole_table_sim_open_epsilon(spec)
 
 
 # Every field of n <= 3, with a second irreducible polynomial at n = 3.
@@ -430,6 +472,47 @@ def test_extractor_violation_matches_reference_in_small_fields():
         for table in honest + drawn:
             for alpha in (F(1, order), F(1, 2 ** ((spec.n + 1) // 2)), F(1, 2)):
                 assert_violation_matches_reference(spec, table, alpha)
+
+
+def residual_scan_extractor(spec, commit_table, opening_family, alpha):
+    """The greedy extractor evaluating each opening on the residual: per
+    opening, group the residual by opened value and carve, value ascending,
+    each slice of probability >= alpha; the rest maps to 0."""
+    order = spec.order
+    need_num, need_den = alpha.numerator * order, alpha.denominator
+    residual = {(a, commit_table[a]) for a in range(order)}
+    shat = {}
+    for y in opening_family:
+        slices = {}
+        for c in residual:
+            slices.setdefault(extr_i(spec, y, c[0], c[1]), []).append(c)
+        for s in range(order):
+            block = slices.get(s, ())
+            if len(block) * need_den >= need_num:
+                for c in block:
+                    shat[c] = s
+                residual.difference_update(block)
+    for c in residual:
+        shat[c] = 0
+    return shat
+
+
+def test_extractor_matches_residual_scan_on_every_n2_table():
+    openings = list(range(4))
+    for table in product(range(4), repeat=4):
+        for alpha in (F(1, 4), F(1, 2), F(1), F(3, 2)):
+            for family in [openings] + [[y] for y in openings]:
+                assert fairly_binding_extractor(GF4, table, family, alpha) == \
+                    residual_scan_extractor(GF4, table, family, alpha)
+
+
+def test_worst_extractor_violation_matches_references():
+    openings = list(range(4))
+    worst = max(
+        target_by_target_extractor_violation(
+            GF4, table, openings, residual_scan_extractor(GF4, table, openings, F(1, 2)))
+        for table in product(range(4), repeat=4))
+    assert max_extractor_violation(GF4) == (worst, F(1, 2))
 
 
 @settings(max_examples=80)
