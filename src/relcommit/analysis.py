@@ -99,33 +99,37 @@ class JointDist(Dist):
     def mass(self, x, y) -> Fraction:
         return Fraction(self._w.get((x, y), 0), self._total)
 
-    def _marginal_counts(self) -> Tuple[Dict, Dict]:
-        """Both marginals' weights over this joint's total, unreduced."""
+    def _cell_sums(self) -> Tuple[Dict, Dict, Dict, Dict, int]:
+        """One pass over the cells: the row and column sums, the row and
+        column sums of the off-diagonal cells, and their total D, all over
+        this joint's total, unreduced."""
         rows: Dict = {}
         cols: Dict = {}
+        off_rows: Dict = {}
+        off_cols: Dict = {}
+        d = 0
         for (x, y), w in self._w.items():
             rows[x] = rows.get(x, 0) + w
             cols[y] = cols.get(y, 0) + w
-        return rows, cols
+            if x != y:
+                d += w
+                off_rows[x] = off_rows.get(x, 0) + w
+                off_cols[y] = off_cols.get(y, 0) + w
+        return rows, cols, off_rows, off_cols, d
 
     def marginal(self, axis: int) -> Dist:
-        return Dist.from_counts(self._marginal_counts()[axis])
-
-
-def _over_common_total(p: Dist, q: Dist) -> List[Tuple]:
-    """(k, p_k t_q, q_k t_p) for each key k of p or q: both pmfs' weights
-    over T = t_p * t_q."""
-    pw, qw, tp, tq = p._w, q._w, p._total, q._total
-    return [(k, pw.get(k, 0) * tq, qw.get(k, 0) * tp) for k in pw.keys() | qw.keys()]
+        return Dist.from_counts(self._cell_sums()[axis])
 
 
 def stat_distance(p: Dist, q: Dist) -> Fraction:
-    """Half the L1 distance, exact.  Equal pmfs store equal weights, so they
-    are at distance 0 without a common total."""
+    """Half the L1 distance, exact, from both pmfs' weights over
+    T = t_p t_q.  Equal pmfs store equal weights, so they are at distance 0
+    without a common total."""
     if p == q:
         return ZERO
-    return Fraction(sum(abs(pk - qk) for _, pk, qk in _over_common_total(p, q)),
-                    2 * p._total * q._total)
+    pw, qw, tp, tq = p._w, q._w, p._total, q._total
+    return Fraction(sum(abs(pw.get(k, 0) * tq - qw.get(k, 0) * tp)
+                        for k in pw.keys() | qw.keys()), 2 * tp * tq)
 
 
 def couple_max_diagonal(p: Dist, q: Dist) -> JointDist:
@@ -134,26 +138,39 @@ def couple_max_diagonal(p: Dist, q: Dist) -> JointDist:
     Diagonal mass is the pointwise minimum of the two pmfs; the leftover
     mass is spread as the product of the two residual conditionals, which
     makes the pair independent conditioned on disagreeing.  Over T = t_p t_q
-    the diagonal is d_k = min(p_k t_q, q_k t_p) and the residue R = T - sum d;
-    the weights are d_k R on the diagonal, (p_u - d_u)(q_v - d_v) off it.
+    the diagonal is d_k = min(p_k t_q, q_k t_p) and the residue R = T - sum d
+    is the rows' total excess; the weights are d_k R on the diagonal and
+    (p_u - d_u)(q_v - d_v) off it.
     """
+    pw, qw, tp, tq = p._w, q._w, p._total, q._total
     diagonal = []
     rows = []
     cols = []
-    # One pass splits the keys into rows (p_u > q_u) and columns (q_v > p_v),
-    # two disjoint sets.
-    for k, pk, qk in _over_common_total(p, q):
+    # One pass over the keys splits them into rows (p_u > q_u) and columns
+    # (q_v > p_v), two disjoint sets; a zero diagonal weight is left out.
+    for k in pw.keys() | qw.keys():
+        pk = pw.get(k, 0) * tq
+        qk = qw.get(k, 0) * tp
         if pk > qk:
             rows.append((k, pk - qk))
         elif qk > pk:
             cols.append((k, qk - pk))
-        diagonal.append((k, min(pk, qk)))
-    # R is the rows' total excess over the diagonal.  It is 0 only when
-    # p = q: nothing is off the diagonal, and any R > 0 will do.
+        d = min(pk, qk)
+        if d:
+            diagonal.append((k, d))
+    # R is 0 only when p = q: nothing is off the diagonal, and any R > 0
+    # will do.
     residue = sum(du for _, du in rows) or 1
     joint = {(k, k): d * residue for k, d in diagonal}
     joint.update(((u, v), du * dv) for u, du in rows for v, dv in cols)
     return JointDist.from_counts(joint)
+
+
+def _indep_given_neq(j: JointDist, off_rows: Mapping, off_cols: Mapping, d: int) -> bool:
+    """w D = r_x c_y on every off-diagonal cell (x, y) of weight w, from
+    j's off-diagonal row sums r, column sums c and their total D."""
+    return all(w * d == off_rows[x] * off_cols[y]
+               for (x, y), w in j._w.items() if x != y)
 
 
 def cond_indep_given_neq(j: JointDist) -> bool:
@@ -162,17 +179,8 @@ def cond_indep_given_neq(j: JointDist) -> bool:
     A zero-probability disagreement event counts as independent.  The test
     is homogeneous, so integer weights serve.
     """
-    off = [(x, y, w) for (x, y), w in j._w.items() if x != y]
-    if not off:
-        return True
-    d = 0
-    row: Dict = {}
-    col: Dict = {}
-    for x, y, w in off:
-        d += w
-        row[x] = row.get(x, 0) + w
-        col[y] = col.get(y, 0) + w
-    return all(w * d == row[x] * col[y] for x, y, w in off)
+    _, _, off_rows, off_cols, d = j._cell_sums()
+    return _indep_given_neq(j, off_rows, off_cols, d)
 
 
 def _weights_match(counts: Mapping, total: int, p: Dist) -> bool:
@@ -184,17 +192,22 @@ def _weights_match(counts: Mapping, total: int, p: Dist) -> bool:
 
 
 def maximal_coupling_holds(p: Dist, q: Dist) -> bool:
-    """Whether couple_max_diagonal(p, q) has marginals p and q, min(p_k, q_k)
-    on its diagonal, and independence given disagreement."""
+    """Whether couple_max_diagonal(p, q) has marginals p and q and is
+    independent given disagreement.
+
+    Its diagonal then is min(p_k, q_k), so that is not checked apart.
+    Independence given disagreement makes every off-diagonal cell of the
+    support r_x c_y / D, with r and c the off-diagonal row and column sums
+    and D their total.  Those cells sum to D, and the products r_x c_y over
+    all pairs (x, y) sum to D^2, so every other pair, each (k, k)
+    included, has r_x c_y = 0: each k has no off-diagonal mass in its row
+    or none in its column.  With the right marginals
+    j_kk = p_k - r_k = q_k - c_k, which is then the smaller of p_k and q_k.
+    """
     j = couple_max_diagonal(p, q)
-    rows, cols = j._marginal_counts()
-    if not (_weights_match(rows, j._total, p) and _weights_match(cols, j._total, q)
-            and cond_indep_given_neq(j)):
-        return False
-    # j_kk / t_j == min(p_k t_q, q_k t_p) / (t_p t_q), cross-multiplied.
-    total = p._total * q._total
-    return all(j._w.get((k, k), 0) * total == min(pk, qk) * j._total
-               for k, pk, qk in _over_common_total(p, q))
+    rows, cols, off_rows, off_cols, d = j._cell_sums()
+    return (_weights_match(rows, j._total, p) and _weights_match(cols, j._total, q)
+            and _indep_given_neq(j, off_rows, off_cols, d))
 
 
 # -- exhaustive binding measurements for the commit phase --------------------
@@ -436,13 +449,15 @@ def view_distribution(params: SchemeParams, verifier_strategy, value: int,
     opening string appended when horizon = m + 1.  Exhausts the provers'
     shared pads up to the horizon: 2^(n*(min(h, m)+1)) branches.
     """
-    return _view_distribution(params, verifier_strategy, value, horizon, {})
+    return Dist.from_counts(
+        _view_distribution(params, verifier_strategy, value, horizon, {}))
 
 
-def _view_distribution(params: SchemeParams, verifier_strategy, value: int,
-                       horizon: int,
-                       rows: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], int]]]) -> Dist:
-    """view_distribution, enumerated round by round.
+def _view_distribution(
+    params: SchemeParams, verifier_strategy, value: int, horizon: int,
+    rows: Dict[Tuple[int, int], List[Tuple[Tuple[int, int], int]]],
+) -> Counter:
+    """view_distribution's view counts, enumerated round by round.
 
     Level i holds the pairs (view prefix, y_{i-1}), from ((), value).  The
     strategy is asked once per prefix, which each pad y_i then extends.
@@ -452,7 +467,9 @@ def _view_distribution(params: SchemeParams, verifier_strategy, value: int,
     ((a, x_i), y_i), so that each extension is one tuple concatenation.  It
     is filled as needed, and callers may share it between calls.  Pads past
     the horizon would scale every view's count alike, so they are not
-    enumerated.
+    enumerated.  Every call for one (params, strategy, horizon) enumerates
+    the same number of pads, so its counts are equal exactly when its pmfs
+    are.
     """
     spec = params.field
     m = params.m
@@ -475,10 +492,9 @@ def _view_distribution(params: SchemeParams, verifier_strategy, value: int,
             grown.extend([(view + ax, y) for ax, y in row])
         level = grown
     if horizon > m:
-        return Dist.from_counts(Counter([
-            view + (honest_reply(spec, m, m + 1, None, {m: y}.__getitem__),)
-            for view, y in level]))
-    return Dist.from_counts(Counter([view for view, _ in level]))
+        return Counter([view + (honest_reply(spec, m, m + 1, None, {m: y}.__getitem__),)
+                        for view, y in level])
+    return Counter([view for view, _ in level])
 
 
 def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
@@ -492,7 +508,13 @@ def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
 def max_hiding_distance(params: SchemeParams) -> Fraction:
     """Worst hiding distance before the final round over fixed challenge
     tuples, each value s1 != 0 against value 0 (built once per tuple).  The
-    enumerations share one table of honest reply rows."""
+    enumerations share one table of honest reply rows.
+
+    Views are compared by their counts, which one tuple's enumerations
+    take over the same number of pads: equal counts are at distance 0, and
+    pmfs are built only for counts that differ.  The counts are compared as
+    plain dicts, since Counter's own == is a Python-level loop.
+    """
     spec = params.field
     size = spec.n * (2 * params.m + 3)
     if size > 20:
@@ -504,8 +526,10 @@ def max_hiding_distance(params: SchemeParams) -> Fraction:
         strat = fixed_challenge_strategy(fixed)
         base = _view_distribution(params, strat, 0, params.m, rows)
         for s1 in range(1, spec.order):
-            worst = max(worst, stat_distance(
-                base, _view_distribution(params, strat, s1, params.m, rows)))
+            counts = _view_distribution(params, strat, s1, params.m, rows)
+            if not dict.__eq__(base, counts):
+                worst = max(worst, stat_distance(Dist.from_counts(base),
+                                                 Dist.from_counts(counts)))
     return worst
 
 

@@ -3,15 +3,17 @@
 Elements are unsigned ints below 2**n; addition is XOR and multiplication is
 the carry-less polynomial product reduced modulo an explicit irreducible
 polynomial.  A ``FieldSpec`` carries (n, poly) and works on raw ints
-(``mul_i`` / ``pow_i`` / ``inv_i``, with ``check`` for range validation).
+(``mul_i`` / ``pow_i`` / ``inv_i`` / ``div_i``, with ``check`` for range
+validation).
 
-For n <= TABLE_MAX_N, ``mul_i`` and ``inv_i`` are lookups in log/antilog
-tables over a generator of the multiplicative group.  The tables are built
-once per (n, poly) and shared by every spec with that (n, poly), so a spec
-made again for a known field (as ``parse_transcript`` does) starts warm.
-Above TABLE_MAX_N, ``mul_i`` is shift-and-add and ``inv_i`` is the extended
-Euclidean algorithm over GF(2)[x].  Both paths give the same results, and
-a spec holds no mutable state.
+For n <= TABLE_MAX_N, ``mul_i``, ``inv_i`` and ``div_i`` are lookups in
+log/antilog tables over a generator of the multiplicative group.  The tables
+are built once per (n, poly) and shared by every spec with that (n, poly), so
+a spec made again for a known field (as ``parse_transcript`` does) starts
+warm.  Above TABLE_MAX_N, ``mul_i`` is shift-and-add, ``inv_i`` is the
+extended Euclidean algorithm over GF(2)[x], and ``div_i`` multiplies by that
+inverse.  Both paths give the same results, and a spec holds no mutable
+state.
 """
 
 from __future__ import annotations
@@ -197,6 +199,19 @@ class FieldSpec:
             return _inv_euclid(a, self.poly)
         # exp has period 2^n - 1, so exp[-k] = g^-k.
         return self._exp[-log[a]]
+
+    def div_i(self, b: int, a: int) -> int:
+        """b / a = b * a^-1 in one call: at n <= TABLE_MAX_N one lookup,
+        exp[log b - log a], which a negative index reads as g^(log b - log a)
+        since exp holds two whole periods."""
+        if a == 0:
+            raise FieldError("division by zero")
+        log = self._log
+        if log is None:
+            return _mul_bits(b, _inv_euclid(a, self.poly), self.n, self.poly)
+        if b:
+            return self._exp[log[b] - log[a]]
+        return 0
 
     # -- serialization -----------------------------------------------------
 

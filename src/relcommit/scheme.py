@@ -86,7 +86,7 @@ def extr_i(spec: FieldSpec, y: int, a: int, x: int) -> OpenOutcome:
     when x == y (mirroring the bit scheme's smaller-bit rule), else BOT.
     """
     if a:
-        return spec.mul_i(x ^ y, spec.inv_i(a))
+        return spec.div_i(x ^ y, a)
     return 0 if x == y else BOT
 
 

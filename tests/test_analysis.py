@@ -1,5 +1,6 @@
 """Exact distribution tools and binding/hiding measurements."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcommit import analysis, engine
+from relcommit import analysis, cli, engine
 from relcommit.adversary import RandomOpen, brute_force_chsh
 from relcommit.analysis import (
     Dist,
@@ -26,6 +27,7 @@ from relcommit.analysis import (
     fixed_challenge_strategy,
     hiding_distance,
     max_extractor_violation,
+    max_hiding_distance,
     max_p0_plus_p1,
     open_game_trial,
     report_line,
@@ -128,6 +130,7 @@ def test_coupling_properties(pq):
         assert j.mass(k, k) == min(p.mass(k), q.mass(k))
     assert cond_indep_given_neq(j)
     assert prob_equal(j) == 1 - stat_distance(p, q)
+    assert analysis.maximal_coupling_holds(p, q) and three_clause_coupling_holds(p, q)
 
 
 def diagonal_is_min(j, p, q):
@@ -160,8 +163,10 @@ def test_maximal_coupling_holds_rejects_broken_joints(monkeypatch):
     for (pp, qq), joint in [((p, q), wrong_marginal), ((q, p), wrong_row),
                             ((p2, q2), dependent), ((u, u), independent)]:
         assert analysis.maximal_coupling_holds(pp, qq)
+        assert three_clause_coupling_holds(pp, qq)
         monkeypatch.setattr(analysis, "couple_max_diagonal", lambda _p, _q, j=joint: j)
         assert not analysis.maximal_coupling_holds(pp, qq)
+        assert not three_clause_coupling_holds(pp, qq)
         monkeypatch.undo()
 
 
@@ -256,6 +261,45 @@ def test_joint_pmfs_agree_with_fraction_reference(weights, shape):
     assert dict(j.marginal(0).items()) == ref_marginal(jm, 0)
     assert dict(j.marginal(1).items()) == ref_marginal(jm, 1)
     assert cond_indep_given_neq(j) == ref_cond_indep(jm)
+
+
+def three_clause_coupling_holds(p, q):
+    """The coupling check with its diagonal clause, in Fractions: whatever
+    analysis.couple_max_diagonal returns must have marginals p and q,
+    min(p_k, q_k) on its diagonal, and independence given disagreement."""
+    joint = dict(analysis.couple_max_diagonal(p, q).items())
+    return (ref_marginal(joint, 0) == dict(p.items())
+            and ref_marginal(joint, 1) == dict(q.items())
+            and all(joint.get((k, k), 0) == min(p.mass(k), q.mass(k))
+                    for k in p.support | q.support)
+            and ref_cond_indep(joint))
+
+
+def test_independence_given_disagreement_forces_minimum_diagonal():
+    # Every joint on 3 keys with cell weights 0-2: those independent given
+    # disagreement have min(row sum, column sum) on each diagonal cell, so
+    # the coupling check needs no diagonal clause.
+    cells = list(product(range(3), repeat=2))
+    independent = 0
+    for weights in product(range(3), repeat=9):
+        if not any(weights):
+            continue
+        j = JointDist.from_counts(dict(zip(cells, weights)))
+        if cond_indep_given_neq(j):
+            independent += 1
+            rows = [sum(weights[3 * k:3 * k + 3]) for k in range(3)]
+            cols = [sum(weights[k::3]) for k in range(3)]
+            assert all(weights[4 * k] == min(rows[k], cols[k]) for k in range(3))
+    assert independent == 998
+
+
+def test_coupling_check_matches_three_clauses_on_cli_pairs():
+    # The first 2,000 pairs that `analyze coupling --seed 1` draws.
+    for t in range(2000):
+        tseed = engine.stream_u64(1, engine.STREAM_TRIAL, t)
+        p = cli._random_pmf(tseed, engine.STREAM_PMF_P)
+        q = cli._random_pmf(tseed, engine.STREAM_PMF_Q)
+        assert analysis.maximal_coupling_holds(p, q) and three_clause_coupling_holds(p, q)
 
 
 def test_pmfs_with_non_dividing_denominators():
@@ -703,6 +747,49 @@ def test_view_distribution_matches_product_over_pads():
                     for horizon in range(m + 2):
                         assert view_distribution(params, strat, value, horizon) == \
                             product_over_pads_view_distribution(params, strat, value, horizon)
+
+
+# Computed before max_hiding_distance compared view counts; unchanged by it.
+HIDING_GRID_SHA256 = "1f121090b0e0f0c9bfb8d66e4921a71fab2d3a4d1cd77f56391e4886fec3070e"
+
+
+def hiding_grid_digest():
+    """sha256 over the reprs of every view distribution for (n, m) in
+    {(1, 0-3), (2, 0-2), (3, 0-1)}, every fixed challenge tuple plus one
+    adaptive strategy, every value and horizon, then each hiding_distance
+    against value 0, and max_hiding_distance for each (n, m)."""
+    h = hashlib.sha256()
+    for n, ms in ((1, range(4)), (2, range(3)), (3, range(2))):
+        spec = FieldSpec.default(n)
+        for m in ms:
+            params = SchemeParams(spec, m)
+            strategies = [fixed_challenge_strategy(fixed)
+                          for fixed in product(range(spec.order), repeat=m + 1)]
+            strategies.append(lambda i, responses, order=spec.order:
+                              (sum(responses) + i) % order)
+            for strat in strategies:
+                for value in range(spec.order):
+                    for horizon in range(m + 2):
+                        d = view_distribution(params, strat, value, horizon)
+                        h.update(repr(d).encode())
+                for s1 in range(1, spec.order):
+                    for horizon in range(m + 2):
+                        h.update(repr(hiding_distance(params, strat, 0, s1, horizon)).encode())
+            h.update(repr(max_hiding_distance(params)).encode())
+    return h.hexdigest()
+
+
+def test_hiding_values_are_pinned():
+    assert hiding_grid_digest() == HIDING_GRID_SHA256
+
+
+def test_max_hiding_distance_measures_counts_that_differ(monkeypatch):
+    # Stand-in counts, four views per value: value s puts s of them on "b",
+    # at distance s/4 from value 0's.
+    monkeypatch.setattr(analysis, "_view_distribution",
+                        lambda params, strat, value, horizon, rows:
+                        Counter("a" * (4 - value) + "b" * value))
+    assert max_hiding_distance(SchemeParams(GF4, 0)) == F(3, 4)
 
 
 def test_view_distribution_asks_strategy_once_per_prefix():

@@ -85,6 +85,33 @@ def test_inv_of_zero_rejected():
         GF8.inv_i(0)
 
 
+def test_div_matches_mul_by_inverse_on_every_small_pair():
+    for spec in SMALL_SPECS:
+        for a in range(1, spec.order):
+            inv = spec.inv_i(a)
+            for b in range(spec.order):
+                assert spec.div_i(b, a) == spec.mul_i(b, inv)
+
+
+def test_div_matches_mul_by_inverse_on_random_pairs():
+    # Above TABLE_MAX_N = 8 division multiplies by the Euclid inverse.
+    for n in (9, 16, 24):
+        spec = FieldSpec.default(n)
+        rng = random.Random(100 + n)
+        for _ in range(500):
+            a = rng.randrange(1, spec.order)
+            b = rng.randrange(spec.order)
+            assert spec.div_i(b, a) == spec.mul_i(b, spec.inv_i(a))
+        assert spec.div_i(0, 5) == 0 and spec.div_i(5, 5) == 1
+
+
+def test_div_by_zero_rejected():
+    for spec in (GF8, FieldSpec.default(8), FieldSpec.default(16)):
+        for b in (0, 1, spec.order - 1):
+            with pytest.raises(FieldError):
+                spec.div_i(b, 0)
+
+
 def test_irreducibility_examples():
     assert is_irreducible(0b1011)          # x^3+x+1
     assert not is_irreducible(0b101)       # x^2+1 = (x+1)^2
