@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .field import FieldSpec
+from .field import FieldError, FieldSpec
 from .scheme import (BOT, OpenOutcome, SchemeParams, active_prover, chsh_response,
                      multiround_verify)
 
@@ -127,11 +127,12 @@ class Transcript:
     outcome: OpenOutcome = BOT
 
     def challenges(self) -> List[int]:
-        return [m.payload for m in self.messages if m.sender == "V"]
+        """a_0.., the payloads of messages 0, 2, .., 2m (``message_slots``)."""
+        return [msg.payload for msg in self.messages[:2 * self.params.m + 2:2]]
 
     def responses(self) -> List[int]:
-        return [m.payload for m in self.messages
-                if m.receiver == "V" and m.round <= self.params.m]
+        """x_0.., the payloads of messages 1, 3, .., 2m + 1."""
+        return [msg.payload for msg in self.messages[1::2]]
 
     def final_opening(self) -> int:
         if not self.messages or self.messages[-1].round != self.params.m + 1:
@@ -140,18 +141,12 @@ class Transcript:
 
     def to_text(self) -> str:
         spec = self.params.field
-        fmt = f"0{(spec.n + 3) // 4}x"
-        order = spec.order
-        lines = [_header(self.params, self.seed)]
-        for msg in self.messages:
-            v = msg.payload
-            if not 0 <= v < order:
-                spec.check(v)
-            lines.append(f"round={msg.round} from={msg.sender} "
-                         f"to={msg.receiver} payload={v:{fmt}}")
+        msgs = self.messages
+        lines = _message_lines([msg.round for msg in msgs], [msg.sender for msg in msgs],
+                               [msg.receiver for msg in msgs],
+                               spec.to_hex_all([msg.payload for msg in msgs]))
         out = "BOT" if self.outcome is BOT else spec.to_hex(self.outcome)
-        lines.append(f"outcome={out}")
-        return "\n".join(lines) + "\n"
+        return "\n".join([_header(self.params, self.seed), *lines, f"outcome={out}\n"])
 
 
 def _header(params: SchemeParams, seed: int) -> str:
@@ -159,24 +154,39 @@ def _header(params: SchemeParams, seed: int) -> str:
             f"m={params.m} seed={seed}")
 
 
-def message_slot(params: SchemeParams, k: int) -> Tuple[int, str, str]:
-    """(round, sender, receiver) of a session's k-th message: rounds 0..m
-    are a challenge to the prover that ``active_prover`` names and its
-    reply, round m+1 is that prover's opening alone."""
-    if k > 2 * params.m + 2:
-        raise ValueError(f"message {k} follows the opening")
-    i = k // 2
-    prover = active_prover(params, i)
-    if k % 2 == 0 and i <= params.m:
-        return i, "V", prover
-    return i, prover, "V"
+def _message_lines(rounds: Sequence[int], senders: Sequence[str],
+                   receivers: Sequence[str], payloads: Sequence[str]) -> List[str]:
+    """The one layout of a message line, for each message's round, sender,
+    receiver and payload text; an empty payload gives the line's head."""
+    return [f"round={i} from={s} to={r} payload={x}"
+            for i, s, r, x in zip(rounds, senders, receivers, payloads)]
 
 
-def _hex_field(spec: FieldSpec, width: int, text: str, what: str) -> int:
-    """The v with ``spec.to_hex(v) == text``, width being ceil(n/4)."""
-    if len(text) != width or text.strip("0123456789abcdef"):
-        raise ValueError(f"{what} {text!r} is not {width} lowercase hex digits")
-    return spec.check(int(text, 16))
+Slots = Tuple[List[int], List[str], List[str]]
+
+
+def message_slots(params: SchemeParams, count: int) -> Slots:
+    """The rounds, senders and receivers of a session's first count messages:
+    rounds 0..m are a challenge to the prover that ``active_prover`` names
+    and its reply, round m+1 is that prover's opening alone."""
+    m = params.m
+    if count > 2 * m + 3:
+        raise ValueError(f"message {2 * m + 3} follows the opening")
+    asked = min((count + 1) // 2, m + 1)
+    provers = [active_prover(params, i) for i in range(asked)]
+    rounds = [0, 0] * asked
+    rounds[::2] = rounds[1::2] = range(asked)
+    senders = ["V", "V"] * asked
+    senders[1::2] = provers
+    receivers = ["V", "V"] * asked
+    receivers[::2] = provers
+    if count == 2 * m + 3:
+        rounds.append(m + 1)
+        senders.append(active_prover(params, m + 1))
+        receivers.append("V")
+    for column in (rounds, senders, receivers):
+        del column[count:]  # an odd count ends on a challenge
+    return rounds, senders, receivers
 
 
 class TranscriptParseError(Exception):
@@ -187,7 +197,13 @@ class TranscriptParseError(Exception):
 
 def parse_transcript(text: str) -> Transcript:
     """Read back only what ``Transcript.to_text`` writes (README, "File
-    formats"); anything else raises TranscriptParseError at its line."""
+    formats"); anything else raises TranscriptParseError at its line.
+
+    The message lines are read at once: each payload column by
+    ``from_hex_all``, and the lines are accepted when ``_message_lines``
+    gives them back from the slots of ``message_slots`` and those payloads.
+    Only a transcript that fails is walked line by line, to name the first
+    bad line."""
     lines = text.split("\n")
     if not lines[0].startswith("#relcommit v1 "):
         raise TranscriptParseError(1, "missing '#relcommit v1' header")
@@ -204,38 +220,60 @@ def parse_transcript(text: str) -> Transcript:
     while last and not lines[last].strip():
         last -= 1
     has_outcome = lines[last].startswith("outcome=")
+    end = last if has_outcome else last + 1
+    body = list(filter(str.strip, lines[1:end]))
+    # The header does not name the first committer; the round-0 challenge
+    # goes to it.  A first line that names Q up to its payload key gives Q.
+    to_q = _message_head(0, "V", "Q")
+    if body and body[0].startswith(to_q[:to_q.rindex(" ") + 1]):
+        params = replace(params, first_committer="Q")
+    slots = message_slots(params, min(len(body), 2 * params.m + 3))
     width = (spec.n + 3) // 4
-    t = Transcript(params, seed)
-    messages = t.messages
-    for idx in range(1, last if has_outcome else last + 1):
-        line = lines[idx]
-        if not line.strip():
-            continue
-        k = len(messages)
-        try:
-            if k == 0 and line.startswith("round=0 from=V to=Q "):
-                # The header does not name the first committer; the round-0
-                # challenge goes to it.
-                params = t.params = replace(params, first_committer="Q")
-            i, sender, receiver = message_slot(params, k)
-            head = f"round={i} from={sender} to={receiver} payload="
-            if not line.startswith(head):
-                raise ValueError(f"message {k} must be round={i} from={sender} "
-                                 f"to={receiver}")
-            messages.append(RoundMessage(
-                i, sender, receiver, _hex_field(spec, width, line[len(head):], "payload")))
-        except ValueError as e:
-            why = ("outcome line before the last line" if line.startswith("outcome=")
-                   else f"bad message line: {e}")
-            raise TranscriptParseError(idx + 1, why) from None
+    texts = [line[-width:] for line in body]
+    try:
+        values = spec.from_hex_all(texts, "payload")
+    except FieldError:
+        values = None
+    if values is None or _message_lines(*slots, texts) != body:
+        _raise_at_first_bad_line(lines, end, slots, spec)
+    t = Transcript(params, seed, list(map(RoundMessage, *slots, values)))
     if not has_outcome:
         raise TranscriptParseError(last + 2, "missing outcome line")
     val = lines[last][len("outcome="):]
     try:
-        t.outcome = BOT if val == "BOT" else _hex_field(spec, width, val, "outcome")
-    except ValueError as e:
+        t.outcome = BOT if val == "BOT" else spec.from_hex(val, "outcome")
+    except FieldError as e:
         raise TranscriptParseError(last + 1, f"bad outcome line: {e}") from None
     return t
+
+
+def _message_head(i: int, sender: str, receiver: str) -> str:
+    """A message line up to its payload."""
+    return _message_lines([i], [sender], [receiver], [""])[0]
+
+
+def _raise_at_first_bad_line(lines: List[str], end: int, slots: Slots,
+                             spec: FieldSpec) -> None:
+    """Raise TranscriptParseError for the first of lines[1:end] that is not
+    the next message's line in the slots given."""
+    k = 0
+    for idx in range(1, end):
+        line = lines[idx]
+        if not line.strip():
+            continue
+        try:
+            if k == len(slots[0]):
+                raise ValueError(f"message {k} follows the opening")
+            head = _message_head(*(column[k] for column in slots))
+            if not line.startswith(head):
+                raise ValueError(f"message {k} must be {head[:head.rindex(' ')]}")
+            spec.from_hex(line[len(head):], "payload")
+        except ValueError as e:
+            why = ("outcome line before the last line" if line.startswith("outcome=")
+                   else f"bad message line: {e}")
+            raise TranscriptParseError(idx + 1, why) from None
+        k += 1
+    raise AssertionError("every message line reads back")
 
 
 class PartyView:

@@ -14,13 +14,19 @@ warm.  Above TABLE_MAX_N, ``mul_i`` is shift-and-add, ``inv_i`` is the
 extended Euclidean algorithm over GF(2)[x], and ``div_i`` multiplies by that
 inverse.  Both paths give the same results, and a spec holds no mutable
 state.
+
+``to_hex`` writes an element as exactly ceil(n/4) lowercase hex digits, and
+``from_hex`` reads back only that text.  For n <= TABLE_MAX_N both are
+lookups in the 2^n canonical strings and their reverse dict, built once per
+n and shared; ``to_hex_all`` and ``from_hex_all`` code whole columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class FieldError(ValueError):
@@ -136,6 +142,14 @@ def _checked_tables(n: int, poly: int) -> Tuple[Optional[tuple], Optional[tuple]
     return tuple(exp) * 2, tuple(log)
 
 
+@lru_cache(maxsize=TABLE_MAX_N)
+def _hex_tables(n: int) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    """The canonical hex strings of 0..2^n - 1, each ceil(n/4) lowercase
+    digits, and the dict from each string back to its value."""
+    strings = tuple(format(v, f"0{(n + 3) // 4}x") for v in range(1 << n))
+    return strings, {s: v for v, s in enumerate(strings)}
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A concrete GF(2^n): bit width plus reduction polynomial.
@@ -153,6 +167,9 @@ class FieldSpec:
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
         object.__setattr__(self, "_hex", f"0{(self.n + 3) // 4}x")
+        hexes, values = _hex_tables(self.n) if exp is not None else (None, None)
+        object.__setattr__(self, "_hexes", hexes)
+        object.__setattr__(self, "_hex_values", values)
 
     def __reduce__(self):
         return FieldSpec, (self.n, self.poly)
@@ -217,7 +234,52 @@ class FieldSpec:
 
     def to_hex(self, v: int) -> str:
         """Big-endian lowercase hex, ceil(n/4) digits."""
-        return format(self.check(v), self._hex)
+        self.check(v)
+        hexes = self._hexes
+        return format(v, self._hex) if hexes is None else hexes[v]
 
-    def from_hex(self, s: str) -> int:
-        return self.check(int(s, 16))
+    def from_hex(self, s: str, what: str = "hex field") -> int:
+        """The v with ``to_hex(v) == s``; any other text raises FieldError,
+        whose message calls it what."""
+        values = self._hex_values
+        if values is not None:
+            v = values.get(s)
+            if v is not None:
+                return v
+        else:
+            try:
+                v = int(s, 16)
+            except ValueError:
+                v = -1
+            if 0 <= v < (1 << self.n) and format(v, self._hex) == s:
+                return v
+        width = (self.n + 3) // 4
+        if len(s) != width or s.strip("0123456789abcdef"):
+            raise FieldError(f"{what} {s!r} is not {width} lowercase hex digits")
+        return self.check(int(s, 16))  # the right digits, outside the field
+
+    def to_hex_all(self, values: Sequence[int]) -> List[str]:
+        """``to_hex`` of each value: one lookup each for n <= TABLE_MAX_N,
+        else one ``format`` each."""
+        if values and not (min(values) >= 0 and max(values) < 1 << self.n):
+            for v in values:
+                self.check(v)  # raises for the first value outside the field
+        hexes = self._hexes
+        if hexes is None:
+            return list(map(format, values, repeat(self._hex, len(values))))
+        return list(map(hexes.__getitem__, values))
+
+    def from_hex_all(self, texts: List[str], what: str = "hex field") -> List[int]:
+        """``from_hex`` of each text: one dict lookup each for n <= TABLE_MAX_N,
+        else ``int`` and the check that ``to_hex_all`` gives the texts back.
+        Raises FieldError for the first text that is not what to_hex writes."""
+        values = self._hex_values
+        try:
+            if values is not None:
+                return list(map(values.__getitem__, texts))
+            out = list(map(int, texts, repeat(16, len(texts))))
+            if self.to_hex_all(out) == texts:
+                return out
+        except (KeyError, ValueError):
+            pass  # from_hex names the first bad text
+        return [self.from_hex(s, what) for s in texts]

@@ -204,6 +204,17 @@ def test_tables_parse_rejects_tampered_q():
         parse_tables("no header\n")
 
 
+def test_tables_parse_reads_only_what_serialize_writes():
+    # Each hex field must be written as FieldSpec.to_hex writes it, so a
+    # row such as 0x0:0 or 3: 3 is refused, not read as 0:0 or 3:3.
+    text = serialize_tables(brute_force_chsh(GF4))
+    assert parse_tables(text) == brute_force_chsh(GF4)
+    for row, bad in (("0:0", "0x0:0"), ("3:1", "3: 1"), ("3:1", " 3:1"), ("3:1", "+3:1"),
+                     ("3:1", "03:1"), ("2:0", "2:"), ("1:0", "1:4")):
+        with pytest.raises(ValueError):
+            parse_tables(text.replace(f"\n{row}\n", f"\n{bad}\n", 1))
+
+
 def test_tightness_success_probability_formula():
     q = Q2
     assert tightness_success_probability(q, 0) == q

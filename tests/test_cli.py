@@ -263,6 +263,19 @@ def test_corrupt_table_cache_is_usage_error(tmp_path, capsys):
         assert code == 2 and err.startswith("error:") and named in err, err
 
 
+
+def test_table_cache_rows_must_be_canonical_hex(tmp_path, capsys):
+    run_cli(capsys, "chsh-search", "--n", "2", "--cache", str(tmp_path))
+    cache = tmp_path / "chsh_n2_poly7.tables"
+    good = cache.read_text()
+    for row, bad, named in (("0:0", "0x0:0", "'0x0'"), ("3:3", "3: 3", "' 3'")):
+        cache.write_text(good.replace(f"\n{row}\n", f"\n{bad}\n", 1))
+        assert cache.read_text() != good
+        code = cli.main(["chsh-search", "--n", "2", "--cache", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and named in err, err
+
+
 # cli.main in a child process whose address space is capped at 1 GiB, so a
 # runaway field setup ends in MemoryError instead of exhausting the host.
 CAPPED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "

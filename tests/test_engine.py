@@ -1,5 +1,6 @@
 """Session engine: determinism, visibility enforcement, transcripts."""
 
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -162,6 +163,95 @@ def test_only_what_to_text_writes_parses(lines, lineno):
     assert e.value.lineno == lineno, e.value
 
 
+WIDE_BASE = run_honest_session(make_params(12, 2), 0xABC, 11).to_text().splitlines()
+
+
+@pytest.mark.parametrize("lines, lineno", [
+    (STRICT_BASE[:2] + ["", " \t"] + _payload_at_line_3("A5")[2:3] + STRICT_BASE[3:], 5),
+    (STRICT_BASE[:4] + ["", "round=1 from=V to=Q payload=zz"] + STRICT_BASE[5:], 6),
+    (STRICT_BASE[:2] + ["a"] + STRICT_BASE[3:], 3),
+    (STRICT_BASE[:2] + ["a5"] + STRICT_BASE[3:], 3),
+    (STRICT_BASE[:5] + ["", "", "5"] + STRICT_BASE[5:], 8),
+    (STRICT_BASE[:-1] + ["", STRICT_BASE[-2]] + STRICT_BASE[-1:], len(STRICT_BASE) + 1),
+    (WIDE_BASE[:2] + [""] + [WIDE_BASE[2][:-1] + "G"] + WIDE_BASE[3:], 4),
+    (WIDE_BASE[:3] + ["", "", "ab"] + WIDE_BASE[3:], 6),
+    (WIDE_BASE[:3] + [WIDE_BASE[3][:-3] + "1000"] + WIDE_BASE[4:], 4),
+], ids=["blank-before-bad-payload", "blank-before-bad-wide-payload", "shorter-than-payload",
+        "payload-only", "blank-before-short-line", "blank-before-extra-opening",
+        "wide-blank-before-bad-payload", "wide-short-line", "wide-long-payload"])
+def test_bad_lines_are_named_by_their_line_number(lines, lineno):
+    # Blank lines are skipped but counted, and a line shorter than a payload
+    # is refused where it stands.
+    with pytest.raises(TranscriptParseError) as e:
+        parse_transcript("\n".join(lines) + "\n")
+    assert e.value.lineno == lineno, e.value
+
+
+REASON_BASE = run_honest_session(make_params(7, 1), 0x55, 11).to_text().splitlines()
+
+
+@pytest.mark.parametrize("lines, why", [
+    (REASON_BASE[:1] + ["round=0 from=V to=QQ payload=05"] + REASON_BASE[2:],
+     "line 2: bad message line: message 0 must be round=0 from=V to=P"),
+    (REASON_BASE[:1] + ["round=0 from=V to=Q  payload=05"] + REASON_BASE[2:],
+     "line 2: bad message line: message 0 must be round=0 from=V to=Q"),
+    (REASON_BASE[:2] + [REASON_BASE[2][:-2] + "ff"] + REASON_BASE[3:],
+     "line 3: bad message line: value 255 outside GF(2^7)"),
+    (REASON_BASE[:2] + [REASON_BASE[2][:-2] + "0x"] + REASON_BASE[3:],
+     "line 3: bad message line: payload '0x' is not 2 lowercase hex digits"),
+    (REASON_BASE[:-1] + REASON_BASE[-2:], "line 7: bad message line: message 5 follows the opening"),
+    (REASON_BASE[:3] + REASON_BASE[-1:] + REASON_BASE[3:-1], "line 4: outcome line before the last line"),
+    (REASON_BASE[:-1], "line 7: missing outcome line"),
+    (REASON_BASE[:-1] + ["outcome=ff"], "line 7: bad outcome line: value 255 outside GF(2^7)"),
+], ids=["receiver-QQ", "double-space", "outside-field", "not-hex", "after-opening",
+        "outcome-inside", "no-outcome", "outcome-outside-field"])
+def test_parse_errors_give_their_reason(lines, why):
+    with pytest.raises(TranscriptParseError) as e:
+        parse_transcript("\n".join(lines) + "\n")
+    assert str(e.value) == why
+
+
+def test_message_slots_are_the_first_count_slots():
+    for fc in ("P", "Q"):
+        for m in (0, 1, 4):
+            params = make_params(m=m, first_committer=fc)
+            every = list(zip(*engine.message_slots(params, 2 * m + 3)))
+            assert every == [(msg.round, msg.sender, msg.receiver)
+                             for msg in run_honest_session(params, 1, 7).messages]
+            for count in range(2 * m + 3):
+                assert list(zip(*engine.message_slots(params, count))) == every[:count]
+            with pytest.raises(ValueError, match="follows the opening"):
+                engine.message_slots(params, 2 * m + 4)
+
+
+def test_blank_lines_between_messages_are_skipped():
+    spaced = STRICT_BASE[:2] + ["", " "] + STRICT_BASE[2:4] + ["\t"] + STRICT_BASE[4:-1] + [""]
+    back = parse_transcript("\n".join(spaced + STRICT_BASE[-1:] + ["", ""]))
+    assert back.to_text() == "\n".join(STRICT_BASE) + "\n"
+
+
+def _pinned_texts():
+    """to_text of honest sessions at every width class, either prover first,
+    whole and cut after 0, 1, 2, m + 2 and 2m + 2 messages."""
+    for n in (*range(1, 9), 9, 16, 24):
+        for m in (0, 1, 3, 64):
+            for fc in "PQ":
+                params = make_params(n, m, first_committer=fc)
+                seed = 1000 * n + 10 * m + (fc == "Q")
+                t = run_honest_session(params, seed & ((1 << n) - 1), seed)
+                yield t.to_text()
+                for cut in (0, 1, 2, m + 2, 2 * m + 2):
+                    yield Transcript(params, seed, t.messages[:cut]).to_text()
+
+
+def test_to_text_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for text in _pinned_texts():
+        digest.update(text.encode())
+    assert digest.hexdigest() == ("84373ae631a037663b41b8271957328b"
+                                  "acb803a7e2b1daf83699bf55772b83ea")
+
+
 @lru_cache(maxsize=None)
 def _tables(n):
     spec = FieldSpec.default(n)
@@ -174,15 +264,17 @@ def _tables(n):
 
 
 @st.composite
-def transcripts(draw):
-    """Honest and tightness-attack transcripts, n <= 8 and m <= 6, either
-    prover first, finished or cut off as an aborted session leaves them."""
-    n = draw(st.integers(1, 8))
+def transcripts(draw, widths=st.integers(1, 8)):
+    """Honest and tightness-attack transcripts, n <= 8 unless widths says
+    otherwise and m <= 6, either prover first, finished or cut off as an
+    aborted session leaves them.  Above n = 8 only honest sessions are
+    drawn, since the attack's tables hold 2^n entries."""
+    n = draw(widths)
     params = make_params(n, draw(st.integers(0, 6)),
                          first_committer=draw(st.sampled_from("PQ")))
     value = draw(st.integers(0, (1 << n) - 1))
     seed = draw(st.integers(0, (1 << 64) - 1))
-    if draw(st.booleans()):
+    if n > 8 or draw(st.booleans()):
         t = run_honest_session(params, value, seed)
     else:
         t = run_attack_session(params, *adversary.tightness_strategy(
@@ -193,11 +285,30 @@ def transcripts(draw):
     return t
 
 
+WIDE = st.sampled_from([9, 12, 16, 24])
+
+
 @settings(max_examples=150, deadline=None)
 @given(transcripts())
 def test_transcript_text_round_trips(t):
     text = t.to_text()
     assert parse_transcript(text).to_text() == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(transcripts(WIDE))
+def test_wide_transcript_text_round_trips(t):
+    # Above field.TABLE_MAX_N payloads are coded without the hex tables.
+    text = t.to_text()
+    assert parse_transcript(text).to_text() == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(transcripts())
+def test_challenges_and_responses_are_the_slot_columns(t):
+    assert t.challenges() == [msg.payload for msg in t.messages if msg.sender == "V"]
+    assert t.responses() == [msg.payload for msg in t.messages
+                             if msg.receiver == "V" and msg.round <= t.params.m]
 
 
 @settings(max_examples=300, deadline=None)
@@ -213,6 +324,13 @@ def test_one_substituted_character_is_refused_or_round_trips(t, data):
     except TranscriptParseError:
         return
     assert back.to_text() == mutated
+
+
+@settings(max_examples=150, deadline=None)
+@given(transcripts(WIDE), st.data())
+def test_wide_one_substituted_character_is_refused_or_round_trips(t, data):
+    # The test above, over payloads coded without the hex tables.
+    test_one_substituted_character_is_refused_or_round_trips.hypothesis.inner_test(t, data)
 
 
 def test_visibility_examples():
@@ -443,11 +561,11 @@ def test_challenge_stream_uniformity_chi_square():
 
 def test_message_slot_never_names_one_party_as_sender_and_receiver():
     # Every message the verifier issues or takes, and every line that
-    # parse_transcript accepts, has the slot message_slot names.
+    # parse_transcript accepts, has the slot message_slots names.
     for fc in ("P", "Q"):
         for m in (0, 1, 4):
             params = make_params(m=m, first_committer=fc)
-            for k in range(2 * m + 3):
-                _, sender, receiver = engine.message_slot(params, k)
+            _, senders, receivers = engine.message_slots(params, 2 * m + 3)
+            for sender, receiver in zip(senders, receivers):
                 assert sender != receiver
                 assert "V" in (sender, receiver)

@@ -221,3 +221,35 @@ def test_hex_serialization():
     for bad in (0x200, -1):
         with pytest.raises(FieldError):
             spec.to_hex(bad)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 8, 9, 12, 16, 24])
+def test_from_hex_reads_only_what_to_hex_writes(n):
+    spec = FieldSpec.default(n)
+    top = spec.order - 1
+    for v in {0, 1, top // 3, top}:
+        assert spec.from_hex(spec.to_hex(v)) == v
+    text = spec.to_hex(top)
+    for bad in ("0x" + text, " " + text, text + " ", "+" + text, "0" + text, text[1:],
+                "F" * len(text), "1_" + text, "", "g"):
+        with pytest.raises(FieldError, match="lowercase hex digits"):
+            spec.from_hex(bad)
+    if n % 4:  # the right number of digits, but a value outside the field
+        with pytest.raises(FieldError, match="outside"):
+            spec.from_hex(format(spec.order, "x"))
+
+
+@pytest.mark.parametrize("n", [2, 8, 9, 16])
+def test_hex_columns_code_each_value_as_to_hex_and_from_hex_do(n):
+    spec = FieldSpec.default(n)
+    values = [0, 1, spec.order - 1, spec.order // 3, 1]
+    texts = spec.to_hex_all(values)
+    assert texts == [spec.to_hex(v) for v in values]
+    assert spec.from_hex_all(texts) == values
+    assert spec.to_hex_all([]) == [] and spec.from_hex_all([]) == []
+    for bad in (-1, spec.order):  # -1 would read the last table entry
+        with pytest.raises(FieldError):
+            spec.to_hex_all(values + [bad])
+    for bad in ("0x1", "A" * len(texts[0]), texts[0] + "0"):
+        with pytest.raises(FieldError):
+            spec.from_hex_all(texts + [bad])
