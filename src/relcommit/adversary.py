@@ -21,6 +21,7 @@ from .engine import (
     STREAM_GAME_A,
     STREAM_GAME_B,
     STREAM_RANDOM_OPEN,
+    HonestOpen,
     PartyView,
     ProverStrategy,
     SchemeParams,
@@ -254,7 +255,7 @@ def tightness_strategy(target: int, tables: ChshTables,
     return attack, attack
 
 
-class RandomOpen(ProverStrategy):
+class RandomOpen(HonestOpen):
     """Sustain honestly, then announce a uniformly random opening string.
 
     Extraction is a bijection in the announced string whenever the
@@ -262,11 +263,9 @@ class RandomOpen(ProverStrategy):
     """
 
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
-        spec = self.params.field
-        m = self.params.m
-        if round_index > m:
-            return stream_value(self.seed, STREAM_RANDOM_OPEN, 0, spec.n)
-        return honest_reply(spec, m, round_index, view.challenge(round_index), self._pad)
+        if round_index > self.params.m:
+            return stream_value(self.seed, STREAM_RANDOM_OPEN, 0, self.params.field.n)
+        return super().__call__(party, round_index, view)
 
 
 def tightness_vs_composition_bounds(n: int, m: int, q_n: Fraction = None) -> Tuple[Fraction, Fraction]:
@@ -301,7 +300,10 @@ def serialize_tables(tables: ChshTables) -> str:
 
 
 def parse_tables(text: str) -> ChshTables:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Read back what ``serialize_tables`` writes.  Anything else raises
+    ValueError; a bad table row is named by its line number."""
+    numbered = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = [ln for _, ln in numbered]
     if not lines or not lines[0].startswith("#chsh-tables v1 "):
         raise ValueError("missing '#chsh-tables v1' header")
     hdr = dict(kv.split("=", 1) for kv in lines[0].split()[2:])
@@ -324,16 +326,23 @@ def parse_tables(text: str) -> ChshTables:
     if den == 0:
         raise ValueError(f"table header has a zero denominator in q={hdr['q']}")
     q = Fraction(num, den)
-    body = lines[1:]
+    body = numbered[1:]
     if len(body) != 2 * spec.order:
         raise ValueError(f"expected {2 * spec.order} table lines, got {len(body)}")
     def column(rows):
+        # 2^n rows with no key repeated cover the field.
         out = [None] * spec.order
-        for row in rows:
-            k, v = row.split(":")
-            out[spec.from_hex(k)] = spec.from_hex(v)
-        if None in out:
-            raise ValueError("table rows do not cover the field")
+        seen = [0] * spec.order
+        for lineno, row in rows:
+            try:
+                if row.count(":") != 1:
+                    raise ValueError(f"row {row!r} is not key:value")
+                k, v = map(spec.from_hex, row.split(":"))
+                if seen[k]:
+                    raise ValueError(f"key {row.split(':')[0]} repeats line {seen[k]}")
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
+            out[k], seen[k] = v, lineno
         return tuple(out)
     tables = ChshTables(spec, column(body[:spec.order]), column(body[spec.order:]), q)
     if Fraction(tables.wins(), spec.order ** 2) != q:

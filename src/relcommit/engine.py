@@ -7,7 +7,11 @@ seed + ((stream << 32) | index) * GAMMA mod 2^64 (see ``stream_u64``).
 The verifier's challenge stream is labeled 'V'; prover-side randomness hangs
 off a separate root split so strategies can never reconstruct upcoming
 challenges.  2^64 is a multiple of 2^n, so reducing a stream value mod 2^n
-is exactly uniform.
+is exactly uniform.  A session draws its values in columns: the seeded
+verifier its m+1 challenges when it is made, the honest provers their m+1
+pads when a session begins (``stream_values``).  A column holds exactly the
+values that ``stream_value`` gives one index at a time, so the bytes of a
+transcript do not depend on which way a value was drawn.
 
 ``Verifier`` is the verifier with no I/O; ``run_attack_session`` drives it
 with in-process strategies and ``net.serve_verifier`` over sockets.  What an
@@ -24,6 +28,7 @@ rule on each read, so the per-round cost of a session is flat in m.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -60,6 +65,29 @@ def stream_value(seed: int, stream: int, index: int, n: int) -> int:
     return stream_u64(seed, stream, index) & ((1 << n) - 1)
 
 
+def stream_values(seed: int, stream: int, count: int, n: int) -> List[int]:
+    """[stream_value(seed, stream, i, n) for i in range(count)], with each
+    SplitMix64 step run once over all count values (count <= 2^32, n <= 64).
+
+    Value i sits in bits 128i.. of one int, its lane.  Every lane holds a
+    value below 2^64 before each multiply by a 64-bit constant, so the
+    product fits the lane; the mask after each shift and multiply cuts each
+    lane back to its low 64 bits, so no lane reads or carries into another.
+    The lanes are written and read little-endian, whatever sys.byteorder is.
+    """
+    ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")  # 1 in every lane
+    low = ones * _MASK64
+    base = (seed + (stream << 32) * _GAMMA) & _MASK64
+    # i in lane i: with R = 2^128, index = sum(i * R^i for i < count) and
+    # (R - 1) * index = (count - 1) * R^count - (ones - 1), so it divides exactly.
+    index = (((count - 1) << (128 * count)) - ones + 1) // ((1 << 128) - 1)
+    z = (base * ones + index * _GAMMA) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    z = (z ^ (z >> 31)) & ones * ((1 << n) - 1)
+    return list(struct.unpack(f"<{2 * count}Q", z.to_bytes(16 * count, "little"))[::2])
+
+
 def prover_root_seed(master_seed: int) -> int:
     """Seed handed to prover strategies; a one-way split of the master."""
     return stream_u64(master_seed, STREAM_PROVER_ROOT, 0)
@@ -80,6 +108,12 @@ def shared_pads(prover_seed: int, n: int) -> Callable[[int], int]:
             last = (i, y)
         return y
     return pad
+
+
+def shared_pad_column(prover_seed: int, params: SchemeParams) -> List[int]:
+    """The pads y_0..y_m of ``shared_pads`` drawn as one column, for a
+    prover that reads them all."""
+    return stream_values(prover_seed, STREAM_SHARED, params.m + 1, params.field.n)
 
 
 def honest_reply(spec: FieldSpec, m: int, round_index: int, a: Optional[int],
@@ -358,8 +392,14 @@ class HonestOpen(ProverStrategy):
     """Sustain and opening behaviour of honest provers.
 
     Round i >= 1 commits to the previous pad: x_i = y_i + a_i * y_{i-1};
-    the final message announces y_m.
+    the final message announces y_m.  Those rounds read every pad, so
+    begin_session draws y_0..y_m as one column.
     """
+
+    def begin_session(self, params: SchemeParams, prover_seed: int):
+        self.params = params
+        self.seed = prover_seed
+        self._pad = shared_pad_column(prover_seed, params).__getitem__
 
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
         m = self.params.m
@@ -377,7 +417,9 @@ class Verifier:
     Messages enter ``transcript`` as they are issued or received, so an
     aborted session keeps what was exchanged; ``challenges`` and
     ``responses`` hold a_i and x_i (i <= m) at index i, the lists that
-    ``PartyView`` reads.
+    ``PartyView`` reads.  The seeded challenges are drawn as one column when
+    the verifier is made, but a challenge enters ``challenges`` and the
+    transcript only when request() issues it.
     """
 
     def __init__(self, params: SchemeParams, seed: int,
@@ -387,6 +429,8 @@ class Verifier:
         self.round = 0
         self.done = False
         self._fixed = fixed_challenges
+        self._drawn = (None if fixed_challenges is not None else
+                       stream_values(seed, STREAM_CHALLENGE, params.m + 1, params.field.n))
         self._prover: Optional[str] = None
         self.challenges: List[int] = []
         self.responses: List[int] = []
@@ -397,11 +441,10 @@ class Verifier:
         prover = self._prover = active_prover(params, i)
         if i > params.m:
             return i, prover, None
-        spec = params.field
         if self._fixed is None:
-            a = stream_value(self.transcript.seed, STREAM_CHALLENGE, i, spec.n)
+            a = self._drawn[i]
         else:
-            a = spec.check(self._fixed[i])
+            a = params.field.check(self._fixed[i])
         self.transcript.messages.append(RoundMessage(i, "V", prover, a))
         self.challenges.append(a)
         return i, prover, a
@@ -429,12 +472,15 @@ def run_attack_session(params: SchemeParams, commit_strategy, open_strategy,
     the final opening message.  Each is called with (party, round, view)
     and must return a field value; the view reads exactly the messages that
     party may see.  Strategy objects are bound to one session at a time
-    (begin_session re-binds them), so parallel sessions need fresh objects.
+    (begin_session re-binds them), so parallel sessions need fresh objects;
+    one object passed as both (adversary.tightness_strategy) is bound once.
     fixed_challenges overrides the seeded verifier and forwarding_lag the
     two-round prover-to-prover delay (test knobs).
     """
     pseed = prover_root_seed(seed)
-    for strat in (commit_strategy, open_strategy):
+    both = (commit_strategy,) if open_strategy is commit_strategy else (
+        commit_strategy, open_strategy)
+    for strat in both:
         begin = getattr(strat, "begin_session", None)
         if begin is not None:
             begin(params, pseed)

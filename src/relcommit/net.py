@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .engine import (Transcript, Verifier, check_committed_value, honest_reply,
-                     prover_root_seed, shared_pads)
+                     prover_root_seed, shared_pad_column)
 from .scheme import BOT, SchemeParams, active_prover
 
 MAGIC = b"RELCOMMT"
@@ -306,7 +306,8 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
 
     Both provers must hold the same shared_secret_seed (their joint
     randomness); pads are the same labeled stream the in-process engine
-    uses, so equal seeds reproduce engine transcripts byte for byte.
+    uses, drawn as one column before binding, so equal seeds reproduce
+    engine transcripts byte for byte.
     The prover echoes the handshake for its role, answers each of its own
     rounds once and in order (a CHALLENGE up to m, the OPEN at m+1) and
     takes the RESULT; any other frame gets ABORT 0x02, since a second
@@ -322,7 +323,7 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
     check_committed_value(params, value)
     _check_round_count(params)
     spec = params.field
-    pad = shared_pads(prover_root_seed(shared_secret_seed), spec.n)
+    pad = shared_pad_column(prover_root_seed(shared_secret_seed), params).__getitem__
 
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

@@ -215,6 +215,21 @@ def test_tables_parse_reads_only_what_serialize_writes():
             parse_tables(text.replace(f"\n{row}\n", f"\n{bad}\n", 1))
 
 
+def test_tables_parse_names_the_bad_line():
+    # Blank lines count: the x row 3:1, line 5 of the file, is line 7 after
+    # two blank lines are put after the header.
+    lines = serialize_tables(brute_force_chsh(GF4)).splitlines()
+    lines[1:1] = ["", "  "]
+    for bad, why in (("3", "row '3' is not key:value"),
+                     ("3:1:2", "row '3:1:2' is not key:value"),
+                     ("3:9", "value 9 outside GF(2^2)"),
+                     ("2:1", "key 2 repeats line 6")):
+        text = "\n".join(lines[:6] + [bad] + lines[7:])
+        with pytest.raises(ValueError) as err:
+            parse_tables(text)
+        assert str(err.value) == f"line 7: {why}"
+
+
 def test_tightness_success_probability_formula():
     q = Q2
     assert tightness_success_probability(q, 0) == q

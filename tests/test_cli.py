@@ -268,12 +268,19 @@ def test_table_cache_rows_must_be_canonical_hex(tmp_path, capsys):
     run_cli(capsys, "chsh-search", "--n", "2", "--cache", str(tmp_path))
     cache = tmp_path / "chsh_n2_poly7.tables"
     good = cache.read_text()
-    for row, bad, named in (("0:0", "0x0:0", "'0x0'"), ("3:3", "3: 3", "' 3'")):
+    # Line 1 is the header, lines 2-5 the x rows 0:0 1:0 2:0 3:1 and lines
+    # 6-9 the y rows 0:0 1:2 2:0 3:3; the error names the bad row's line.
+    for row, bad, named in (("0:0", "0x0:0", "line 2: hex field '0x0'"),
+                            ("3:3", "3: 3", "line 9: hex field ' 3'"),
+                            ("3:1", "3", "line 5: row '3' is not key:value"),
+                            ("3:1", "3:1:2", "line 5: row '3:1:2' is not key:value"),
+                            ("1:0", "1:9", "line 3: value 9 outside GF(2^2)"),
+                            ("3:3", "1:3", "line 9: key 1 repeats line 7")):
         cache.write_text(good.replace(f"\n{row}\n", f"\n{bad}\n", 1))
         assert cache.read_text() != good
         code = cli.main(["chsh-search", "--n", "2", "--cache", str(tmp_path)])
         err = capsys.readouterr().err
-        assert code == 2 and err.startswith("error:") and named in err, err
+        assert code == 2 and err.startswith(f"error: {named}"), err
 
 
 # cli.main in a child process whose address space is capped at 1 GiB, so a

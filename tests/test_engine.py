@@ -2,13 +2,15 @@
 
 import hashlib
 import math
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcommit import adversary, engine
@@ -20,14 +22,16 @@ from relcommit.engine import (
     ProtocolViolation,
     Transcript,
     TranscriptParseError,
+    Verifier,
     parse_transcript,
     run_attack_session,
     run_honest_session,
     stream_u64,
     stream_value,
+    stream_values,
 )
 from relcommit.field import FieldError, FieldSpec
-from relcommit.scheme import BOT, SchemeParams
+from relcommit.scheme import BOT, SchemeParams, active_prover
 
 
 def make_params(n=3, m=3, **kw):
@@ -250,6 +254,77 @@ def test_to_text_bytes_are_pinned():
         digest.update(text.encode())
     assert digest.hexdigest() == ("84373ae631a037663b41b8271957328b"
                                   "acb803a7e2b1daf83699bf55772b83ea")
+
+
+def test_long_transcripts_are_pinned():
+    # Honest sessions long enough that every challenge and pad is drawn from
+    # a column hundreds of values long; the bytes are those of one
+    # stream_value call per value.
+    digest = hashlib.sha256()
+    for n in (1, 8, 24):
+        for m in (512, 2048):
+            for fc in "PQ":
+                params = make_params(n, m, first_committer=fc)
+                seed = 1000 * n + 10 * m + (fc == "Q")
+                digest.update(run_honest_session(params, seed & ((1 << n) - 1),
+                                                 seed).to_text().encode())
+    assert digest.hexdigest() == ("f7ed7f3d60ab73b78738b9d15db7f845"
+                                  "c7dc7c43616e9eb1536a58ec00410c12")
+
+
+STREAMS = sorted(v for k, v in vars(engine).items() if k.startswith("STREAM_"))
+
+
+@settings(deadline=None)
+@given(st.integers(0, (1 << 64) - 1), st.sampled_from(STREAMS), st.integers(0, 600),
+       st.integers(1, 24))
+@example((1 << 64) - 1, engine.STREAM_CHALLENGE, 1, 8)
+def test_stream_values_are_the_single_draws(seed, stream, count, n):
+    want = [stream_value(seed, stream, i, n) for i in range(count)]
+    for order in ("little", "big"):
+        with mock.patch.object(sys, "byteorder", order):
+            assert stream_values(seed, stream, count, n) == want
+
+
+def test_aborted_session_holds_only_the_issued_challenges():
+    # The seeded verifier draws a_0..a_m when it is made; a session cut
+    # after the round-r challenge still holds, and lets a view read, only
+    # a_0..a_r.
+    params = make_params(8, 6)
+    every = [stream_value(77, STREAM_CHALLENGE, i, 8) for i in range(7)]
+    for r in range(7):
+        verifier = Verifier(params, 77)
+        for i in range(r):
+            verifier.request()
+            verifier.receive(i)
+        assert verifier.request() == (r, active_prover(params, r), every[r])
+        assert verifier.challenges == verifier.transcript.challenges() == every[:r + 1]
+        assert len(verifier.transcript.messages) == 2 * r + 1
+        view = PartyView("V", params.m, params, verifier.challenges, verifier.responses)
+        assert [view.challenge(i) for i in range(r + 1)] == every[:r + 1]
+        with pytest.raises(ProtocolViolation):
+            view.challenge(r + 1)
+
+
+class CountingOpen(HonestOpen):
+    """An honest opener that counts the sessions it is bound to."""
+
+    bound = 0
+
+    def begin_session(self, params, prover_seed):
+        self.bound += 1
+        super().begin_session(params, prover_seed)
+
+
+def test_each_strategy_object_is_bound_once_per_session():
+    params = make_params(3, 4)
+    both = CountingOpen()  # commits to 0 at round 0, as HonestCommit(0) does
+    t = run_attack_session(params, both, both, 5)
+    assert both.bound == 1
+    assert t.to_text() == run_honest_session(params, 0, 5).to_text()
+    commit, opener = CountingOpen(), CountingOpen()
+    run_attack_session(params, commit, opener, 5)
+    assert (commit.bound, opener.bound) == (1, 1)
 
 
 @lru_cache(maxsize=None)
