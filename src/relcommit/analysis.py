@@ -1,14 +1,14 @@
 """Exact and Monte-Carlo measurement of binding and hiding properties.
 
-Definitional measurements (max p0+p1, simultaneous opening, extractor
-quality, hiding distance) run exactly over exhaustive deterministic strategy
-spaces: commit tables a -> x and constant opening strings, which suffice
-because randomized provers are convex mixtures of deterministic ones.  The
-arithmetic is on integers, pmfs being integer weights over one total; a
-Fraction is built only for a reported value.  The binding maxima choose the
-table's entry for each challenge separately (pointwise), which reaches the
-same maximum as enumerating whole tables.  Every Monte-Carlo estimate runs
-through seeded_trials: one seed per trial, counts summed into a GameResult.
+Binding, read from any FiniteScheme's one table of openings, and hiding are
+measured exactly over exhaustive deterministic strategies: commit tables a -> x
+and constant opening strings, which suffice because randomized provers are
+convex mixtures of deterministic ones.  The arithmetic is on integers, pmfs
+being integer weights over one total; a Fraction is built only for a reported
+value, a binding one over the challenge count.  The binding maxima choose the
+table's entry for each challenge separately (pointwise), which reaches the same
+maximum as enumerating whole tables.  Every Monte-Carlo estimate runs through
+seeded_trials: one seed per trial, counts summed into a GameResult.
 """
 
 from __future__ import annotations
@@ -16,15 +16,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import count, product
 from math import gcd, isqrt, lcm, sqrt
 from multiprocessing import Pool
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from types import MethodType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import engine
 from .engine import STREAM_TARGET, STREAM_TRIAL, SchemeParams, honest_reply, stream_value
 from .field import FieldSpec
-from .scheme import BOT, extr_bit_i, extr_i
+from .scheme import BOT, OpenOutcome, extr_bit_i, extr_i
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -210,54 +212,83 @@ def maximal_coupling_holds(p: Dist, q: Dist) -> bool:
             and _indep_given_neq(j, off_rows, off_cols, d))
 
 
-# -- exhaustive binding measurements for the commit phase --------------------
+# -- exhaustive binding measurements over a finite scheme ---------------------
 
 
-def _opening_table(spec: FieldSpec, extr_fn) -> List[List[List]]:
-    """opened[y][a][x] = extr_fn(spec, y, a, x): each opening evaluated once."""
-    elems = range(spec.order)
-    return [[[extr_fn(spec, y, a, x) for x in elems] for a in elems] for y in elems]
+@dataclass
+class FiniteScheme:
+    """A commitment scheme as the exact binding analyzers see it: a uniform
+    challenge a < challenges, a reply x < replies, and for each opening
+    y < openings the opened value open(y, a, x), or BOT.  n is the field
+    width of a CHSH scheme, which names it in refusals.  The table
+    opened[y][a][x] is built when first read, so an analyzer refuses an
+    over-cap scheme before any opening is evaluated."""
+
+    openings: int
+    challenges: int
+    replies: int
+    open: Callable[[int, int, int], OpenOutcome]
+    n: Optional[int] = None
+
+    @cached_property
+    def opened(self) -> List[List[List[OpenOutcome]]]:
+        op, xs = self.open, range(self.replies)
+        return [[[op(y, a, x) for x in xs] for a in range(self.challenges)]
+                for y in range(self.openings)]
 
 
-def max_p0_plus_p1(spec: FieldSpec) -> Fraction:
-    """Exact max of p(b_0=0) + p(b_1=1) for the bit scheme.
+def chsh_scheme(spec: FieldSpec, bit: bool = False) -> FiniteScheme:
+    """CHSH^n over spec: open is extr_i (extr_bit_i when bit) bound to spec
+    as a method, which calls as fast as extr_i itself, unlike a partial."""
+    o = spec.order
+    return FiniteScheme(o, o, o, MethodType(extr_bit_i if bit else extr_i, spec), spec.n)
 
-    Maximizes over all deterministic commit tables f: a -> x and all pairs
-    of constant opening strings (y_0, y_1), under a uniform challenge.
-    f(a) is chosen separately for each challenge a, so the table is
-    optimized pointwise: max_f sum_a g(a, f(a)) = sum_a max_x g(a, x).
-    The 2^(3n) bit openings (y, a, x) are evaluated once, into one table,
-    whose rows a of y_0 and y_1 are combined x by x: 2^(4n) pairs in all,
-    hence the n <= 3 cap.
-    """
-    if spec.n > 3:
-        raise ValueError(f"max_p0_plus_p1 combines 2^(4n) pairs from a table of 2^(3n) "
-                         f"openings; n={spec.n} exceeds the n<=3 cap")
-    opened = _opening_table(spec, extr_bit_i)
+
+# The coin flip: a public coin g accepts any announced bit y when g = 1 and
+# nothing when g = 0.  Weakly binding (max p0 + p1 = 1), not fairly (eps 1/2).
+COINFLIP = FiniteScheme(2, 2, 1, lambda y, g, x: y if g else BOT)
+
+# (what is enumerated, its size from (openings, challenges, replies), cap); a
+# count is raised to at most the 64th power, over every cap once it is >= 2.
+_PAIRS = ("openings^2*challenges*replies pairs", lambda o, c, r: o * o * c * r, 2 ** 12)
+_WHOLE = ("openings*challenges*replies openings", lambda o, c, r: o * c * r, 2 ** 24)
+_TABLES = ("replies^challenges commit tables", lambda o, c, r: r ** min(c, 64), 256)
+_GUESSES = ("(replies*openings)^challenges guesses", lambda o, c, r: (r * o) ** min(c, 64),
+            2 ** 16)
+
+
+def _table_within(scheme: FiniteScheme, analyzer: str, what: str,
+                  size: Callable[[int, int, int], int], cap: int) -> List[List[List]]:
+    """scheme.opened, unless size(openings, challenges, replies) > cap; a
+    CHSH scheme is also named by its width, against the widest n that fits."""
+    o, c, r = scheme.openings, scheme.challenges, scheme.replies
+    if size(o, c, r) <= cap:
+        return scheme.opened
+    top = next(w for w in count(1) if size(*(2 ** w,) * 3) > cap) - 1
+    chsh = "" if scheme.n is None else f"; n={scheme.n} exceeds the n<={top} cap"
+    raise ValueError(f"{analyzer} enumerates {what}, over {cap} at {o} openings, "
+                     f"{c} challenges and {r} replies{chsh}")
+
+
+def max_p0_plus_p1(scheme: FiniteScheme) -> Fraction:
+    """Exact max of p(b_0=0) + p(b_1=1) for a bit scheme, over commit tables
+    f: a -> x and pairs of openings (y_0, y_1).  f is optimized pointwise,
+    max_f sum_a g(a, f(a)) = sum_a max_x g(a, x), by combining the table's
+    rows a of y_0 and y_1 x by x."""
+    opened = _table_within(scheme, "max_p0_plus_p1", *_PAIRS)
     best = max(
         sum(max((b0 == 0) + (b1 == 1) for b0, b1 in zip(row0, row1))
             for row0, row1 in zip(rows0, rows1))
         for rows0 in opened for rows1 in opened)
-    return Fraction(best, spec.order)
+    return Fraction(best, scheme.challenges)
 
 
-def sim_open_epsilon(spec: FieldSpec) -> Fraction:
-    """Exact max of p(s = t and s' = t') over simultaneous openings.
-
-    Maximizes over deterministic commit tables, two constant opening
-    strings and distinct targets t != t'.  As in max_p0_plus_p1 the commit
-    table is optimized pointwise: challenge a counts as a hit for (t, t')
-    when some x opens to t under y_0 and to t' under y_1.  So for each
-    (y_0, y_1) every challenge adds one to each distinct target pair it can
-    reach, and the best pair's count is the maximum.  The 2^(3n) openings
-    (y, a, x) are evaluated once, into one table, and each (y_0, y_1, a)
-    zips two of its rows into the target pairs that a reaches: 2^(4n) pairs
-    in all, hence the n <= 3 cap.
-    """
-    if spec.n > 3:
-        raise ValueError(f"sim_open_epsilon combines 2^(4n) pairs from a table of 2^(3n) "
-                         f"openings; n={spec.n} exceeds the n<=3 cap")
-    opened = _opening_table(spec, extr_i)
+def sim_open_epsilon(scheme: FiniteScheme) -> Fraction:
+    """Exact max of p(s = t and s' = t') over commit tables, two openings
+    and distinct targets t != t'.  With f pointwise, challenge a is a hit
+    for (t, t') when some x opens to t under y_0 and to t' under y_1: each
+    (y_0, y_1, a) zips two of the table's rows into the pairs a reaches."""
+    opened = _table_within(scheme, "sim_open_epsilon", *_PAIRS)
     best = 0
     for rows0 in opened:
         for rows1 in opened:
@@ -267,41 +298,68 @@ def sim_open_epsilon(spec: FieldSpec) -> Fraction:
             for (t, t2), c in hits.items():
                 if t is not BOT and t2 is not BOT and t != t2:
                     best = max(best, c)
-    return Fraction(best, spec.order)
+    return Fraction(best, scheme.challenges)
 
 
-def max_extractor_violation(spec: FieldSpec) -> Tuple[Fraction, Fraction]:
-    """(worst, alpha): the greedy extractor's worst deviation, exactly.
-
-    alpha = 2^(-n/2) is the square root of the simultaneous-opening bound
-    2^-n, so n must be even.  worst is the max of extractor_violation over
-    all 2^(n*2^n) commit tables, each against every constant opening
-    string; the fairly-binding bound asks for worst < 2*alpha.  The
-    2^(3n) openings (y, a, x) are evaluated once, into one table, which
-    every commit table reads.  The enumeration is capped at n <= 2.
-    """
-    if spec.n % 2:
-        raise ValueError("extractor analysis uses even n (alpha = sqrt(eps))")
-    if spec.n > 2:
-        raise ValueError(f"max_extractor_violation enumerates 2^(n*2^n) commit tables; "
-                         f"n={spec.n} exceeds the n<=2 cap")
-    alpha = Fraction(1, 2 ** (spec.n // 2))
-    opened = _opening_table(spec, extr_i)
+def max_extractor_violation(scheme: FiniteScheme) -> Tuple[Fraction, Fraction]:
+    """(worst, alpha): the max of extractor_violation over all commit
+    tables, each against every opening, and alpha = 1/sqrt(challenges), the
+    root of the simultaneous-opening bound 1/challenges (2^-n for CHSH^n,
+    so n is even).  The fairly-binding bound asks for worst < 2*alpha."""
+    c = scheme.challenges
+    root = isqrt(c)
+    if root * root != c:
+        raise ValueError(f"extractor analysis uses even n (alpha = 1/sqrt(challenges)); "
+                         f"{c} challenges is not a perfect square")
+    opened = _table_within(scheme, "max_extractor_violation", *_TABLES)
+    alpha = Fraction(1, root)
     worst = 0
-    for table in product(range(spec.order), repeat=spec.order):
-        columns = [[by_a[a][x] for a, x in enumerate(table)] for by_a in opened]
-        worst = max(worst, _missed(columns, _carve(columns, spec.order, alpha)))
-    return Fraction(worst, spec.order), alpha
+    for table in product(range(scheme.replies), repeat=c):
+        columns = _columns(opened, table)
+        worst = max(worst, _missed(columns, _carve(columns, c, alpha)))
+    return Fraction(worst, c), alpha
+
+
+def fair_binding_epsilon(scheme: FiniteScheme) -> Fraction:
+    """Exact fairly-binding epsilon with no sustain round: the max over
+    commit tables f of the min over predictions shat(a) of the max over
+    openings and targets t of p(opened = t != shat(a)).  A value that no
+    opening of (a, f(a)) reaches misses at least as often there as one that
+    some opening reaches, so shat(a) ranges over the reached values."""
+    opened = _table_within(scheme, "fair_binding_epsilon", *_GUESSES)
+    worst = 0
+    for table in product(range(scheme.replies), repeat=scheme.challenges):
+        columns = _columns(opened, table)
+        reached = [set(opened_at) - {BOT} or {BOT} for opened_at in zip(*columns)]
+        worst = max(worst, min(_missed(columns, predicted)
+                               for predicted in product(*reached)))
+    return Fraction(worst, scheme.challenges)
+
+
+def k_of_extr(scheme: FiniteScheme) -> int:
+    """max over commitments (a, x) and values s of |{y : open(y, a, x) = s}|,
+    from the column of openings of each commitment."""
+    opened = _table_within(scheme, "k_of_extr", *_WHOLE)
+    best = 0
+    for a in range(scheme.challenges):
+        for column in zip(*[by_a[a] for by_a in opened]):
+            values = set(column)
+            if len(values) == len(column):  # no repeat: 1, unless all is one BOT
+                best = max(best, int(len(values) > (BOT in values)))
+            else:
+                counts = Counter(column)
+                counts.pop(BOT, None)
+                best = max(best, max(counts.values(), default=0))
+    return best
 
 
 # -- the greedy partition extractor ------------------------------------------
 
 
-def _opened_columns(spec: FieldSpec, commit_table: Sequence[int],
-                    opening_family: Sequence[int]) -> List[List]:
-    """columns[i][a]: the value that opening_family[i] opens (a, f(a)) to."""
-    return [[extr_i(spec, y, a, x) for a, x in enumerate(commit_table)]
-            for y in opening_family]
+def _columns(rows: Iterable[Sequence[Sequence]], commit_table: Sequence[int]) -> List[List]:
+    """columns[i][a]: the value that the opening whose table rows are rows[i]
+    opens (a, f(a)) to."""
+    return [[by_a[a][x] for a, x in enumerate(commit_table)] for by_a in rows]
 
 
 def _carve(columns: Sequence[Sequence], order: int, alpha: Fraction) -> List[int]:
@@ -339,7 +397,7 @@ def _missed(columns: Sequence[Sequence], predicted: Sequence[int]) -> int:
     return worst
 
 
-def fairly_binding_extractor(spec: FieldSpec, commit_table: Sequence[int],
+def fairly_binding_extractor(scheme: FiniteScheme, commit_table: Sequence[int],
                              opening_family: Sequence[int],
                              alpha: Fraction) -> Dict[Tuple[int, int], int]:
     """Greedy partition of the commitment space into per-value classes.
@@ -358,22 +416,22 @@ def fairly_binding_extractor(spec: FieldSpec, commit_table: Sequence[int],
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    predicted = _carve(_opened_columns(spec, commit_table, opening_family),
-                       spec.order, alpha)
+    opened = _table_within(scheme, "fairly_binding_extractor", *_WHOLE)
+    predicted = _carve(_columns((opened[y] for y in opening_family), commit_table),
+                       scheme.challenges, alpha)
     return {(a, x): s for a, (x, s) in enumerate(zip(commit_table, predicted))}
 
 
-def extractor_violation(spec: FieldSpec, commit_table: Sequence[int],
+def extractor_violation(scheme: FiniteScheme, commit_table: Sequence[int],
                         opening_family: Sequence[int],
                         shat: Mapping[Tuple[int, int], int]) -> Fraction:
-    """max over openings and targets of p(opened = target != predicted).
-
-    Each opening is evaluated once per challenge, and the challenges where
-    it opens to a value other than the prediction are counted by that value.
-    """
+    """max over openings and targets of p(opened = target != predicted),
+    counting by value the challenges where an opening's column of the
+    table holds a value other than the prediction."""
+    opened = _table_within(scheme, "extractor_violation", *_WHOLE)
     predicted = [shat[a, x] for a, x in enumerate(commit_table)]
-    columns = _opened_columns(spec, commit_table, opening_family)
-    return Fraction(_missed(columns, predicted), spec.order)
+    columns = _columns((opened[y] for y in opening_family), commit_table)
+    return Fraction(_missed(columns, predicted), scheme.challenges)
 
 
 # -- the descending-probability hat distribution ------------------------------
@@ -600,43 +658,6 @@ def open_game_trial(params: SchemeParams, strategy_family, tseed: int,
     if condition_nonzero and 0 in transcript.challenges():
         return False, 0
     return transcript.outcome == target, 1
-
-
-# -- the accept-everything-or-nothing toy scheme -------------------------------
-
-
-def coinflip_max_p0_plus_p1() -> Fraction:
-    """max p(b_0=0) + p(b_1=1) for the coin-flip toy scheme.
-
-    The verifier commits by flipping a public coin g and later accepts any
-    announced bit when g = 1 and rejects everything when g = 0.  Opening
-    strategies are maps g -> announced bit.
-    """
-    strategies = list(product((0, 1), repeat=2))
-    best = ZERO
-    for o0 in strategies:
-        p0 = Fraction(sum(1 for g in (0, 1) if g == 1 and o0[g] == 0), 2)
-        for o1 in strategies:
-            p1 = Fraction(sum(1 for g in (0, 1) if g == 1 and o1[g] == 1), 2)
-            best = max(best, p0 + p1)
-    return best
-
-
-def coinflip_best_binding_epsilon() -> Fraction:
-    """min over predicted-bit maps of the worst opening deviation.
-
-    For every map shat: g -> bit there is an opening strategy announcing
-    the other bit whenever the coin accepts, so every candidate loses with
-    probability 1/2.
-    """
-    strategies = list(product((0, 1), repeat=2))
-    worst_of_best = ONE
-    for shat in strategies:
-        worst = max(
-            Fraction(sum(1 for g in (0, 1) if g == 1 and o[g] != shat[g]), 2)
-            for o in strategies)
-        worst_of_best = min(worst_of_best, worst)
-    return worst_of_best
 
 
 def frac_text(f: Fraction) -> str:

@@ -17,7 +17,7 @@ from functools import cache, partial
 from . import adversary, analysis, engine, net
 from .analysis import frac_text
 from .field import FieldSpec
-from .scheme import BOT, SchemeParams, k_of_extr, multiround_verify
+from .scheme import BOT, SchemeParams, multiround_verify
 
 
 def _outpath(path):
@@ -172,18 +172,18 @@ def cmd_analyze(args) -> int:
     else:
         spec = _field(args)
         n = spec.n
+        scheme = analysis.chsh_scheme(spec, bit=metric == "p0p1")
         if metric == "p0p1":
-            value, bound = analysis.max_p0_plus_p1(spec), 1 + Fraction(1, spec.order)
+            value, bound = analysis.max_p0_plus_p1(scheme), 1 + Fraction(1, spec.order)
             ok = value <= bound
         elif metric == "sim-open":
-            value, bound = analysis.sim_open_epsilon(spec), Fraction(1, spec.order)
+            value, bound = analysis.sim_open_epsilon(scheme), Fraction(1, spec.order)
             ok = value <= bound
         elif metric == "extractor":
-            value, alpha = analysis.max_extractor_violation(spec)
-            bound = 2 * alpha
-            ok = value < bound
+            value, alpha = analysis.max_extractor_violation(scheme)
+            bound, ok = 2 * alpha, value < 2 * alpha
         elif metric == "k":
-            value, bound = Fraction(k_of_extr(spec)), Fraction(1)
+            value, bound = Fraction(analysis.k_of_extr(scheme)), Fraction(1)
             ok = value == 1
         else:
             raise ValueError(f"unknown metric {metric!r}")

@@ -417,9 +417,10 @@ class Verifier:
     Messages enter ``transcript`` as they are issued or received, so an
     aborted session keeps what was exchanged; ``challenges`` and
     ``responses`` hold a_i and x_i (i <= m) at index i, the lists that
-    ``PartyView`` reads.  The seeded challenges are drawn as one column when
-    the verifier is made, but a challenge enters ``challenges`` and the
-    transcript only when request() issues it.
+    ``PartyView`` reads.  The challenges are one column, fixed_challenges
+    (m+1 field values, checked here) or drawn when the verifier is made,
+    but a challenge enters ``challenges`` and the transcript only when
+    request() issues it.
     """
 
     def __init__(self, params: SchemeParams, seed: int,
@@ -428,9 +429,13 @@ class Verifier:
         self.transcript = Transcript(params, seed)
         self.round = 0
         self.done = False
-        self._fixed = fixed_challenges
-        self._drawn = (None if fixed_challenges is not None else
-                       stream_values(seed, STREAM_CHALLENGE, params.m + 1, params.field.n))
+        count = params.m + 1
+        if fixed_challenges is None:
+            self._column = stream_values(seed, STREAM_CHALLENGE, count, params.field.n)
+        elif len(fixed_challenges) != count:
+            raise ValueError(f"fixed_challenges must hold m+1 = {count} values")
+        else:
+            self._column = [params.field.check(a) for a in fixed_challenges]
         self._prover: Optional[str] = None
         self.challenges: List[int] = []
         self.responses: List[int] = []
@@ -441,10 +446,7 @@ class Verifier:
         prover = self._prover = active_prover(params, i)
         if i > params.m:
             return i, prover, None
-        if self._fixed is None:
-            a = self._drawn[i]
-        else:
-            a = params.field.check(self._fixed[i])
+        a = self._column[i]
         self.transcript.messages.append(RoundMessage(i, "V", prover, a))
         self.challenges.append(a)
         return i, prover, a

@@ -12,7 +12,7 @@ back-substitutes y_{i-1} = (x_i + y_i) * a_i^-1 down to the committed value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .field import FieldSpec
 
@@ -140,27 +140,3 @@ def multiround_verify(
         s = restrict_domain(s, params.domain_bits, spec.n)
     return s
 
-
-def k_of_extr(spec: FieldSpec,
-              extr_fn: Callable[[FieldSpec, int, int, int], OpenOutcome] = extr_i) -> int:
-    """max over commitments c and values s of |{y : extr(y, c) = s}|.
-
-    Evaluates extr once per (a, x, y), 2^(3n) triples, and counts the
-    openings of each commitment (a, x) by value; refuses n above 8.
-    """
-    if spec.n > 8:
-        raise ValueError(
-            f"k_of_extr evaluates 2^(3n) triples (a, x, y); n={spec.n} exceeds the "
-            "n<=8 cap")
-    order = spec.order
-    best = 0
-    for a in range(order):
-        for x in range(order):
-            counts = {}
-            for y in range(order):
-                s = extr_fn(spec, y, a, x)
-                if s is not BOT:
-                    counts[s] = counts.get(s, 0) + 1
-            if counts:
-                best = max(best, max(counts.values()))
-    return best

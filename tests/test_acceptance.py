@@ -15,8 +15,8 @@ from itertools import product
 import loopback
 from relcommit import adversary, analysis, engine, net
 from relcommit.field import FieldSpec
-from relcommit.scheme import SchemeParams, k_of_extr
-from relcommit.analysis import Dist
+from relcommit.scheme import SchemeParams
+from relcommit.analysis import Dist, chsh_scheme
 
 F = Fraction
 
@@ -83,8 +83,8 @@ def test_c03_perfect_hiding():
 
 def test_c04_p0_plus_p1():
     t0 = time.time()
-    v1 = analysis.max_p0_plus_p1(FieldSpec.default(1))
-    v2 = analysis.max_p0_plus_p1(FieldSpec.default(2))
+    v1 = analysis.max_p0_plus_p1(chsh_scheme(FieldSpec.default(1), bit=True))
+    v2 = analysis.max_p0_plus_p1(chsh_scheme(FieldSpec.default(2), bit=True))
     ok = v1 == F(3, 2) and v2 == F(5, 4)
     report(4, "p0+p1", ok, f"n=1: {v1} (want 3/2); n=2: {v2} (want 5/4)",
            time.time() - t0, 60)
@@ -92,8 +92,8 @@ def test_c04_p0_plus_p1():
 
 def test_c05_simultaneous_opening():
     t0 = time.time()
-    v1 = analysis.sim_open_epsilon(FieldSpec.default(1))
-    v2 = analysis.sim_open_epsilon(FieldSpec.default(2))
+    v1 = analysis.sim_open_epsilon(chsh_scheme(FieldSpec.default(1)))
+    v2 = analysis.sim_open_epsilon(chsh_scheme(FieldSpec.default(2)))
     ok = v1 == F(1, 2) and v2 == F(1, 4)
     report(5, "simultaneous opening", ok,
            f"n=1: {v1} (want 1/2); n=2: {v2} (want 1/4)",
@@ -102,7 +102,7 @@ def test_c05_simultaneous_opening():
 
 def test_c06_extraction_multiplicity():
     t0 = time.time()
-    ks = {n: k_of_extr(FieldSpec.default(n)) for n in (1, 2, 3, 4)}
+    ks = {n: analysis.k_of_extr(chsh_scheme(FieldSpec.default(n))) for n in (1, 2, 3, 4)}
     ok = all(k == 1 for k in ks.values())
     report(6, "k(extr) = 1", ok, f"exhaustive counts {ks}",
            time.time() - t0, 10)
@@ -151,7 +151,7 @@ def test_c08_tightness_attack():
 def test_c09_extractor():
     t0 = time.time()
     # alpha = 1/2, the square root of the simultaneous-opening bound 1/4
-    worst, alpha = analysis.max_extractor_violation(FieldSpec.default(2))
+    worst, alpha = analysis.max_extractor_violation(chsh_scheme(FieldSpec.default(2)))
     bound = 2 * alpha
     ok = worst < bound
     report(9, "greedy extractor", ok,
@@ -208,8 +208,8 @@ def test_c11_coupling_and_hat_distribution():
 
 def test_c12_separation_fixture():
     t0 = time.time()
-    p01 = analysis.coinflip_max_p0_plus_p1()
-    eps = analysis.coinflip_best_binding_epsilon()
+    p01 = analysis.max_p0_plus_p1(analysis.COINFLIP)
+    eps = analysis.fair_binding_epsilon(analysis.COINFLIP)
     ok = p01 == 1 and eps == F(1, 2)
     report(12, "separation fixture", ok,
            f"coin-flip scheme: max p0+p1 = {p01}, every prediction loses {eps}",

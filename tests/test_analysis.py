@@ -15,17 +15,20 @@ from hypothesis import strategies as st
 from relcommit import analysis, cli, engine
 from relcommit.adversary import RandomOpen, brute_force_chsh
 from relcommit.analysis import (
+    COINFLIP,
     Dist,
+    FiniteScheme,
     JointDist,
-    coinflip_best_binding_epsilon,
-    coinflip_max_p0_plus_p1,
+    chsh_scheme,
     cond_indep_given_neq,
     couple_max_diagonal,
     extractor_violation,
+    fair_binding_epsilon,
     fairly_binding_extractor,
     fairly_weak_hat_distribution,
     fixed_challenge_strategy,
     hiding_distance,
+    k_of_extr,
     max_extractor_violation,
     max_hiding_distance,
     max_p0_plus_p1,
@@ -337,18 +340,18 @@ def test_joint_dist_interface():
 
 
 def test_max_p0_plus_p1_exact_values():
-    assert max_p0_plus_p1(GF2) == F(3, 2)
-    assert max_p0_plus_p1(GF4) == F(5, 4)
+    assert max_p0_plus_p1(chsh_scheme(GF2, bit=True)) == F(3, 2)
+    assert max_p0_plus_p1(chsh_scheme(GF4, bit=True)) == F(5, 4)
 
 
 def test_max_p0_plus_p1_closed_form():
     for spec in (GF2, GF4, GF8):
-        assert max_p0_plus_p1(spec) == 1 + F(1, spec.order)
+        assert max_p0_plus_p1(chsh_scheme(spec, bit=True)) == 1 + F(1, spec.order)
 
 
 def test_max_p0_plus_p1_refuses_large_fields():
     with pytest.raises(ValueError):
-        max_p0_plus_p1(FieldSpec.default(4))
+        max_p0_plus_p1(chsh_scheme(FieldSpec.default(4), bit=True))
 
 
 def test_honest_commit_reaches_one():
@@ -364,13 +367,13 @@ def test_honest_commit_reaches_one():
 def test_weak_binding_normalization_at_n1():
     # (p0 + p1 - 1) / 2 is the weak-binding epsilon; at n=1 it lands on
     # 2^(-n-1), matching the equivalence with the p0+p1 form.
-    assert (max_p0_plus_p1(GF2) - 1) / 2 == F(1, 4)
+    assert (max_p0_plus_p1(chsh_scheme(GF2, bit=True)) - 1) / 2 == F(1, 4)
 
 
 def test_sim_open_exact_values():
-    assert sim_open_epsilon(GF2) == F(1, 2)
-    assert sim_open_epsilon(GF4) == F(1, 4)
-    assert sim_open_epsilon(GF8) == F(1, 8)
+    assert sim_open_epsilon(chsh_scheme(GF2)) == F(1, 2)
+    assert sim_open_epsilon(chsh_scheme(GF4)) == F(1, 4)
+    assert sim_open_epsilon(chsh_scheme(GF8)) == F(1, 8)
 
 
 def whole_table_sim_open_epsilon(spec):
@@ -392,7 +395,7 @@ def whole_table_sim_open_epsilon(spec):
 def test_sim_open_matches_whole_table_maximum():
     # The pointwise choice of f(a) reaches the maximum over whole tables.
     for spec in (GF2, GF4):
-        assert sim_open_epsilon(spec) == whole_table_sim_open_epsilon(spec)
+        assert sim_open_epsilon(chsh_scheme(spec)) == whole_table_sim_open_epsilon(spec)
 
 
 # Every field of n <= 3, with a second irreducible polynomial at n = 3.
@@ -433,8 +436,9 @@ def opening_by_opening_sim_open_epsilon(spec):
 
 def test_binding_maxima_match_opening_by_opening_loops():
     for spec in SMALL_FIELDS:
-        assert max_p0_plus_p1(spec) == opening_by_opening_max_p0_plus_p1(spec)
-        assert sim_open_epsilon(spec) == opening_by_opening_sim_open_epsilon(spec)
+        assert max_p0_plus_p1(chsh_scheme(spec, bit=True)) == \
+            opening_by_opening_max_p0_plus_p1(spec)
+        assert sim_open_epsilon(chsh_scheme(spec)) == opening_by_opening_sim_open_epsilon(spec)
 
 
 # -- extractor -----------------------------------------------------------------
@@ -444,7 +448,7 @@ def test_extractor_constant_opening_class():
     spec = GF4
     s_star, y = 3, 1
     table = tuple(y ^ spec.mul_i(a, s_star) for a in range(4))
-    shat = fairly_binding_extractor(spec, table, [y], F(1, 2))
+    shat = fairly_binding_extractor(chsh_scheme(spec), table, [y], F(1, 2))
     # Opening y yields s_star on every nonzero challenge (mass 3/4), so
     # those commitments form one class; a = 0 falls back to the canonical 0.
     assert all(shat[(a, table[a])] == s_star for a in range(1, 4))
@@ -454,25 +458,26 @@ def test_extractor_constant_opening_class():
 def test_extractor_alpha_above_one_keeps_residual():
     spec = GF4
     table = (0, 1, 2, 3)
-    shat = fairly_binding_extractor(spec, table, list(range(4)), F(3, 2))
+    shat = fairly_binding_extractor(chsh_scheme(spec), table, list(range(4)), F(3, 2))
     assert set(shat.values()) == {0}
 
 
 def test_extractor_alpha_must_be_positive():
     with pytest.raises(ValueError):
-        fairly_binding_extractor(GF4, (0, 0, 0, 0), [0], F(0))
+        fairly_binding_extractor(chsh_scheme(GF4), (0, 0, 0, 0), [0], F(0))
 
 
 def test_extractor_honest_table_bound():
     spec = GF4
+    scheme = chsh_scheme(spec)
     alpha = F(1, 2)  # sqrt of the simultaneous-opening epsilon 1/4
     table = tuple(2 ^ spec.mul_i(a, 1) for a in range(4))
-    shat = fairly_binding_extractor(spec, table, list(range(4)), alpha)
-    assert extractor_violation(spec, table, list(range(4)), shat) < 2 * alpha
+    shat = fairly_binding_extractor(scheme, table, list(range(4)), alpha)
+    assert extractor_violation(scheme, table, list(range(4)), shat) < 2 * alpha
 
 
 def test_extractor_worst_case_over_all_tables():
-    worst, alpha = max_extractor_violation(GF4)
+    worst, alpha = max_extractor_violation(chsh_scheme(GF4))
     assert alpha == F(1, 2)
     assert worst < 2 * alpha
     assert worst == F(1, 2)  # recorded worst case at n=2
@@ -493,29 +498,31 @@ def target_by_target_extractor_violation(spec, commit_table, opening_family, sha
     return F(worst, order)
 
 
-def assert_violation_matches_reference(spec, table, alpha):
+def assert_violation_matches_reference(spec, scheme, table, alpha):
     openings = list(range(spec.order))
-    shat = fairly_binding_extractor(spec, table, openings, alpha)
+    shat = fairly_binding_extractor(scheme, table, openings, alpha)
     for family in [openings] + [[y] for y in openings]:
-        assert extractor_violation(spec, table, family, shat) == \
+        assert extractor_violation(scheme, table, family, shat) == \
             target_by_target_extractor_violation(spec, table, family, shat)
 
 
 def test_extractor_violation_matches_reference_on_every_n2_table():
+    scheme = chsh_scheme(GF4)
     for table in product(range(4), repeat=4):
-        assert_violation_matches_reference(GF4, table, F(1, 2))
+        assert_violation_matches_reference(GF4, scheme, table, F(1, 2))
 
 
 def test_extractor_violation_matches_reference_in_small_fields():
     rng = random.Random(17)
     for spec in SMALL_FIELDS:
+        scheme = chsh_scheme(spec)
         order = spec.order
         honest = [tuple(y ^ spec.mul_i(a, s) for a in range(order))
                   for s in range(order) for y in range(order)]
         drawn = [tuple(rng.randrange(order) for _ in range(order)) for _ in range(64)]
         for table in honest + drawn:
             for alpha in (F(1, order), F(1, 2 ** ((spec.n + 1) // 2)), F(1, 2)):
-                assert_violation_matches_reference(spec, table, alpha)
+                assert_violation_matches_reference(spec, scheme, table, alpha)
 
 
 def residual_scan_extractor(spec, commit_table, opening_family, alpha):
@@ -543,10 +550,11 @@ def residual_scan_extractor(spec, commit_table, opening_family, alpha):
 
 def test_extractor_matches_residual_scan_on_every_n2_table():
     openings = list(range(4))
+    scheme = chsh_scheme(GF4)
     for table in product(range(4), repeat=4):
         for alpha in (F(1, 4), F(1, 2), F(1), F(3, 2)):
             for family in [openings] + [[y] for y in openings]:
-                assert fairly_binding_extractor(GF4, table, family, alpha) == \
+                assert fairly_binding_extractor(scheme, table, family, alpha) == \
                     residual_scan_extractor(GF4, table, family, alpha)
 
 
@@ -556,7 +564,7 @@ def test_worst_extractor_violation_matches_references():
         target_by_target_extractor_violation(
             GF4, table, openings, residual_scan_extractor(GF4, table, openings, F(1, 2)))
         for table in product(range(4), repeat=4))
-    assert max_extractor_violation(GF4) == (worst, F(1, 2))
+    assert max_extractor_violation(chsh_scheme(GF4)) == (worst, F(1, 2))
 
 
 @settings(max_examples=80)
@@ -565,11 +573,91 @@ def test_worst_extractor_violation_matches_references():
 def test_extractor_covers_space_and_bounds_classes(table, alpha):
     spec = GF4
     openings = list(range(4))
-    shat = fairly_binding_extractor(spec, table, openings, alpha)
+    shat = fairly_binding_extractor(chsh_scheme(spec), table, openings, alpha)
     assert set(shat) == {(a, table[a]) for a in range(4)}
     # Distinct nonzero predictions only arise from carved classes, each of
     # mass >= alpha, so their count is at most 1/alpha.
     assert len({s for s in shat.values() if s != 0}) <= math.ceil(1 / alpha)
+
+
+# -- fairly binding -------------------------------------------------------------
+
+
+def every_prediction_fair_binding_epsilon(spec):
+    """max over commit tables of the min over every prediction map a -> value
+    of the max over openings and targets of p(opened = target != prediction),
+    evaluating the opening afresh for every (table, prediction, y, t, a)."""
+    order = spec.order
+    worst = 0
+    for table in product(range(order), repeat=order):
+        worst = max(worst, min(
+            max(sum(1 for a in range(order)
+                    if extr_i(spec, y, a, table[a]) == t != shat[a])
+                for y in range(order) for t in range(order))
+            for shat in product(range(order), repeat=order)))
+    return F(worst, order)
+
+
+def one_table_scheme(spec, table):
+    """CHSH^n with the commit table fixed: the one reply at a is table[a]."""
+    return FiniteScheme(spec.order, spec.order, 1,
+                        lambda y, a, x: extr_i(spec, y, a, table[a]))
+
+
+def test_fair_binding_matches_every_prediction_at_n1():
+    assert fair_binding_epsilon(chsh_scheme(GF2)) == every_prediction_fair_binding_epsilon(GF2)
+
+
+def test_fair_binding_below_greedy_extractor_and_equal_to_sim_open():
+    # The greedy extractor's prediction is one of those fair binding
+    # minimizes over, on every commit table; the worst table's value is the
+    # simultaneous-opening maximum at n = 1 and n = 2 (1/2 and 1/4).
+    for spec, eps in ((GF2, F(1, 2)), (GF4, F(1, 4))):
+        scheme = chsh_scheme(spec)
+        openings = list(range(spec.order))
+        per_table = []
+        for table in product(range(spec.order), repeat=spec.order):
+            per_table.append(fair_binding_epsilon(one_table_scheme(spec, table)))
+            for alpha in (F(1, spec.order), F(1, 2)):
+                shat = fairly_binding_extractor(scheme, table, openings, alpha)
+                assert per_table[-1] <= extractor_violation(scheme, table, openings, shat)
+        assert fair_binding_epsilon(scheme) == max(per_table) == sim_open_epsilon(scheme) == eps
+
+
+def test_binding_values_are_over_the_challenge_count():
+    # A coin flip on a four-sided die with three openings, which open only on
+    # face 3, each to its own value: every value counts that one challenge
+    # over four, not over the three openings or the one reply.
+    die = FiniteScheme(3, 4, 1, lambda y, g, x: y if g == 3 else BOT)
+    assert max_p0_plus_p1(die) == F(1, 2)
+    assert sim_open_epsilon(die) == fair_binding_epsilon(die) == F(1, 4)
+    assert max_extractor_violation(die) == (F(1, 4), F(1, 2))
+    assert k_of_extr(die) == 1
+
+
+def never_opened(y, a, x):
+    raise AssertionError("an over-cap scheme was opened")
+
+
+# (analyzer, counts over its cap, counts at its cap) as (openings,
+# challenges, replies); None where the table at the cap is too large to build.
+CAPPED_ANALYZERS = [
+    (max_p0_plus_p1, (8, 8, 9), (8, 8, 8)),
+    (sim_open_epsilon, (8, 8, 9), (8, 8, 8)),
+    (max_extractor_violation, (4, 9, 2), (4, 4, 4)),
+    (fair_binding_epsilon, (5, 4, 4), (4, 4, 4)),
+    (k_of_extr, (256, 256, 257), None),
+    (lambda s: fairly_binding_extractor(s, (0,), [0], F(1)), (256, 256, 257), None),
+    (lambda s: extractor_violation(s, (0,), [0], {(0, 0): 0}), (256, 256, 257), None),
+]
+
+
+@pytest.mark.parametrize("analyzer, over, at", CAPPED_ANALYZERS)
+def test_analyzers_refuse_over_cap_schemes_before_opening(analyzer, over, at):
+    with pytest.raises(ValueError, match=r"enumerates .*, over \d+ at "):
+        analyzer(FiniteScheme(*over, never_opened))
+    if at is not None:
+        analyzer(FiniteScheme(*at, lambda y, a, x: BOT))
 
 
 # -- hat distribution ----------------------------------------------------------
@@ -663,15 +751,6 @@ def test_hiding_zero_through_sustain_rounds():
             strat = fixed_challenge_strategy(fixed)
             for s1 in range(1, spec.order):
                 assert hiding_distance(params, strat, 0, s1, horizon=m) == 0
-
-
-def test_hiding_adaptive_verifier_still_blind():
-    params = SchemeParams(GF4, 1)
-
-    def adaptive(i, responses):
-        return 1 if i == 0 else responses[0]
-
-    assert hiding_distance(params, adaptive, 0, 3, horizon=1) == 0
 
 
 def test_final_round_reveals_value():
@@ -881,9 +960,40 @@ def test_open_game_tightness_tracks_accounting():
 # -- separation fixture ----------------------------------------------------------
 
 
+# The coin-flip scheme written out by hand: the verifier flips a public coin
+# g, then accepts any announced bit when g = 1 and rejects everything when
+# g = 0.  Opening strategies are maps g -> announced bit.
+
+
+def coinflip_max_p0_plus_p1():
+    """max p(b_0=0) + p(b_1=1) over pairs of opening strategies."""
+    strategies = list(product((0, 1), repeat=2))
+    best = F(0)
+    for o0 in strategies:
+        p0 = F(sum(1 for g in (0, 1) if g == 1 and o0[g] == 0), 2)
+        for o1 in strategies:
+            p1 = F(sum(1 for g in (0, 1) if g == 1 and o1[g] == 1), 2)
+            best = max(best, p0 + p1)
+    return best
+
+
+def coinflip_best_binding_epsilon():
+    """min over predicted-bit maps of the worst opening deviation: for
+    every map shat: g -> bit an opening announces the other bit whenever
+    the coin accepts, so every candidate loses with probability 1/2."""
+    strategies = list(product((0, 1), repeat=2))
+    worst_of_best = F(1)
+    for shat in strategies:
+        worst = max(
+            F(sum(1 for g in (0, 1) if g == 1 and o[g] != shat[g]), 2)
+            for o in strategies)
+        worst_of_best = min(worst_of_best, worst)
+    return worst_of_best
+
+
 def test_coinflip_fixture_separates_definitions():
-    assert coinflip_max_p0_plus_p1() == 1
-    assert coinflip_best_binding_epsilon() == F(1, 2)
+    assert max_p0_plus_p1(COINFLIP) == coinflip_max_p0_plus_p1() == 1
+    assert fair_binding_epsilon(COINFLIP) == coinflip_best_binding_epsilon() == F(1, 2)
 
 
 def test_report_line_format():

@@ -306,6 +306,18 @@ def test_aborted_session_holds_only_the_issued_challenges():
             view.challenge(r + 1)
 
 
+def test_fixed_challenges_are_checked_when_the_verifier_is_made():
+    params = make_params(3, 2)
+    with pytest.raises(ValueError, match="fixed_challenges must hold m\\+1 = 3 values"):
+        Verifier(params, 1, [1, 2])
+    with pytest.raises(FieldError):
+        Verifier(params, 1, [1, 8, 2])
+    verifier = Verifier(params, 1, [5, 0, 7])
+    assert verifier.challenges == verifier.transcript.challenges() == []
+    assert verifier.request() == (0, active_prover(params, 0), 5)
+    assert verifier.challenges == verifier.transcript.challenges() == [5]
+
+
 class CountingOpen(HonestOpen):
     """An honest opener that counts the sessions it is bound to."""
 

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from relcommit.analysis import COINFLIP, FiniteScheme, chsh_scheme, k_of_extr
 from relcommit.field import FieldSpec
 from relcommit.scheme import (
     BOT,
@@ -12,7 +13,6 @@ from relcommit.scheme import (
     chsh_response,
     extr_bit_i,
     extr_i,
-    k_of_extr,
     multiround_verify,
     restrict_domain,
 )
@@ -87,20 +87,29 @@ def test_extr_is_bijection_in_y_for_nonzero_challenge():
 
 def test_k_of_extr_is_one_for_chsh():
     for n in (1, 2, 3):
-        assert k_of_extr(FieldSpec.default(n)) == 1
+        assert k_of_extr(chsh_scheme(FieldSpec.default(n))) == 1
 
 
 def test_k_of_extr_toy_fixture():
-    def sloppy_extr(spec, y, a, x):
-        # Collapses the low bit of y, so two strings open to each value.
-        return extr_i(spec, y & ~1, a, x)
+    spec = FieldSpec.default(2)
+    # Collapses the low bit of y, so two strings open to each value.
+    sloppy = FiniteScheme(4, 4, 4, lambda y, a, x: extr_i(spec, y & ~1, a, x))
+    assert k_of_extr(sloppy) == 2
 
-    assert k_of_extr(FieldSpec.default(2), sloppy_extr) == 2
+
+def test_k_of_extr_counts_values_not_rejections():
+    # One opening per commitment, and every column free of repeats: k is 1
+    # where some commitment opens and 0 where every one rejects; the coin
+    # flip's two openings of g = 1 open to different bits.
+    assert k_of_extr(FiniteScheme(1, 2, 2, lambda y, a, x: x)) == 1
+    assert k_of_extr(FiniteScheme(1, 2, 2, lambda y, a, x: BOT)) == 0
+    assert k_of_extr(FiniteScheme(2, 2, 1, lambda y, a, x: BOT)) == 0
+    assert k_of_extr(COINFLIP) == 1
 
 
 def test_k_of_extr_refuses_large_fields():
     with pytest.raises(ValueError):
-        k_of_extr(FieldSpec.default(9))
+        k_of_extr(chsh_scheme(FieldSpec.default(9)))
 
 
 def test_multiround_verify_worked_trace():
