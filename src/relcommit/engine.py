@@ -8,10 +8,18 @@ The verifier's challenge stream is labeled 'V'; prover-side randomness hangs
 off a separate root split so strategies can never reconstruct upcoming
 challenges.  2^64 is a multiple of 2^n, so reducing a stream value mod 2^n
 is exactly uniform.  A session draws its values in columns: the seeded
-verifier its m+1 challenges when it is made, the honest provers their m+1
-pads when a session begins (``stream_values``).  A column holds exactly the
-values that ``stream_value`` gives one index at a time, so the bytes of a
-transcript do not depend on which way a value was drawn.
+verifier its m+1 challenges when it is made, every ``ProverStrategy`` but
+the honest committer, which reads y_0 alone, its m+1 pads when a session
+begins (``stream_values``).  A column holds exactly the values that
+``stream_value`` gives one index at a time, so the bytes of a transcript do
+not depend on which way a value was drawn.
+
+What depends only on a session's shape is built once per shape, in bounded
+caches of immutable values that every session of that shape shares: the
+seed-free lane constants of a column (``_lanes``, per count and n), and the
+rounds, senders, receivers and line heads of all 2m+3 messages
+(``_layout``, per m and first committer), which both ``Transcript.to_text``
+and ``parse_transcript`` read.
 
 ``Verifier`` is the verifier with no I/O; ``run_attack_session`` drives it
 with in-process strategies and ``net.serve_verifier`` over sockets.  What an
@@ -28,8 +36,10 @@ rule on each read, so the per-round cost of a session is flat in m.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .field import FieldError, FieldSpec
@@ -74,18 +84,31 @@ def stream_values(seed: int, stream: int, count: int, n: int) -> List[int]:
     product fits the lane; the mask after each shift and multiply cuts each
     lane back to its low 64 bits, so no lane reads or carries into another.
     The lanes are written and read little-endian, whatever sys.byteorder is.
+    Only the steps that read seed run here; the rest is ``_lanes``.
     """
-    ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")  # 1 in every lane
-    low = ones * _MASK64
+    ones, low, index_gamma, out, unpack = _lanes(count, n)
     base = (seed + (stream << 32) * _GAMMA) & _MASK64
-    # i in lane i: with R = 2^128, index = sum(i * R^i for i < count) and
-    # (R - 1) * index = (count - 1) * R^count - (ones - 1), so it divides exactly.
-    index = (((count - 1) << (128 * count)) - ones + 1) // ((1 << 128) - 1)
-    z = (base * ones + index * _GAMMA) & low
+    z = (base * ones + index_gamma) & low
     z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
     z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-    z = (z ^ (z >> 31)) & ones * ((1 << n) - 1)
-    return list(struct.unpack(f"<{2 * count}Q", z.to_bytes(16 * count, "little"))[::2])
+    return list(unpack(((z ^ (z >> 31)) & out).to_bytes(16 * count, "little")))
+
+
+@lru_cache(maxsize=4)
+def _lanes(count: int, n: int) -> Tuple[int, int, int, int, Callable[[bytes], tuple]]:
+    """The seed-free constants of ``stream_values`` for count values of n
+    bits: 1 in every lane, the lane mask 2^64 - 1 in every lane, i * GAMMA
+    mod 2^64 in lane i, the output mask 2^n - 1 in every lane, and the
+    unpack of the low half of each lane.  Pure functions of (count, n); the
+    memo is bounded."""
+    ones = int.from_bytes((1).to_bytes(16, "little") * count, "little")
+    low = ones * _MASK64
+    # i in lane i: with R = 2^128, index = sum(i * R^i for i < count) and
+    # (R - 1) * index = (count - 1) * R^count - (ones - 1), so it divides exactly.
+    # i * GAMMA < 2^96 fits its lane before the mask.
+    index = (((count - 1) << (128 * count)) - ones + 1) // ((1 << 128) - 1)
+    return (ones, low, index * _GAMMA & low, ones * ((1 << n) - 1),
+            struct.Struct("<" + "Q8x" * count).unpack)
 
 
 def prover_root_seed(master_seed: int) -> int:
@@ -93,26 +116,10 @@ def prover_root_seed(master_seed: int) -> int:
     return stream_u64(master_seed, STREAM_PROVER_ROOT, 0)
 
 
-def shared_pads(prover_seed: int, n: int) -> Callable[[int], int]:
-    """The honest provers' shared pads (their joint randomness) under
-    prover_seed: the returned pad(i) is y_i.  It keeps the last (i, y_i):
-    an honest reply at round i reads y_{i-1}, then y_i."""
-    mask = (1 << n) - 1
-    last = (-1, 0)
-
-    def pad(i: int) -> int:
-        nonlocal last
-        j, y = last
-        if j != i:
-            y = stream_u64(prover_seed, STREAM_SHARED, i) & mask
-            last = (i, y)
-        return y
-    return pad
-
-
 def shared_pad_column(prover_seed: int, params: SchemeParams) -> List[int]:
-    """The pads y_0..y_m of ``shared_pads`` drawn as one column, for a
-    prover that reads them all."""
+    """The honest provers' shared pads (their joint randomness) under
+    prover_seed, y_i = stream_value(prover_seed, STREAM_SHARED, i, n) for
+    i = 0..m, drawn as one column."""
     return stream_values(prover_seed, STREAM_SHARED, params.m + 1, params.field.n)
 
 
@@ -174,13 +181,23 @@ class Transcript:
         return self.messages[-1].payload
 
     def to_text(self) -> str:
-        spec = self.params.field
+        """The transcript file (README, "File formats"): each message line is
+        its slot's head in ``_layout`` and its payload.  Raises ValueError for
+        a message out of its slot, since ``parse_transcript`` would refuse it,
+        and FieldError for a payload outside the field."""
+        params = self.params
         msgs = self.messages
-        lines = _message_lines([msg.round for msg in msgs], [msg.sender for msg in msgs],
-                               [msg.receiver for msg in msgs],
-                               spec.to_hex_all([msg.payload for msg in msgs]))
+        k = len(msgs)
+        rounds, senders, receivers, heads = layout = _layout(params.m, params.first_committer)
+        # A slice stops at the opening, so a message after it fails this too.
+        if not (tuple([msg.round for msg in msgs]) == rounds[:k]
+                and tuple([msg.sender for msg in msgs]) == senders[:k]
+                and tuple([msg.receiver for msg in msgs]) == receivers[:k]):
+            _raise_at_first_misplaced(msgs, layout)
+        spec = params.field
+        lines = map(operator.add, heads, spec.to_hex_all([msg.payload for msg in msgs]))
         out = "BOT" if self.outcome is BOT else spec.to_hex(self.outcome)
-        return "\n".join([_header(self.params, self.seed), *lines, f"outcome={out}\n"])
+        return "\n".join([_header(params, self.seed), *lines, f"outcome={out}\n"])
 
 
 def _header(params: SchemeParams, seed: int) -> str:
@@ -196,31 +213,55 @@ def _message_lines(rounds: Sequence[int], senders: Sequence[str],
             for i, s, r, x in zip(rounds, senders, receivers, payloads)]
 
 
-Slots = Tuple[List[int], List[str], List[str]]
+Layout = Tuple[Tuple[int, ...], Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]
+Slots = Tuple[Tuple[int, ...], Tuple[str, ...], Tuple[str, ...]]
+
+
+@lru_cache(maxsize=4)
+def _layout(m: int, first_committer: str) -> Layout:
+    """The rounds, senders, receivers and line heads of all 2m+3 messages of
+    a session: rounds 0..m are a challenge to the prover that
+    ``active_prover`` names and its reply, round m+1 is that prover's
+    opening alone.  Each head is the message's line up to its payload.  A
+    pure function of (m, first_committer); the memo is bounded."""
+    # active_prover reads only first_committer; the field is a placeholder.
+    params = SchemeParams(FieldSpec.default(1), m, first_committer=first_committer)
+    provers = [active_prover(params, i) for i in range(m + 1)]
+    rounds = [0, 0] * (m + 1)
+    rounds[::2] = rounds[1::2] = list(range(m + 1))  # one int object per round
+    senders = ["V", "V"] * (m + 1)
+    senders[1::2] = provers
+    receivers = ["V", "V"] * (m + 1)
+    receivers[::2] = provers
+    rounds.append(m + 1)
+    senders.append(active_prover(params, m + 1))
+    receivers.append("V")
+    heads = _message_lines(rounds, senders, receivers, [""] * len(rounds))
+    return tuple(rounds), tuple(senders), tuple(receivers), tuple(heads)
 
 
 def message_slots(params: SchemeParams, count: int) -> Slots:
-    """The rounds, senders and receivers of a session's first count messages:
-    rounds 0..m are a challenge to the prover that ``active_prover`` names
-    and its reply, round m+1 is that prover's opening alone."""
-    m = params.m
-    if count > 2 * m + 3:
-        raise ValueError(f"message {2 * m + 3} follows the opening")
-    asked = min((count + 1) // 2, m + 1)
-    provers = [active_prover(params, i) for i in range(asked)]
-    rounds = [0, 0] * asked
-    rounds[::2] = rounds[1::2] = range(asked)
-    senders = ["V", "V"] * asked
-    senders[1::2] = provers
-    receivers = ["V", "V"] * asked
-    receivers[::2] = provers
-    if count == 2 * m + 3:
-        rounds.append(m + 1)
-        senders.append(active_prover(params, m + 1))
-        receivers.append("V")
-    for column in (rounds, senders, receivers):
-        del column[count:]  # an odd count ends on a challenge
-    return rounds, senders, receivers
+    """The rounds, senders and receivers of a session's first count
+    messages, a slice of its ``_layout``."""
+    layout = _layout(params.m, params.first_committer)
+    if count > len(layout[3]):
+        raise ValueError(f"message {len(layout[3])} follows the opening")
+    return layout[0][:count], layout[1][:count], layout[2][:count]
+
+
+def _raise_at_first_misplaced(msgs: Sequence[RoundMessage], layout: Layout) -> None:
+    """Raise ValueError for the first of msgs that is not in its slot."""
+    for k, msg in enumerate(msgs):
+        if k == len(layout[3]):
+            raise ValueError(f"message {k} follows the opening")
+        if (msg.round, msg.sender, msg.receiver) != tuple(column[k] for column in layout[:3]):
+            raise ValueError(f"message {k} must be {_slot_name(layout[3][k])}")
+    raise AssertionError("every message is in its slot")
+
+
+def _slot_name(head: str) -> str:
+    """A line head without its payload key: round=i from=s to=r."""
+    return head[:head.rindex(" ")]
 
 
 class TranscriptParseError(Exception):
@@ -234,10 +275,10 @@ def parse_transcript(text: str) -> Transcript:
     formats"); anything else raises TranscriptParseError at its line.
 
     The message lines are read at once: each payload column by
-    ``from_hex_all``, and the lines are accepted when ``_message_lines``
-    gives them back from the slots of ``message_slots`` and those payloads.
-    Only a transcript that fails is walked line by line, to name the first
-    bad line."""
+    ``from_hex_all``, and the lines are accepted when they are the heads of
+    the session's ``_layout`` followed by those payloads.  Only a
+    transcript that fails is walked line by line, to name the first bad
+    line."""
     lines = text.split("\n")
     if not lines[0].startswith("#relcommit v1 "):
         raise TranscriptParseError(1, "missing '#relcommit v1' header")
@@ -258,19 +299,19 @@ def parse_transcript(text: str) -> Transcript:
     body = list(filter(str.strip, lines[1:end]))
     # The header does not name the first committer; the round-0 challenge
     # goes to it.  A first line that names Q up to its payload key gives Q.
-    to_q = _message_head(0, "V", "Q")
-    if body and body[0].startswith(to_q[:to_q.rindex(" ") + 1]):
+    # Round 0's head is the same for every m.
+    if body and body[0].startswith(_slot_name(_layout(0, "Q")[3][0]) + " "):
         params = replace(params, first_committer="Q")
-    slots = message_slots(params, min(len(body), 2 * params.m + 3))
+    rounds, senders, receivers, heads = _layout(params.m, params.first_committer)
     width = (spec.n + 3) // 4
     texts = [line[-width:] for line in body]
     try:
         values = spec.from_hex_all(texts, "payload")
     except FieldError:
         values = None
-    if values is None or _message_lines(*slots, texts) != body:
-        _raise_at_first_bad_line(lines, end, slots, spec)
-    t = Transcript(params, seed, list(map(RoundMessage, *slots, values)))
+    if values is None or list(map(operator.add, heads, texts)) != body:
+        _raise_at_first_bad_line(lines, end, heads, spec)
+    t = Transcript(params, seed, list(map(RoundMessage, rounds, senders, receivers, values)))
     if not has_outcome:
         raise TranscriptParseError(last + 2, "missing outcome line")
     val = lines[last][len("outcome="):]
@@ -281,26 +322,21 @@ def parse_transcript(text: str) -> Transcript:
     return t
 
 
-def _message_head(i: int, sender: str, receiver: str) -> str:
-    """A message line up to its payload."""
-    return _message_lines([i], [sender], [receiver], [""])[0]
-
-
-def _raise_at_first_bad_line(lines: List[str], end: int, slots: Slots,
+def _raise_at_first_bad_line(lines: List[str], end: int, heads: Sequence[str],
                              spec: FieldSpec) -> None:
     """Raise TranscriptParseError for the first of lines[1:end] that is not
-    the next message's line in the slots given."""
+    the next message's line under the heads given."""
     k = 0
     for idx in range(1, end):
         line = lines[idx]
         if not line.strip():
             continue
         try:
-            if k == len(slots[0]):
+            if k == len(heads):
                 raise ValueError(f"message {k} follows the opening")
-            head = _message_head(*(column[k] for column in slots))
+            head = heads[k]
             if not line.startswith(head):
-                raise ValueError(f"message {k} must be {head[:head.rindex(' ')]}")
+                raise ValueError(f"message {k} must be {_slot_name(head)}")
             spec.from_hex(line[len(head):], "payload")
         except ValueError as e:
             why = ("outcome line before the last line" if line.startswith("outcome=")
@@ -365,41 +401,40 @@ class PartyView:
 
 class ProverStrategy:
     """Base of the seeded prover strategies: begin_session binds one
-    session's parameters and prover root seed, and _pad(i) is then y_i."""
+    session's parameters and prover root seed and draws the pads y_0..y_m
+    as one column (``shared_pad_column``); _pad(i) is then y_i."""
 
     def begin_session(self, params: SchemeParams, prover_seed: int):
         self.params = params
         self.seed = prover_seed
-        self._pad = shared_pads(prover_seed, params.field.n)
+        self._pad = shared_pad_column(prover_seed, params).__getitem__
 
 
 class HonestCommit(ProverStrategy):
-    """Round-0 behaviour of an honest committer: x_0 = y_0 + a_0 * s."""
+    """Round-0 behaviour of an honest committer: x_0 = y_0 + a_0 * s.  It
+    reads y_0 alone, so begin_session draws no column."""
 
     def __init__(self, value: int):
         self.value = value
 
     def begin_session(self, params: SchemeParams, prover_seed: int):
-        super().begin_session(params, prover_seed)
         check_committed_value(params, self.value)
+        self.params = params
+        self.seed = prover_seed
 
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
-        return honest_reply(self.params.field, self.params.m, 0,
-                            view.challenge(0), self._pad, self.value)
+        spec = self.params.field
+        y0 = stream_value(self.seed, STREAM_SHARED, 0, spec.n)
+        return honest_reply(spec, self.params.m, 0, view.challenge(0), [y0].__getitem__,
+                            self.value)
 
 
 class HonestOpen(ProverStrategy):
     """Sustain and opening behaviour of honest provers.
 
     Round i >= 1 commits to the previous pad: x_i = y_i + a_i * y_{i-1};
-    the final message announces y_m.  Those rounds read every pad, so
-    begin_session draws y_0..y_m as one column.
+    the final message announces y_m.
     """
-
-    def begin_session(self, params: SchemeParams, prover_seed: int):
-        self.params = params
-        self.seed = prover_seed
-        self._pad = shared_pad_column(prover_seed, params).__getitem__
 
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
         m = self.params.m

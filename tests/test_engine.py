@@ -20,6 +20,7 @@ from relcommit.engine import (
     HonestOpen,
     PartyView,
     ProtocolViolation,
+    RoundMessage,
     Transcript,
     TranscriptParseError,
     Verifier,
@@ -248,12 +249,15 @@ def _pinned_texts():
                     yield Transcript(params, seed, t.messages[:cut]).to_text()
 
 
+PINNED_TEXTS_SHA256 = ("84373ae631a037663b41b8271957328b"
+                       "acb803a7e2b1daf83699bf55772b83ea")
+
+
 def test_to_text_bytes_are_pinned():
     digest = hashlib.sha256()
     for text in _pinned_texts():
         digest.update(text.encode())
-    assert digest.hexdigest() == ("84373ae631a037663b41b8271957328b"
-                                  "acb803a7e2b1daf83699bf55772b83ea")
+    assert digest.hexdigest() == PINNED_TEXTS_SHA256
 
 
 def test_long_transcripts_are_pinned():
@@ -272,18 +276,75 @@ def test_long_transcripts_are_pinned():
                                   "c7dc7c43616e9eb1536a58ec00410c12")
 
 
+def test_mutating_parsed_messages_or_slots_leaves_the_pins():
+    # Every transcript of one shape shares that shape's cached layout.
+    # Whatever a caller does to a parsed transcript's messages, or to the
+    # columns message_slots returned, the next transcript of the same shape
+    # still writes and parses to the pinned bytes, and each parsed message
+    # holds what its line says.
+    digest = hashlib.sha256()
+    for text in _pinned_texts():
+        back = parse_transcript(text)
+        for msg in back.messages:
+            msg.round += 1
+            msg.sender, msg.receiver = msg.receiver, msg.sender
+        back.messages.append(RoundMessage(0, "V", "P", 0))
+        back.messages.reverse()
+        for column in engine.message_slots(back.params, 2 * back.params.m + 3):
+            try:
+                column[0] = column[-1]
+            except TypeError:
+                pass  # an immutable column cannot reach the layout
+        again = parse_transcript(text)
+        hexes = again.params.field.to_hex_all([msg.payload for msg in again.messages])
+        assert [f"round={msg.round} from={msg.sender} to={msg.receiver} payload={x}"
+                for msg, x in zip(again.messages, hexes)] == text.split("\n")[1:-2]
+        digest.update(again.to_text().encode())
+    assert digest.hexdigest() == PINNED_TEXTS_SHA256
+
+
+@pytest.mark.parametrize("change, why", [
+    (lambda msgs: msgs.__setitem__(1, replace(msgs[1], sender="Q")),
+     "message 1 must be round=0 from=P to=V"),
+    (lambda msgs: msgs.__setitem__(1, replace(msgs[1], sender="V", receiver="P")),
+     "message 1 must be round=0 from=P to=V"),
+    (lambda msgs: msgs.__setitem__(2, replace(msgs[2], round=2)),
+     "message 2 must be round=1 from=V to=Q"),
+    (lambda msgs: msgs.append(msgs[-1]), "message 7 follows the opening"),
+], ids=["other-prover", "sender-receiver-swapped", "wrong-round", "after-opening"])
+def test_to_text_refuses_a_message_out_of_its_slot(change, why):
+    # to_text writes only what parse_transcript reads back.
+    t = run_honest_session(make_params(3, 2), 5, 3)
+    change(t.messages)
+    with pytest.raises(ValueError) as e:
+        t.to_text()
+    assert str(e.value) == why
+
+
 STREAMS = sorted(v for k, v in vars(engine).items() if k.startswith("STREAM_"))
 
 
+LANES_HELD = engine._lanes.cache_info().maxsize
+
+
 @settings(deadline=None)
-@given(st.integers(0, (1 << 64) - 1), st.sampled_from(STREAMS), st.integers(0, 600),
-       st.integers(1, 24))
-@example((1 << 64) - 1, engine.STREAM_CHALLENGE, 1, 8)
-def test_stream_values_are_the_single_draws(seed, stream, count, n):
-    want = [stream_value(seed, stream, i, n) for i in range(count)]
-    for order in ("little", "big"):
-        with mock.patch.object(sys, "byteorder", order):
-            assert stream_values(seed, stream, count, n) == want
+@given(st.integers(0, (1 << 64) - 1), st.sampled_from(STREAMS),
+       st.lists(st.tuples(st.integers(0, 600), st.integers(1, 24)),
+                min_size=LANES_HELD + 1, max_size=LANES_HELD + 4, unique=True))
+@example((1 << 64) - 1, engine.STREAM_CHALLENGE, [(1, 8), (0, 1), (2, 24), (600, 8), (513, 8)])
+def test_stream_values_are_the_single_draws(seed, stream, shapes):
+    # The shapes are drawn in order and then in reverse, each under both
+    # byte orders, so the lane constants of the last LANES_HELD shapes are
+    # reused and those of the others were evicted and are built again.
+    engine._lanes.cache_clear()
+    for count, n in shapes + shapes[::-1]:
+        want = [stream_value(seed, stream, i, n) for i in range(count)]
+        for order in ("little", "big"):
+            with mock.patch.object(sys, "byteorder", order):
+                assert stream_values(seed, stream, count, n) == want
+    info = engine._lanes.cache_info()
+    assert (info.hits, info.misses) == (2 * len(shapes) + LANES_HELD,
+                                        2 * len(shapes) - LANES_HELD)
 
 
 def test_aborted_session_holds_only_the_issued_challenges():
