@@ -168,7 +168,7 @@ class Transcript:
     outcome: OpenOutcome = BOT
 
     def challenges(self) -> List[int]:
-        """a_0.., the payloads of messages 0, 2, .., 2m (``message_slots``)."""
+        """a_0.., the payloads of messages 0, 2, .., 2m (``_layout``)."""
         return [msg.payload for msg in self.messages[:2 * self.params.m + 2:2]]
 
     def responses(self) -> List[int]:
@@ -188,7 +188,7 @@ class Transcript:
         params = self.params
         msgs = self.messages
         k = len(msgs)
-        rounds, senders, receivers, heads = layout = _layout(params.m, params.first_committer)
+        rounds, senders, receivers, heads = layout = _prefix_layout(params, k)
         # A slice stops at the opening, so a message after it fails this too.
         if not (tuple([msg.round for msg in msgs]) == rounds[:k]
                 and tuple([msg.sender for msg in msgs]) == senders[:k]
@@ -205,48 +205,41 @@ def _header(params: SchemeParams, seed: int) -> str:
             f"m={params.m} seed={seed}")
 
 
-def _message_lines(rounds: Sequence[int], senders: Sequence[str],
-                   receivers: Sequence[str], payloads: Sequence[str]) -> List[str]:
-    """The one layout of a message line, for each message's round, sender,
-    receiver and payload text; an empty payload gives the line's head."""
-    return [f"round={i} from={s} to={r} payload={x}"
-            for i, s, r, x in zip(rounds, senders, receivers, payloads)]
-
-
 Layout = Tuple[Tuple[int, ...], Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]
-Slots = Tuple[Tuple[int, ...], Tuple[str, ...], Tuple[str, ...]]
 
 
 @lru_cache(maxsize=4)
 def _layout(m: int, first_committer: str) -> Layout:
     """The rounds, senders, receivers and line heads of all 2m+3 messages of
-    a session: rounds 0..m are a challenge to the prover that
-    ``active_prover`` names and its reply, round m+1 is that prover's
-    opening alone.  Each head is the message's line up to its payload.  A
-    pure function of (m, first_committer); the memo is bounded."""
-    # active_prover reads only first_committer; the field is a placeholder.
-    params = SchemeParams(FieldSpec.default(1), m, first_committer=first_committer)
-    provers = [active_prover(params, i) for i in range(m + 1)]
+    a session: rounds 0..m are a challenge to the round's prover and its
+    reply, round m+1 is the opening alone, from the prover that did not
+    answer round m.  The provers alternate from first_committer, as
+    ``active_prover`` says.  Each head is the message's line up to its
+    payload.  A pure function of (m, first_committer); the memo is
+    bounded."""
+    other = "Q" if first_committer == "P" else "P"
+    provers = [first_committer, other] * ((m + 3) // 2)  # round i's is provers[i]
     rounds = [0, 0] * (m + 1)
     rounds[::2] = rounds[1::2] = list(range(m + 1))  # one int object per round
     senders = ["V", "V"] * (m + 1)
-    senders[1::2] = provers
+    senders[1::2] = provers[:m + 1]
     receivers = ["V", "V"] * (m + 1)
-    receivers[::2] = provers
+    receivers[::2] = provers[:m + 1]
     rounds.append(m + 1)
-    senders.append(active_prover(params, m + 1))
+    senders.append(provers[m + 1])
     receivers.append("V")
-    heads = _message_lines(rounds, senders, receivers, [""] * len(rounds))
+    heads = [f"round={i} from={s} to={r} payload=" for i, s, r in zip(rounds, senders, receivers)]
     return tuple(rounds), tuple(senders), tuple(receivers), tuple(heads)
 
 
-def message_slots(params: SchemeParams, count: int) -> Slots:
-    """The rounds, senders and receivers of a session's first count
-    messages, a slice of its ``_layout``."""
-    layout = _layout(params.m, params.first_committer)
-    if count > len(layout[3]):
-        raise ValueError(f"message {len(layout[3])} follows the opening")
-    return layout[0][:count], layout[1][:count], layout[2][:count]
+def _prefix_layout(params: SchemeParams, count: int) -> Layout:
+    """The layout to check the first count messages of a session against:
+    the session's own ``_layout`` when count // 2 >= m, else that of
+    count // 2 rounds.  A session of fewer rounds has the same slots up to
+    its opening, slot 2 * (count // 2) + 2 > count, so the first count slots
+    are the session's, and the layout's size follows count, not the m a
+    transcript's header names."""
+    return _layout(min(params.m, count // 2), params.first_committer)
 
 
 def _raise_at_first_misplaced(msgs: Sequence[RoundMessage], layout: Layout) -> None:
@@ -302,7 +295,7 @@ def parse_transcript(text: str) -> Transcript:
     # Round 0's head is the same for every m.
     if body and body[0].startswith(_slot_name(_layout(0, "Q")[3][0]) + " "):
         params = replace(params, first_committer="Q")
-    rounds, senders, receivers, heads = _layout(params.m, params.first_committer)
+    rounds, senders, receivers, heads = _prefix_layout(params, len(body))
     width = (spec.n + 3) // 4
     texts = [line[-width:] for line in body]
     try:

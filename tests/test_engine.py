@@ -217,16 +217,59 @@ def test_parse_errors_give_their_reason(lines, why):
 
 
 def test_message_slots_are_the_first_count_slots():
+    # The layout of a session is its messages' slots, and the layout of a
+    # shorter session agrees with it up to the shorter one's opening, which
+    # is what lets a short or cut transcript read a layout of its own length.
     for fc in ("P", "Q"):
-        for m in (0, 1, 4):
+        for m in (0, 1, 4, 5):
             params = make_params(m=m, first_committer=fc)
-            every = list(zip(*engine.message_slots(params, 2 * m + 3)))
+            every = list(zip(*engine._layout(m, fc)[:3]))
             assert every == [(msg.round, msg.sender, msg.receiver)
                              for msg in run_honest_session(params, 1, 7).messages]
-            for count in range(2 * m + 3):
-                assert list(zip(*engine.message_slots(params, count))) == every[:count]
-            with pytest.raises(ValueError, match="follows the opening"):
-                engine.message_slots(params, 2 * m + 4)
+            assert [s for _, s, _ in every[1::2]] == [active_prover(params, i)
+                                                       for i in range(m + 1)]
+            assert every[-1] == (m + 1, active_prover(params, m + 1), "V")
+            for shorter in range(m):
+                assert list(zip(*engine._layout(shorter, fc)[:3]))[:-1] == every[:2 * shorter + 2]
+
+
+def _layout_within(limit):
+    """engine._layout, refusing any m above limit before it builds a layout."""
+    build = engine._layout
+
+    def layout(m, first_committer):
+        assert m <= limit, f"a layout of {m} rounds was asked for"
+        return build(m, first_committer)
+    return mock.patch.object(engine, "_layout", layout)
+
+
+def test_parse_cost_follows_the_file_not_the_header_m():
+    # A header may name any m; the codec builds no more of the layout than
+    # the file's message lines need, so a short file with a huge m is cheap
+    # and reads back (or is refused) as a cut transcript of that m.
+    t = run_honest_session(make_params(8, 3), 0xA5, 5)
+    huge = 10 ** 12
+    for cut in range(len(t.messages) - 1):
+        text = Transcript(t.params, 5, t.messages[:cut]).to_text()
+        text = text.replace(" m=3 ", f" m={huge} ", 1)
+        with _layout_within(cut // 2):
+            back = parse_transcript(text)
+            assert back.params.m == huge and back.to_text() == text
+        lines = text.split("\n")
+        if cut:
+            lines[cut] = lines[cut].replace("from=", "from=Q", 1)
+            with _layout_within(cut // 2), pytest.raises(TranscriptParseError) as e:
+                parse_transcript("\n".join(lines))
+            assert e.value.lineno == cut + 1
+            assert "must be round=" in str(e.value)
+    # A message in a slot a session of m rounds does not have is refused at
+    # its line, and to_text refuses it too.
+    opened = t.to_text().replace(" m=3 ", " m=2 ", 1)
+    with pytest.raises(TranscriptParseError, match="line 8: bad message line: message 6 must be "
+                       "round=3 from=Q to=V"):
+        parse_transcript(opened)
+    with pytest.raises(ValueError, match="message 6 must be round=3 from=Q to=V"):
+        Transcript(make_params(8, 2), 5, t.messages).to_text()
 
 
 def test_blank_lines_between_messages_are_skipped():
@@ -276,12 +319,11 @@ def test_long_transcripts_are_pinned():
                                   "c7dc7c43616e9eb1536a58ec00410c12")
 
 
-def test_mutating_parsed_messages_or_slots_leaves_the_pins():
+def test_mutating_parsed_messages_leaves_the_pins():
     # Every transcript of one shape shares that shape's cached layout.
-    # Whatever a caller does to a parsed transcript's messages, or to the
-    # columns message_slots returned, the next transcript of the same shape
-    # still writes and parses to the pinned bytes, and each parsed message
-    # holds what its line says.
+    # Whatever a caller does to a parsed transcript's messages, the next
+    # transcript of the same shape still writes and parses to the pinned
+    # bytes, and each parsed message holds what its line says.
     digest = hashlib.sha256()
     for text in _pinned_texts():
         back = parse_transcript(text)
@@ -290,11 +332,6 @@ def test_mutating_parsed_messages_or_slots_leaves_the_pins():
             msg.sender, msg.receiver = msg.receiver, msg.sender
         back.messages.append(RoundMessage(0, "V", "P", 0))
         back.messages.reverse()
-        for column in engine.message_slots(back.params, 2 * back.params.m + 3):
-            try:
-                column[0] = column[-1]
-            except TypeError:
-                pass  # an immutable column cannot reach the layout
         again = parse_transcript(text)
         hexes = again.params.field.to_hex_all([msg.payload for msg in again.messages])
         assert [f"round={msg.round} from={msg.sender} to={msg.receiver} payload={x}"
@@ -709,11 +746,10 @@ def test_challenge_stream_uniformity_chi_square():
 
 def test_message_slot_never_names_one_party_as_sender_and_receiver():
     # Every message the verifier issues or takes, and every line that
-    # parse_transcript accepts, has the slot message_slots names.
+    # parse_transcript accepts, has the slot its session's layout names.
     for fc in ("P", "Q"):
         for m in (0, 1, 4):
-            params = make_params(m=m, first_committer=fc)
-            _, senders, receivers = engine.message_slots(params, 2 * m + 3)
+            _, senders, receivers, _ = engine._layout(m, fc)
             for sender, receiver in zip(senders, receivers):
                 assert sender != receiver
                 assert "V" in (sender, receiver)
