@@ -192,8 +192,8 @@ def cmd_analyze(args) -> int:
 
 
 def _random_pmf(seed: int, stream: int) -> analysis.Dist:
-    return analysis.Dist.from_counts(
-        {i: engine.stream_u64(seed, stream, i) % 97 + (i == 0) for i in range(5)})
+    draws = engine.stream_values(seed, stream, 5, 64)  # stream_u64 of indices 0..4
+    return analysis.Dist.from_counts({i: v % 97 + (i == 0) for i, v in enumerate(draws)})
 
 
 def _coupling_trial(tseed):

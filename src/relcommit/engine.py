@@ -21,6 +21,15 @@ rounds, senders, receivers and line heads of all 2m+3 messages
 (``_layout``, per m and first committer), which both ``Transcript.to_text``
 and ``parse_transcript`` read.
 
+A ``Transcript`` holds payloads only, as three columns: the challenges,
+the responses and the opening.  The round and roles of every message are
+its slot in ``_layout``, the one home of the slot rule, so no message
+object is built when a session runs, is written or is parsed.
+``to_text`` refuses columns that no session has (more than m+1
+challenges, say, or an opening before the last response).
+``Transcript.messages`` is a view that builds ``RoundMessage`` objects
+when it is read, and refuses an assigned message that is out of its slot.
+
 ``Verifier`` is the verifier with no I/O; ``run_attack_session`` drives it
 with in-process strategies and ``net.serve_verifier`` over sockets.  What an
 honest prover sends is ``honest_reply``.
@@ -30,7 +39,7 @@ with the active party's ``PartyView`` only, and the view accessors raise
 ProtocolViolation for anything outside it.  A prover sees its own rounds
 plus, with a lag of two rounds, everything the other prover and the
 verifier exchanged (the one-way prover-to-prover forwarding).  A view reads
-the verifier's per-round challenge and reply lists by index and checks the
+the transcript's challenge and response columns by index and checks the
 rule on each read, so the per-round cost of a session is flat in m.
 """
 
@@ -152,7 +161,9 @@ class ProtocolViolation(Exception):
 
 @dataclass(slots=True)
 class RoundMessage:
-    """One protocol message; the payload is a raw field element."""
+    """One protocol message; the payload is a raw field element.  A
+    transcript holds payloads only; ``Transcript.messages`` builds these
+    when it is read."""
 
     round: int
     sender: str
@@ -162,42 +173,116 @@ class RoundMessage:
 
 @dataclass
 class Transcript:
+    """A session's payloads as three columns: the challenges a_0..a_m, the
+    responses x_0..x_m and the opening y_m (None until it is sent).
+    Message 2i is a_i and message 2i+1 is x_i for i <= m, message 2m+2 is
+    the opening; each message's round and roles are its slot in the
+    session's ``_layout``, so they are not stored."""
+
     params: SchemeParams
     seed: int
-    messages: List[RoundMessage] = field(default_factory=list)
+    challenge_column: List[int] = field(default_factory=list)
+    response_column: List[int] = field(default_factory=list)
+    opening: Optional[int] = None
     outcome: OpenOutcome = BOT
 
     def challenges(self) -> List[int]:
-        """a_0.., the payloads of messages 0, 2, .., 2m (``_layout``)."""
-        return [msg.payload for msg in self.messages[:2 * self.params.m + 2:2]]
+        """a_0.., the challenge column itself."""
+        return self.challenge_column
 
     def responses(self) -> List[int]:
-        """x_0.., the payloads of messages 1, 3, .., 2m + 1."""
-        return [msg.payload for msg in self.messages[1::2]]
+        """x_0.., the response column itself."""
+        return self.response_column
 
     def final_opening(self) -> int:
-        if not self.messages or self.messages[-1].round != self.params.m + 1:
+        if self.opening is None:
             raise ValueError("transcript has no final opening message")
-        return self.messages[-1].payload
+        return self.opening
+
+    @property
+    def messages(self) -> MessageView:
+        return MessageView(self)
+
+    def _count(self) -> int:
+        """The number of messages the columns hold.  Raises ValueError
+        unless they are the first messages of a session of m rounds: at most
+        m+1 challenges, each answered but the last, and an opening only
+        after m+1 responses."""
+        m = self.params.m
+        c = len(self.challenge_column)
+        r = len(self.response_column)
+        opened = self.opening is not None
+        if not (0 <= c - r <= 1 and c <= m + 1 and (r == m + 1 or not opened)):
+            raise ValueError(
+                f"{c} challenges, {r} responses and {'an' if opened else 'no'} opening "
+                f"are not the start of a session of m={m} rounds")
+        return c + r + opened
+
+    def _payloads(self, count: int) -> List[int]:
+        """The payloads of the first count messages, in message order."""
+        payloads = [0] * count
+        payloads[:2 * len(self.challenge_column):2] = self.challenge_column
+        payloads[1:2 * len(self.response_column):2] = self.response_column
+        if self.opening is not None:
+            payloads[-1] = self.opening
+        return payloads
 
     def to_text(self) -> str:
         """The transcript file (README, "File formats"): each message line is
-        its slot's head in ``_layout`` and its payload.  Raises ValueError for
-        a message out of its slot, since ``parse_transcript`` would refuse it,
-        and FieldError for a payload outside the field."""
+        its slot's head in ``_layout`` and its payload.  Raises ValueError
+        for columns that no session has, and FieldError for a payload
+        outside the field."""
         params = self.params
-        msgs = self.messages
-        k = len(msgs)
-        rounds, senders, receivers, heads = layout = _prefix_layout(params, k)
-        # A slice stops at the opening, so a message after it fails this too.
-        if not (tuple([msg.round for msg in msgs]) == rounds[:k]
-                and tuple([msg.sender for msg in msgs]) == senders[:k]
-                and tuple([msg.receiver for msg in msgs]) == receivers[:k]):
-            _raise_at_first_misplaced(msgs, layout)
+        k = self._count()
         spec = params.field
-        lines = map(operator.add, heads, spec.to_hex_all([msg.payload for msg in msgs]))
+        lines = map(operator.add, _prefix_layout(params, k)[3],
+                    spec.to_hex_all(self._payloads(k)))
         out = "BOT" if self.outcome is BOT else spec.to_hex(self.outcome)
         return "\n".join([_header(params, self.seed), *lines, f"outcome={out}\n"])
+
+
+class MessageView:
+    """``Transcript.messages``: the messages as a sequence, each a new
+    ``RoundMessage`` of its slot's round and roles and its column's
+    payload, built when read.  messages[k] = msg writes msg.payload into
+    its column if msg has slot k's round, sender and receiver, and raises
+    ValueError otherwise, so a transcript holds no message out of its
+    slot."""
+
+    __slots__ = ("_t",)
+
+    def __init__(self, transcript: Transcript):
+        self._t = transcript
+
+    def __len__(self) -> int:
+        return self._t._count()
+
+    def __iter__(self):
+        t = self._t
+        k = t._count()
+        return map(RoundMessage, *_prefix_layout(t.params, k)[:3], t._payloads(k))
+
+    def __getitem__(self, k):
+        return list(self)[k]
+
+    def __setitem__(self, k: int, msg: RoundMessage) -> None:
+        t = self._t
+        count = t._count()
+        if k < 0:
+            k += count
+        if k > 2 * t.params.m + 2:
+            raise ValueError(f"message {k} follows the opening")
+        if not 0 <= k < count:
+            raise IndexError("message index out of range")
+        rounds, senders, receivers, heads = _prefix_layout(t.params, count)
+        if (msg.round, msg.sender, msg.receiver) != (rounds[k], senders[k], receivers[k]):
+            raise ValueError(f"message {k} must be {_slot_name(heads[k])}")
+        if k & 1:
+            t.response_column[k >> 1] = msg.payload
+        elif k <= 2 * t.params.m:
+            t.challenge_column[k >> 1] = msg.payload
+        else:
+            t.opening = msg.payload
 
 
 def _header(params: SchemeParams, seed: int) -> str:
@@ -240,16 +325,6 @@ def _prefix_layout(params: SchemeParams, count: int) -> Layout:
     are the session's, and the layout's size follows count, not the m a
     transcript's header names."""
     return _layout(min(params.m, count // 2), params.first_committer)
-
-
-def _raise_at_first_misplaced(msgs: Sequence[RoundMessage], layout: Layout) -> None:
-    """Raise ValueError for the first of msgs that is not in its slot."""
-    for k, msg in enumerate(msgs):
-        if k == len(layout[3]):
-            raise ValueError(f"message {k} follows the opening")
-        if (msg.round, msg.sender, msg.receiver) != tuple(column[k] for column in layout[:3]):
-            raise ValueError(f"message {k} must be {_slot_name(layout[3][k])}")
-    raise AssertionError("every message is in its slot")
 
 
 def _slot_name(head: str) -> str:
@@ -295,7 +370,7 @@ def parse_transcript(text: str) -> Transcript:
     # Round 0's head is the same for every m.
     if body and body[0].startswith(_slot_name(_layout(0, "Q")[3][0]) + " "):
         params = replace(params, first_committer="Q")
-    rounds, senders, receivers, heads = _prefix_layout(params, len(body))
+    heads = _prefix_layout(params, len(body))[3]
     width = (spec.n + 3) // 4
     texts = [line[-width:] for line in body]
     try:
@@ -304,7 +379,10 @@ def parse_transcript(text: str) -> Transcript:
         values = None
     if values is None or list(map(operator.add, heads, texts)) != body:
         _raise_at_first_bad_line(lines, end, heads, spec)
-    t = Transcript(params, seed, list(map(RoundMessage, rounds, senders, receivers, values)))
+    # The opening is message 2m+2, the one even message past the challenges.
+    opened = len(values) > 2 * params.m + 2
+    t = Transcript(params, seed, values[:2 * params.m + 2:2], values[1::2],
+                   values[-1] if opened else None)
     if not has_outcome:
         raise TranscriptParseError(last + 2, "missing outcome line")
     val = lines[last][len("outcome="):]
@@ -442,19 +520,19 @@ class Verifier:
     receive(reply) until done.  Rounds 0..m challenge with fixed_challenges
     or the seeded STREAM_CHALLENGE stream; round m+1 asks for the opening
     (challenge None), whose receipt sets the outcome via multiround_verify.
-    Messages enter ``transcript`` as they are issued or received, so an
-    aborted session keeps what was exchanged; ``challenges`` and
-    ``responses`` hold a_i and x_i (i <= m) at index i, the lists that
-    ``PartyView`` reads.  The challenges are one column, fixed_challenges
-    (m+1 field values, checked here) or drawn when the verifier is made,
-    but a challenge enters ``challenges`` and the transcript only when
-    request() issues it.
+    Payloads enter ``transcript``'s columns as they are issued or received,
+    so an aborted session keeps what was exchanged; ``challenges`` and
+    ``responses`` are the transcript's challenge and response columns,
+    a_i and x_i (i <= m) at index i, the lists that ``PartyView`` reads.
+    The challenges are drawn as one column when the verifier is made, or
+    are fixed_challenges (m+1 field values, checked here), but a challenge
+    enters ``challenges`` only when request() issues it.
     """
 
     def __init__(self, params: SchemeParams, seed: int,
                  fixed_challenges: Optional[Sequence[int]] = None):
         self.params = params
-        self.transcript = Transcript(params, seed)
+        self.transcript = t = Transcript(params, seed)
         self.round = 0
         self.done = False
         count = params.m + 1
@@ -464,18 +542,16 @@ class Verifier:
             raise ValueError(f"fixed_challenges must hold m+1 = {count} values")
         else:
             self._column = [params.field.check(a) for a in fixed_challenges]
-        self._prover: Optional[str] = None
-        self.challenges: List[int] = []
-        self.responses: List[int] = []
+        self.challenges = t.challenge_column
+        self.responses = t.response_column
 
     def request(self) -> Tuple[int, str, Optional[int]]:
         params = self.params
         i = self.round
-        prover = self._prover = active_prover(params, i)
+        prover = active_prover(params, i)
         if i > params.m:
             return i, prover, None
         a = self._column[i]
-        self.transcript.messages.append(RoundMessage(i, "V", prover, a))
         self.challenges.append(a)
         return i, prover, a
 
@@ -483,14 +559,16 @@ class Verifier:
         params = self.params
         i = self.round
         x = params.field.check(value)
-        self.transcript.messages.append(RoundMessage(i, self._prover, "V", x))
-        self.round = i + 1
         if i <= params.m:
             self.responses.append(x)
+        elif self.done:
+            raise ValueError("the session already has its opening")
         else:
-            self.transcript.outcome = multiround_verify(
-                params, self.challenges, self.responses, x)
+            t = self.transcript
+            t.opening = x
+            t.outcome = multiround_verify(params, self.challenges, self.responses, x)
             self.done = True
+        self.round = i + 1
 
 
 def run_attack_session(params: SchemeParams, commit_strategy, open_strategy,

@@ -9,13 +9,14 @@ import sys
 import tempfile
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcommit
-from relcommit import analysis, cli
+from relcommit import analysis, cli, engine
 
 WORKED_TRACE = """#relcommit v1 n=3 poly=0xb m=1 seed=0
 round=0 from=V to=P payload=2
@@ -210,6 +211,17 @@ def test_analyze_reports(capsys):
     assert code == 0 and "bound=1/1 pass=true" in text
     code, text = run_cli(capsys, "analyze", "coupling", "--trials", "300", "--seed", "1")
     assert code == 0 and "pass=true" in text
+
+
+def test_coupling_pmfs_are_the_single_draws():
+    # Each pmf of the coupling check is one column of five 64-bit draws,
+    # the stream_u64 values of indices 0..4 as drawn one at a time.
+    for seed in (0, 1, 3, (1 << 64) - 1):
+        for stream in (engine.STREAM_PMF_P, engine.STREAM_PMF_Q):
+            counts = [engine.stream_u64(seed, stream, i) % 97 + (i == 0) for i in range(5)]
+            pmf = cli._random_pmf(seed, stream)
+            assert [pmf.mass(i) for i in range(5)] == [Fraction(c, sum(counts))
+                                                      for c in counts]
 
 
 def test_analyze_refuses_enumerations_beyond_their_caps(capsys):

@@ -32,7 +32,7 @@ from relcommit.engine import (
     stream_values,
 )
 from relcommit.field import FieldError, FieldSpec
-from relcommit.scheme import BOT, SchemeParams, active_prover
+from relcommit.scheme import BOT, SchemeParams, active_prover, multiround_verify
 
 
 def make_params(n=3, m=3, **kw):
@@ -41,8 +41,15 @@ def make_params(n=3, m=3, **kw):
 
 def view_of(t, party, r, lag=2):
     """The party's view at round r of a finished transcript."""
-    replies = [msg.payload for msg in t.messages if msg.receiver == "V"]
+    replies = [*t.responses(), t.final_opening()]
     return PartyView(party, r, t.params, t.challenges(), replies, lag)
+
+
+def cut_after(t, k):
+    """t as a session aborted after its first k messages leaves it."""
+    opening = t.opening if k > 2 * t.params.m + 2 else None
+    return Transcript(t.params, t.seed, t.challenges()[:(k + 1) // 2],
+                      t.responses()[:k // 2], opening)
 
 
 def test_identical_seed_identical_transcript():
@@ -250,7 +257,7 @@ def test_parse_cost_follows_the_file_not_the_header_m():
     t = run_honest_session(make_params(8, 3), 0xA5, 5)
     huge = 10 ** 12
     for cut in range(len(t.messages) - 1):
-        text = Transcript(t.params, 5, t.messages[:cut]).to_text()
+        text = cut_after(t, cut).to_text()
         text = text.replace(" m=3 ", f" m={huge} ", 1)
         with _layout_within(cut // 2):
             back = parse_transcript(text)
@@ -263,13 +270,14 @@ def test_parse_cost_follows_the_file_not_the_header_m():
             assert e.value.lineno == cut + 1
             assert "must be round=" in str(e.value)
     # A message in a slot a session of m rounds does not have is refused at
-    # its line, and to_text refuses it too.
+    # its line, and to_text refuses the columns of a longer session too.
     opened = t.to_text().replace(" m=3 ", " m=2 ", 1)
     with pytest.raises(TranscriptParseError, match="line 8: bad message line: message 6 must be "
                        "round=3 from=Q to=V"):
         parse_transcript(opened)
-    with pytest.raises(ValueError, match="message 6 must be round=3 from=Q to=V"):
-        Transcript(make_params(8, 2), 5, t.messages).to_text()
+    with pytest.raises(ValueError, match="4 challenges, 4 responses and an opening are not "
+                       "the start of a session of m=2 rounds"):
+        Transcript(make_params(8, 2), 5, t.challenges(), t.responses(), t.opening).to_text()
 
 
 def test_blank_lines_between_messages_are_skipped():
@@ -289,7 +297,7 @@ def _pinned_texts():
                 t = run_honest_session(params, seed & ((1 << n) - 1), seed)
                 yield t.to_text()
                 for cut in (0, 1, 2, m + 2, 2 * m + 2):
-                    yield Transcript(params, seed, t.messages[:cut]).to_text()
+                    yield cut_after(t, cut).to_text()
 
 
 PINNED_TEXTS_SHA256 = ("84373ae631a037663b41b8271957328b"
@@ -321,17 +329,23 @@ def test_long_transcripts_are_pinned():
 
 def test_mutating_parsed_messages_leaves_the_pins():
     # Every transcript of one shape shares that shape's cached layout.
-    # Whatever a caller does to a parsed transcript's messages, the next
-    # transcript of the same shape still writes and parses to the pinned
-    # bytes, and each parsed message holds what its line says.
+    # Whatever a caller does to the messages it read from a parsed
+    # transcript, or to its columns, the next transcript of the same shape
+    # still writes and parses to the pinned bytes, and each parsed message
+    # holds what its line says.
     digest = hashlib.sha256()
     for text in _pinned_texts():
         back = parse_transcript(text)
-        for msg in back.messages:
+        msgs = list(back.messages)
+        for msg in msgs:
             msg.round += 1
             msg.sender, msg.receiver = msg.receiver, msg.sender
-        back.messages.append(RoundMessage(0, "V", "P", 0))
-        back.messages.reverse()
+            msg.payload += 1
+        msgs.append(RoundMessage(0, "V", "P", 0))
+        msgs.reverse()
+        assert back.to_text() == text  # the messages read are new objects
+        back.challenge_column.reverse()
+        back.response_column.append(0)
         again = parse_transcript(text)
         hexes = again.params.field.to_hex_all([msg.payload for msg in again.messages])
         assert [f"round={msg.round} from={msg.sender} to={msg.receiver} payload={x}"
@@ -347,15 +361,106 @@ def test_mutating_parsed_messages_leaves_the_pins():
      "message 1 must be round=0 from=P to=V"),
     (lambda msgs: msgs.__setitem__(2, replace(msgs[2], round=2)),
      "message 2 must be round=1 from=V to=Q"),
-    (lambda msgs: msgs.append(msgs[-1]), "message 7 follows the opening"),
+    (lambda msgs: msgs.__setitem__(7, msgs[-1]), "message 7 follows the opening"),
 ], ids=["other-prover", "sender-receiver-swapped", "wrong-round", "after-opening"])
 def test_to_text_refuses_a_message_out_of_its_slot(change, why):
-    # to_text writes only what parse_transcript reads back.
+    # to_text writes only what parse_transcript reads back.  A transcript
+    # holds payload columns, so a message out of its slot is refused when
+    # it is assigned, and the transcript writes what it wrote before.
     t = run_honest_session(make_params(3, 2), 5, 3)
-    change(t.messages)
+    text = t.to_text()
     with pytest.raises(ValueError) as e:
-        t.to_text()
+        change(t.messages)
     assert str(e.value) == why
+    assert t.to_text() == text
+
+
+def _messages_by_the_round_rule(t):
+    """The 2m+3 messages of a finished session, rebuilt from its columns:
+    round i <= m is the challenge to active_prover(i) and its reply, round
+    m+1 the opening from active_prover(m+1)."""
+    params = t.params
+    msgs = []
+    for i, (a, x) in enumerate(zip(t.challenges(), t.responses())):
+        prover = active_prover(params, i)
+        msgs += [RoundMessage(i, "V", prover, a), RoundMessage(i, prover, "V", x)]
+    last = params.m + 1
+    return msgs + [RoundMessage(last, active_prover(params, last), "V", t.final_opening())]
+
+
+@pytest.mark.parametrize("fc", ["P", "Q"])
+def test_messages_view_follows_the_round_rule(fc):
+    for m in (0, 1, 2, 5):
+        t = run_honest_session(make_params(3, m, first_committer=fc), 5, 40 + m)
+        every = _messages_by_the_round_rule(t)
+        assert list(t.messages) == every and len(t.messages) == 2 * m + 3
+        for k in range(len(every)):
+            assert list(cut_after(t, k).messages) == every[:k]
+            assert t.messages[k] == every[k] and t.messages[k - len(every)] == every[k]
+        for part in (slice(None), slice(1, 4), slice(-3, None), slice(None, None, -2)):
+            assert t.messages[part] == every[part]
+        with pytest.raises(IndexError):
+            t.messages[len(every)]
+        # A verifier stopped after its second request holds what it exchanged:
+        # the round-1 challenge, or nothing more when that request is the
+        # opening's (m = 0).
+        verifier = Verifier(t.params, t.seed)
+        verifier.request()
+        verifier.receive(t.responses()[0])
+        verifier.request()
+        assert list(verifier.transcript.messages) == every[:3 if m else 2]
+
+
+def test_an_in_slot_assignment_round_trips_through_to_text():
+    t = run_honest_session(make_params(8, 3), 0xA5, 9)
+    lines = t.to_text().split("\n")
+    # Challenges a_0 and a_3, responses x_1 and x_3, and the opening.
+    for k, column, i in ((0, t.challenges(), 0), (6, t.challenges(), 3), (3, t.responses(), 1),
+                         (7, t.responses(), 3), (-1, None, None)):
+        msg = t.messages[k]
+        changed = replace(msg, payload=msg.payload ^ 0x5A)
+        t.messages[k] = changed
+        assert t.messages[k] == changed
+        assert (t.opening if column is None else column[i]) == changed.payload
+        lines[k % 9 + 1] = lines[k % 9 + 1][:-2] + f"{changed.payload:02x}"
+        text = t.to_text()
+        assert text == "\n".join(lines)
+        back = parse_transcript(text)
+        assert back.messages[k] == changed and back.to_text() == text
+
+
+@pytest.mark.parametrize("columns", [
+    ([1, 2, 3, 4], [1, 2, 3], None),
+    ([1, 2, 3], [1], None),
+    ([1], [1, 2], None),
+    ([1, 2], [1, 2], 3),
+    ([], [], 3),
+], ids=["challenge-past-m", "two-unanswered", "reply-before-challenge",
+        "opening-before-the-last-round", "opening-only"])
+def test_to_text_refuses_columns_no_session_has(columns):
+    t = Transcript(make_params(3, 2), 1, *columns)
+    c, r, y = columns
+    why = (f"{len(c)} challenges, {len(r)} responses and {'no' if y is None else 'an'} "
+           "opening are not the start of a session of m=2 rounds")
+    for read in (t.to_text, t.messages.__len__, lambda: list(t.messages)):
+        with pytest.raises(ValueError) as e:
+            read()
+        assert str(e.value) == why
+
+
+def test_no_message_object_on_the_session_and_codec_path(monkeypatch):
+    # A session, its file and its re-verification run on payload columns;
+    # only a read of Transcript.messages builds RoundMessage objects.
+    def refuse(*args):
+        raise AssertionError("a RoundMessage was built")
+    monkeypatch.setattr(engine, "RoundMessage", refuse)
+    t = run_honest_session(make_params(8, 512), 0xA5, 3)
+    back = parse_transcript(t.to_text())
+    assert back.to_text() == t.to_text()
+    assert multiround_verify(back.params, back.challenges(), back.responses(),
+                             back.final_opening()) == t.outcome
+    with pytest.raises(AssertionError, match="a RoundMessage was built"):
+        back.messages[0]
 
 
 STREAMS = sorted(v for k, v in vars(engine).items() if k.startswith("STREAM_"))
@@ -416,6 +521,19 @@ def test_fixed_challenges_are_checked_when_the_verifier_is_made():
     assert verifier.challenges == verifier.transcript.challenges() == [5]
 
 
+def test_a_finished_verifier_takes_no_second_opening():
+    params = make_params(3, 2)
+    t = run_honest_session(params, 5, 3)
+    verifier = Verifier(params, 3)
+    for i in range(params.m + 2):
+        verifier.request()
+        verifier.receive(t.responses()[i] if i <= params.m else t.final_opening())
+    assert verifier.done and verifier.transcript.to_text() == t.to_text()
+    with pytest.raises(ValueError, match="the session already has its opening"):
+        verifier.receive(t.final_opening() ^ 1)
+    assert verifier.transcript.to_text() == t.to_text()
+
+
 class CountingOpen(HonestOpen):
     """An honest opener that counts the sessions it is bound to."""
 
@@ -466,7 +584,7 @@ def transcripts(draw, widths=st.integers(1, 8)):
             value, _tables(n), params), seed)
     cut = draw(st.integers(0, len(t.messages)))
     if cut < len(t.messages):
-        t = Transcript(t.params, t.seed, t.messages[:cut])
+        t = cut_after(t, cut)
     return t
 
 

@@ -134,7 +134,7 @@ def test_aborted_session_keeps_the_engine_prefix(monkeypatch):
         join()
         assert res.aborted and res.abort_reason == ABORT_DEADLINE
         expected = engine.run_honest_session(params, 0x17, 42).messages[:kept]
-        assert res.transcript.messages == expected
+        assert list(res.transcript.messages) == expected
 
 
 @pytest.mark.parametrize("role,script", [
