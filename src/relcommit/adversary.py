@@ -21,7 +21,7 @@ from .engine import (
     STREAM_GAME_A,
     STREAM_GAME_B,
     STREAM_RANDOM_OPEN,
-    HonestOpen,
+    HonestProver,
     PartyView,
     ProverStrategy,
     SchemeParams,
@@ -255,8 +255,9 @@ def tightness_strategy(target: int, tables: ChshTables,
     return attack, attack
 
 
-class RandomOpen(HonestOpen):
-    """Sustain honestly, then announce a uniformly random opening string.
+class RandomOpen(HonestProver):
+    """Commit to value and sustain honestly, then announce a uniformly
+    random opening string.
 
     Extraction is a bijection in the announced string whenever the
     challenge is nonzero, so the opened value is uniform over the field.

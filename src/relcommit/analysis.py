@@ -257,17 +257,22 @@ _GUESSES = ("(replies*openings)^challenges guesses", lambda o, c, r: (r * o) ** 
             2 ** 16)
 
 
-def _table_within(scheme: FiniteScheme, analyzer: str, what: str,
-                  size: Callable[[int, int, int], int], cap: int) -> List[List[List]]:
-    """scheme.opened, unless size(openings, challenges, replies) > cap; a
+def _check_within(scheme: FiniteScheme, analyzer: str, what: str,
+                  size: Callable[[int, int, int], int], cap: int) -> None:
+    """Raise ValueError if size(openings, challenges, replies) > cap; a
     CHSH scheme is also named by its width, against the widest n that fits."""
     o, c, r = scheme.openings, scheme.challenges, scheme.replies
-    if size(o, c, r) <= cap:
-        return scheme.opened
-    top = next(w for w in count(1) if size(*(2 ** w,) * 3) > cap) - 1
-    chsh = "" if scheme.n is None else f"; n={scheme.n} exceeds the n<={top} cap"
-    raise ValueError(f"{analyzer} enumerates {what}, over {cap} at {o} openings, "
-                     f"{c} challenges and {r} replies{chsh}")
+    if size(o, c, r) > cap:
+        top = next(w for w in count(1) if size(*(2 ** w,) * 3) > cap) - 1
+        chsh = "" if scheme.n is None else f"; n={scheme.n} exceeds the n<={top} cap"
+        raise ValueError(f"{analyzer} enumerates {what}, over {cap} at {o} openings, "
+                         f"{c} challenges and {r} replies{chsh}")
+
+
+def _table_within(scheme: FiniteScheme, analyzer: str, *cap) -> List[List[List]]:
+    """scheme.opened, once ``_check_within`` finds the scheme within the cap."""
+    _check_within(scheme, analyzer, *cap)
+    return scheme.opened
 
 
 def max_p0_plus_p1(scheme: FiniteScheme) -> Fraction:
@@ -338,11 +343,13 @@ def fair_binding_epsilon(scheme: FiniteScheme) -> Fraction:
 
 def k_of_extr(scheme: FiniteScheme) -> int:
     """max over commitments (a, x) and values s of |{y : open(y, a, x) = s}|,
-    from the column of openings of each commitment."""
-    opened = _table_within(scheme, "k_of_extr", *_WHOLE)
+    from the column of openings of each commitment.  The openings are
+    evaluated one challenge at a time, not kept as the whole table."""
+    _check_within(scheme, "k_of_extr", *_WHOLE)
+    op, ys, xs = scheme.open, range(scheme.openings), range(scheme.replies)
     best = 0
     for a in range(scheme.challenges):
-        for column in zip(*[by_a[a] for by_a in opened]):
+        for column in zip(*[[op(y, a, x) for x in xs] for y in ys]):
             values = set(column)
             if len(values) == len(column):  # no repeat: 1, unless all is one BOT
                 best = max(best, int(len(values) > (BOT in values)))
@@ -360,6 +367,15 @@ def _columns(rows: Iterable[Sequence[Sequence]], commit_table: Sequence[int]) ->
     """columns[i][a]: the value that the opening whose table rows are rows[i]
     opens (a, f(a)) to."""
     return [[by_a[a][x] for a, x in enumerate(commit_table)] for by_a in rows]
+
+
+def _family_columns(scheme: FiniteScheme, analyzer: str, commit_table: Sequence[int],
+                    opening_family: Sequence[int]) -> List[List]:
+    """``_columns`` of the family's openings, each opening of (a, f(a))
+    evaluated directly, once the scheme is within the whole table's cap."""
+    _check_within(scheme, analyzer, *_WHOLE)
+    op, table = scheme.open, list(enumerate(commit_table))
+    return [[op(y, a, x) for a, x in table] for y in opening_family]
 
 
 def _carve(columns: Sequence[Sequence], order: int, alpha: Fraction) -> List[int]:
@@ -416,9 +432,9 @@ def fairly_binding_extractor(scheme: FiniteScheme, commit_table: Sequence[int],
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    opened = _table_within(scheme, "fairly_binding_extractor", *_WHOLE)
-    predicted = _carve(_columns((opened[y] for y in opening_family), commit_table),
-                       scheme.challenges, alpha)
+    columns = _family_columns(scheme, "fairly_binding_extractor", commit_table,
+                              opening_family)
+    predicted = _carve(columns, scheme.challenges, alpha)
     return {(a, x): s for a, (x, s) in enumerate(zip(commit_table, predicted))}
 
 
@@ -428,9 +444,8 @@ def extractor_violation(scheme: FiniteScheme, commit_table: Sequence[int],
     """max over openings and targets of p(opened = target != predicted),
     counting by value the challenges where an opening's column of the
     table holds a value other than the prediction."""
-    opened = _table_within(scheme, "extractor_violation", *_WHOLE)
+    columns = _family_columns(scheme, "extractor_violation", commit_table, opening_family)
     predicted = [shat[a, x] for a, x in enumerate(commit_table)]
-    columns = _columns((opened[y] for y in opening_family), commit_table)
     return Fraction(_missed(columns, predicted), scheme.challenges)
 
 

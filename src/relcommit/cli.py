@@ -127,7 +127,8 @@ def _load_or_search_tables(spec: FieldSpec, args) -> adversary.ChshTables:
 
 
 def _random_open_family(value, target):
-    return engine.HonestCommit(value), adversary.RandomOpen()
+    strategy = adversary.RandomOpen(value)
+    return strategy, strategy
 
 
 def cmd_attack(args) -> int:

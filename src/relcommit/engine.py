@@ -8,11 +8,10 @@ The verifier's challenge stream is labeled 'V'; prover-side randomness hangs
 off a separate root split so strategies can never reconstruct upcoming
 challenges.  2^64 is a multiple of 2^n, so reducing a stream value mod 2^n
 is exactly uniform.  A session draws its values in columns: the seeded
-verifier its m+1 challenges when it is made, every ``ProverStrategy`` but
-the honest committer, which reads y_0 alone, its m+1 pads when a session
-begins (``stream_values``).  A column holds exactly the values that
-``stream_value`` gives one index at a time, so the bytes of a transcript do
-not depend on which way a value was drawn.
+verifier its m+1 challenges when it is made, every ``ProverStrategy`` its
+m+1 pads when a session begins (``stream_values``).  A column holds
+exactly the values that ``stream_value`` gives one index at a time, so the
+bytes of a transcript do not depend on which way a value was drawn.
 
 What depends only on a session's shape is built once per shape, in bounded
 caches of immutable values that every session of that shape shares: the
@@ -21,26 +20,27 @@ rounds, senders, receivers and line heads of all 2m+3 messages
 (``_layout``, per m and first committer), which both ``Transcript.to_text``
 and ``parse_transcript`` read.
 
-A ``Transcript`` holds payloads only, as three columns: the challenges,
-the responses and the opening.  The round and roles of every message are
-its slot in ``_layout``, the one home of the slot rule, so no message
-object is built when a session runs, is written or is parsed.
-``to_text`` refuses columns that no session has (more than m+1
-challenges, say, or an opening before the last response).
-``Transcript.messages`` is a view that builds ``RoundMessage`` objects
-when it is read, and refuses an assigned message that is out of its slot.
+A ``Transcript`` holds the session's payloads as one list in message
+order: a_i at index 2i, x_i at 2i+1 and the opening y_m at 2m+2.  The
+round and roles of every message are its slot in ``_layout``, the one home
+of the slot rule, so no message object is built when a session runs, is
+written or is parsed.  Every list of at most 2m+3 payloads is the start of
+a session; ``to_text`` refuses a longer one.  ``Transcript.messages`` is a
+view that builds ``RoundMessage`` objects when it is read, and refuses an
+assigned message that is out of its slot.
 
 ``Verifier`` is the verifier with no I/O; ``run_attack_session`` drives it
 with in-process strategies and ``net.serve_verifier`` over sockets.  What an
-honest prover sends is ``honest_reply``.
+honest prover sends is ``honest_reply``, which ``HonestProver`` sends every
+round.
 
 The no-communication constraint is structural: the engine calls a strategy
 with the active party's ``PartyView`` only, and the view accessors raise
 ProtocolViolation for anything outside it.  A prover sees its own rounds
 plus, with a lag of two rounds, everything the other prover and the
 verifier exchanged (the one-way prover-to-prover forwarding).  A view reads
-the transcript's challenge and response columns by index and checks the
-rule on each read, so the per-round cost of a session is flat in m.
+the transcript's payloads by index and checks the rule on each read, so
+the per-round cost of a session is flat in m.
 """
 
 from __future__ import annotations
@@ -173,81 +173,61 @@ class RoundMessage:
 
 @dataclass
 class Transcript:
-    """A session's payloads as three columns: the challenges a_0..a_m, the
-    responses x_0..x_m and the opening y_m (None until it is sent).
-    Message 2i is a_i and message 2i+1 is x_i for i <= m, message 2m+2 is
-    the opening; each message's round and roles are its slot in the
-    session's ``_layout``, so they are not stored."""
+    """A session's payloads in message order: the challenge a_i at index
+    2i and the response x_i at 2i+1 for i <= m, the opening y_m at 2m+2.
+    Each message's round and roles are its slot in the session's
+    ``_layout``, so they are not stored.  Any list of at most 2m+3
+    payloads is the start of a session."""
 
     params: SchemeParams
     seed: int
-    challenge_column: List[int] = field(default_factory=list)
-    response_column: List[int] = field(default_factory=list)
-    opening: Optional[int] = None
+    payloads: List[int] = field(default_factory=list)
     outcome: OpenOutcome = BOT
 
     def challenges(self) -> List[int]:
-        """a_0.., the challenge column itself."""
-        return self.challenge_column
+        """a_0.., the payloads at even indices before the opening's."""
+        return self.payloads[:2 * self.params.m + 2:2]
 
     def responses(self) -> List[int]:
-        """x_0.., the response column itself."""
-        return self.response_column
+        """x_0.., the payloads at odd indices."""
+        return self.payloads[1:2 * self.params.m + 2:2]
 
     def final_opening(self) -> int:
-        if self.opening is None:
+        last = 2 * self.params.m + 2
+        if len(self.payloads) <= last:
             raise ValueError("transcript has no final opening message")
-        return self.opening
+        return self.payloads[last]
 
     @property
     def messages(self) -> MessageView:
         return MessageView(self)
 
     def _count(self) -> int:
-        """The number of messages the columns hold.  Raises ValueError
-        unless they are the first messages of a session of m rounds: at most
-        m+1 challenges, each answered but the last, and an opening only
-        after m+1 responses."""
-        m = self.params.m
-        c = len(self.challenge_column)
-        r = len(self.response_column)
-        opened = self.opening is not None
-        if not (0 <= c - r <= 1 and c <= m + 1 and (r == m + 1 or not opened)):
-            raise ValueError(
-                f"{c} challenges, {r} responses and {'an' if opened else 'no'} opening "
-                f"are not the start of a session of m={m} rounds")
-        return c + r + opened
-
-    def _payloads(self, count: int) -> List[int]:
-        """The payloads of the first count messages, in message order."""
-        payloads = [0] * count
-        payloads[:2 * len(self.challenge_column):2] = self.challenge_column
-        payloads[1:2 * len(self.response_column):2] = self.response_column
-        if self.opening is not None:
-            payloads[-1] = self.opening
-        return payloads
+        """len(payloads); raises ValueError past a session's 2m+3 messages."""
+        count = len(self.payloads)
+        if count > 2 * self.params.m + 3:
+            raise ValueError(f"message {2 * self.params.m + 3} follows the opening")
+        return count
 
     def to_text(self) -> str:
         """The transcript file (README, "File formats"): each message line is
         its slot's head in ``_layout`` and its payload.  Raises ValueError
-        for columns that no session has, and FieldError for a payload
+        for more payloads than a session has, and FieldError for a payload
         outside the field."""
         params = self.params
-        k = self._count()
         spec = params.field
-        lines = map(operator.add, _prefix_layout(params, k)[3],
-                    spec.to_hex_all(self._payloads(k)))
+        lines = map(operator.add, _prefix_layout(params, self._count())[3],
+                    spec.to_hex_all(self.payloads))
         out = "BOT" if self.outcome is BOT else spec.to_hex(self.outcome)
         return "\n".join([_header(params, self.seed), *lines, f"outcome={out}\n"])
 
 
 class MessageView:
     """``Transcript.messages``: the messages as a sequence, each a new
-    ``RoundMessage`` of its slot's round and roles and its column's
-    payload, built when read.  messages[k] = msg writes msg.payload into
-    its column if msg has slot k's round, sender and receiver, and raises
-    ValueError otherwise, so a transcript holds no message out of its
-    slot."""
+    ``RoundMessage`` of its slot's round and roles and its payload, built
+    when read.  messages[k] = msg writes msg.payload at k if msg has slot
+    k's round, sender and receiver, and raises ValueError otherwise, so a
+    transcript holds no message out of its slot."""
 
     __slots__ = ("_t",)
 
@@ -259,8 +239,7 @@ class MessageView:
 
     def __iter__(self):
         t = self._t
-        k = t._count()
-        return map(RoundMessage, *_prefix_layout(t.params, k)[:3], t._payloads(k))
+        return map(RoundMessage, *_prefix_layout(t.params, t._count())[:3], t.payloads)
 
     def __getitem__(self, k):
         return list(self)[k]
@@ -277,12 +256,7 @@ class MessageView:
         rounds, senders, receivers, heads = _prefix_layout(t.params, count)
         if (msg.round, msg.sender, msg.receiver) != (rounds[k], senders[k], receivers[k]):
             raise ValueError(f"message {k} must be {_slot_name(heads[k])}")
-        if k & 1:
-            t.response_column[k >> 1] = msg.payload
-        elif k <= 2 * t.params.m:
-            t.challenge_column[k >> 1] = msg.payload
-        else:
-            t.opening = msg.payload
+        t.payloads[k] = msg.payload
 
 
 def _header(params: SchemeParams, seed: int) -> str:
@@ -342,7 +316,7 @@ def parse_transcript(text: str) -> Transcript:
     """Read back only what ``Transcript.to_text`` writes (README, "File
     formats"); anything else raises TranscriptParseError at its line.
 
-    The message lines are read at once: each payload column by
+    The message lines are read at once: every payload by one
     ``from_hex_all``, and the lines are accepted when they are the heads of
     the session's ``_layout`` followed by those payloads.  Only a
     transcript that fails is walked line by line, to name the first bad
@@ -379,10 +353,7 @@ def parse_transcript(text: str) -> Transcript:
         values = None
     if values is None or list(map(operator.add, heads, texts)) != body:
         _raise_at_first_bad_line(lines, end, heads, spec)
-    # The opening is message 2m+2, the one even message past the challenges.
-    opened = len(values) > 2 * params.m + 2
-    t = Transcript(params, seed, values[:2 * params.m + 2:2], values[1::2],
-                   values[-1] if opened else None)
+    t = Transcript(params, seed, values)
     if not has_outcome:
         raise TranscriptParseError(last + 2, "missing outcome line")
     val = lines[last][len("outcome="):]
@@ -420,34 +391,34 @@ def _raise_at_first_bad_line(lines: List[str], end: int, heads: Sequence[str],
 class PartyView:
     """What one party may consult at a given round.
 
-    The view holds references to the verifier's per-round challenge and
-    reply lists and reads them by index, so a read costs O(1) whatever m
-    is.  Round i is visible when it was already issued or answered as the
-    view was made, i <= round, and the party is the verifier, or i is at
-    least ``lag`` rounds old (forwarded), or the party answered round i
-    itself.  The first two cases make every round below one bound visible,
-    round + 1 for the verifier and round - lag + 1 for a prover, so the
-    view fixes that bound when it is made and asks ``active_prover`` only
-    about the rounds inside the lag window.  Any other read, negative
-    rounds included, raises ProtocolViolation.
+    The view holds a reference to the transcript's payload list and reads
+    round i's challenge at index 2i and its reply at 2i+1, so a read costs
+    O(1) whatever m is.  The engine makes a view before the round's reply,
+    so the list holds no opening then.  Round i's challenge or reply is
+    visible when it was already in the list as the view was made, i <=
+    round, and the party is the verifier, or i is at least ``lag`` rounds
+    old (forwarded), or the party answered round i itself.  The first two
+    cases make every round below one bound visible, round + 1 for the
+    verifier and round - lag + 1 for a prover, so the view fixes that bound
+    when it is made and asks ``active_prover`` only about the rounds inside
+    the lag window.  Any other read, negative rounds included, raises
+    ProtocolViolation.
     """
 
-    __slots__ = ("party", "round", "_params", "_challenges", "_replies",
-                 "_issued", "_answered", "_open")
+    __slots__ = ("party", "round", "_params", "_payloads", "_issued", "_answered", "_open")
 
     def __init__(self, party: str, round_index: int, params: SchemeParams,
-                 challenges: Sequence[int], replies: Sequence[int], lag: int = 2):
+                 payloads: Sequence[int], lag: int = 2):
         self.party = party
         self.round = round_index
         self._params = params
-        self._challenges = challenges
-        self._replies = replies
-        # The lists may grow after the view is made; later entries stay unseen.
+        self._payloads = payloads
+        # The list may grow after the view is made; later entries stay unseen.
         end = round_index + 1
-        count = len(challenges)
-        self._issued = count if count < end else end
-        count = len(replies)
-        self._answered = count if count < end else end
+        count = len(payloads)
+        issued, answered = (count + 1) >> 1, count >> 1
+        self._issued = issued if issued < end else end
+        self._answered = answered if answered < end else end
         self._open = end if party == "V" else end - lag
 
     def _violation(self, i: int, kind: str) -> ProtocolViolation:
@@ -457,13 +428,13 @@ class PartyView:
     def challenge(self, i: int) -> int:
         if 0 <= i < self._issued and (
                 i < self._open or active_prover(self._params, i) == self.party):
-            return self._challenges[i]
+            return self._payloads[2 * i]
         raise self._violation(i, "challenge")
 
     def response(self, i: int) -> int:
         if 0 <= i < self._answered and (
                 i < self._open or active_prover(self._params, i) == self.party):
-            return self._replies[i]
+            return self._payloads[2 * i + 1]
         raise self._violation(i, "response")
 
 
@@ -481,36 +452,28 @@ class ProverStrategy:
         self._pad = shared_pad_column(prover_seed, params).__getitem__
 
 
-class HonestCommit(ProverStrategy):
-    """Round-0 behaviour of an honest committer: x_0 = y_0 + a_0 * s.  It
-    reads y_0 alone, so begin_session draws no column."""
+class HonestProver(ProverStrategy):
+    """An honest prover committed to value, every round: x_i = y_i + a_i *
+    y_{i-1} with y_{-1} = value for rounds 0..m, then the opening y_m, each
+    by ``honest_reply`` over the one pad column.  begin_session checks the
+    value, so one object serves as both strategies of a session."""
 
-    def __init__(self, value: int):
+    def __init__(self, value: int = 0):
         self.value = value
 
     def begin_session(self, params: SchemeParams, prover_seed: int):
         check_committed_value(params, self.value)
-        self.params = params
-        self.seed = prover_seed
-
-    def __call__(self, party: str, round_index: int, view: PartyView) -> int:
-        spec = self.params.field
-        y0 = stream_value(self.seed, STREAM_SHARED, 0, spec.n)
-        return honest_reply(spec, self.params.m, 0, view.challenge(0), [y0].__getitem__,
-                            self.value)
-
-
-class HonestOpen(ProverStrategy):
-    """Sustain and opening behaviour of honest provers.
-
-    Round i >= 1 commits to the previous pad: x_i = y_i + a_i * y_{i-1};
-    the final message announces y_m.
-    """
+        super().begin_session(params, prover_seed)
 
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
         m = self.params.m
         a = view.challenge(round_index) if round_index <= m else None
-        return honest_reply(self.params.field, m, round_index, a, self._pad)
+        return honest_reply(self.params.field, m, round_index, a, self._pad, self.value)
+
+
+# The committer's and the opener's names from before they were one class;
+# the benchmark's workloads still import them.
+HonestCommit = HonestOpen = HonestProver
 
 
 class Verifier:
@@ -520,19 +483,18 @@ class Verifier:
     receive(reply) until done.  Rounds 0..m challenge with fixed_challenges
     or the seeded STREAM_CHALLENGE stream; round m+1 asks for the opening
     (challenge None), whose receipt sets the outcome via multiround_verify.
-    Payloads enter ``transcript``'s columns as they are issued or received,
-    so an aborted session keeps what was exchanged; ``challenges`` and
-    ``responses`` are the transcript's challenge and response columns,
-    a_i and x_i (i <= m) at index i, the lists that ``PartyView`` reads.
-    The challenges are drawn as one column when the verifier is made, or
-    are fixed_challenges (m+1 field values, checked here), but a challenge
-    enters ``challenges`` only when request() issues it.
+    Each payload is appended to ``transcript.payloads``, the list that
+    ``PartyView`` reads, as it is issued or received, so an aborted session
+    keeps what was exchanged.  The challenges are drawn as one column when
+    the verifier is made, or are fixed_challenges (m+1 field values,
+    checked here), but a challenge enters the transcript only when
+    request() issues it.
     """
 
     def __init__(self, params: SchemeParams, seed: int,
                  fixed_challenges: Optional[Sequence[int]] = None):
         self.params = params
-        self.transcript = t = Transcript(params, seed)
+        self.transcript = Transcript(params, seed)
         self.round = 0
         self.done = False
         count = params.m + 1
@@ -542,8 +504,6 @@ class Verifier:
             raise ValueError(f"fixed_challenges must hold m+1 = {count} values")
         else:
             self._column = [params.field.check(a) for a in fixed_challenges]
-        self.challenges = t.challenge_column
-        self.responses = t.response_column
 
     def request(self) -> Tuple[int, str, Optional[int]]:
         params = self.params
@@ -552,21 +512,19 @@ class Verifier:
         if i > params.m:
             return i, prover, None
         a = self._column[i]
-        self.challenges.append(a)
+        self.transcript.payloads.append(a)
         return i, prover, a
 
     def receive(self, value: int) -> None:
         params = self.params
         i = self.round
         x = params.field.check(value)
-        if i <= params.m:
-            self.responses.append(x)
-        elif self.done:
+        if self.done:
             raise ValueError("the session already has its opening")
-        else:
-            t = self.transcript
-            t.opening = x
-            t.outcome = multiround_verify(params, self.challenges, self.responses, x)
+        t = self.transcript
+        t.payloads.append(x)
+        if i > params.m:
+            t.outcome = multiround_verify(params, t.challenges(), t.responses(), x)
             self.done = True
         self.round = i + 1
 
@@ -578,10 +536,11 @@ def run_attack_session(params: SchemeParams, commit_strategy, open_strategy,
 
     commit_strategy answers round 0; open_strategy answers rounds 1..m and
     the final opening message.  Each is called with (party, round, view)
-    and must return a field value; the view reads exactly the messages that
+    and must return a field value; the view reads exactly the payloads that
     party may see.  Strategy objects are bound to one session at a time
     (begin_session re-binds them), so parallel sessions need fresh objects;
-    one object passed as both (adversary.tightness_strategy) is bound once.
+    one object passed as both (a ``HonestProver`` in
+    ``run_honest_session``, adversary.tightness_strategy) is bound once.
     fixed_challenges overrides the seeded verifier and forwarding_lag the
     two-round prover-to-prover delay (test knobs).
     """
@@ -594,15 +553,17 @@ def run_attack_session(params: SchemeParams, commit_strategy, open_strategy,
             begin(params, pseed)
 
     verifier = Verifier(params, seed, fixed_challenges)
+    payloads = verifier.transcript.payloads
     while not verifier.done:
         i, prover, _ = verifier.request()
         strat = commit_strategy if i == 0 else open_strategy
-        verifier.receive(strat(prover, i, PartyView(
-            prover, i, params, verifier.challenges, verifier.responses,
-            forwarding_lag)))
+        verifier.receive(strat(prover, i, PartyView(prover, i, params, payloads,
+                                                    forwarding_lag)))
     return verifier.transcript
 
 
 def run_honest_session(params: SchemeParams, value: int, seed: int) -> Transcript:
-    """Honest execution committing to value; outcome from multiround_verify."""
-    return run_attack_session(params, HonestCommit(value), HonestOpen(), seed)
+    """Honest execution committing to value, one ``HonestProver`` as both
+    strategies; outcome from multiround_verify."""
+    honest = HonestProver(value)
+    return run_attack_session(params, honest, honest, seed)

@@ -307,8 +307,8 @@ def test_random_open_uniform_when_challenge_nonzero():
     kept = 0
     for t in range(20000):
         tseed = stream_u64(99, engine.STREAM_TRIAL, t)
-        tr = run_attack_session(params, engine.HonestCommit(3),
-                                RandomOpen(), tseed)
+        strategy = RandomOpen(3)
+        tr = run_attack_session(params, strategy, strategy, tseed)
         if tr.challenges()[0] == 0:
             continue
         kept += 1

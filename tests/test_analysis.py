@@ -558,6 +558,40 @@ def test_extractor_matches_residual_scan_on_every_n2_table():
                     residual_scan_extractor(GF4, table, family, alpha)
 
 
+def test_per_table_extractor_reads_equal_the_table_reading():
+    # The two per-table functions evaluate only the family's openings of the
+    # table's commitments; they give what the scheme's opened table gives,
+    # and leave that table unbuilt.
+    scheme = chsh_scheme(GF4)
+    opened = chsh_scheme(GF4).opened
+    openings = list(range(4))
+    for table in product(range(4), repeat=4):
+        for family in [openings] + [[y] for y in openings]:
+            columns = analysis._columns((opened[y] for y in family), table)
+            for alpha in (F(1, 4), F(1, 2), F(1)):
+                predicted = analysis._carve(columns, 4, alpha)
+                shat = fairly_binding_extractor(scheme, table, family, alpha)
+                assert shat == {(a, x): s for a, (x, s) in enumerate(zip(table, predicted))}
+                assert extractor_violation(scheme, table, family, shat) == \
+                    F(analysis._missed(columns, predicted), 4)
+    assert "opened" not in scheme.__dict__
+    wide = chsh_scheme(FieldSpec.default(6))
+    rng = random.Random(6)
+    table = [rng.randrange(64) for _ in range(64)]
+    shat = fairly_binding_extractor(wide, table, list(range(64)), F(1, 8))
+    extractor_violation(wide, table, list(range(64)), shat)
+    assert "opened" not in wide.__dict__
+
+
+def test_k_of_extr_reads_openings_without_the_table():
+    for n in (1, 2, 3, 4):  # the c06 fields
+        scheme = chsh_scheme(FieldSpec.default(n))
+        assert k_of_extr(scheme) == 1
+        assert "opened" not in scheme.__dict__
+    sloppy = FiniteScheme(4, 4, 4, lambda y, a, x: extr_i(GF4, y & ~1, a, x))
+    assert k_of_extr(sloppy) == 2 and "opened" not in sloppy.__dict__
+
+
 def test_worst_extractor_violation_matches_references():
     openings = list(range(4))
     worst = max(
@@ -910,7 +944,8 @@ def test_open_game_honest_ignoring_target():
     params = SchemeParams(GF4, 0)
 
     def family(target):
-        return engine.HonestCommit(1), engine.HonestOpen()
+        honest = engine.HonestProver(1)
+        return honest, honest
 
     res = seeded_trials(partial(open_game_trial, params, family), trials=6000, seed=3)
     sigma = res.sigma(0.25)
@@ -932,7 +967,8 @@ def test_open_game_random_open_exact_and_mc():
     assert exact == F(13, 64)
 
     def family(target):
-        return engine.HonestCommit(3), RandomOpen()
+        strategy = RandomOpen(3)
+        return strategy, strategy
 
     res = seeded_trials(partial(open_game_trial, params, family), trials=8000, seed=11)
     sigma = res.sigma(float(exact))

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from relcommit import adversary, engine
 from relcommit.engine import (
     STREAM_CHALLENGE,
-    HonestCommit,
-    HonestOpen,
+    HonestProver,
     PartyView,
     ProtocolViolation,
     RoundMessage,
@@ -40,16 +39,14 @@ def make_params(n=3, m=3, **kw):
 
 
 def view_of(t, party, r, lag=2):
-    """The party's view at round r of a finished transcript."""
-    replies = [*t.responses(), t.final_opening()]
-    return PartyView(party, r, t.params, t.challenges(), replies, lag)
+    """The party's view at round r of a finished transcript, made on its
+    challenges and replies as the engine makes a view before the opening."""
+    return PartyView(party, r, t.params, t.payloads[:2 * t.params.m + 2], lag)
 
 
 def cut_after(t, k):
     """t as a session aborted after its first k messages leaves it."""
-    opening = t.opening if k > 2 * t.params.m + 2 else None
-    return Transcript(t.params, t.seed, t.challenges()[:(k + 1) // 2],
-                      t.responses()[:k // 2], opening)
+    return Transcript(t.params, t.seed, t.payloads[:k])
 
 
 def test_identical_seed_identical_transcript():
@@ -71,7 +68,7 @@ def test_honest_outcome_with_nonzero_challenges():
 
 def test_forced_zero_commit_challenge_erases_value():
     params = make_params(3, 1)
-    t = run_attack_session(params, HonestCommit(5), HonestOpen(), 99, fixed_challenges=[0, 3])
+    t = run_attack_session(params, HonestProver(5), HonestProver(), 99, fixed_challenges=[0, 3])
     assert t.outcome in (0, BOT)
     assert t.outcome == 0  # honest x_0 equals y_0, so the canonical rule fires
 
@@ -270,14 +267,13 @@ def test_parse_cost_follows_the_file_not_the_header_m():
             assert e.value.lineno == cut + 1
             assert "must be round=" in str(e.value)
     # A message in a slot a session of m rounds does not have is refused at
-    # its line, and to_text refuses the columns of a longer session too.
+    # its line, and to_text refuses the payloads of a longer session too.
     opened = t.to_text().replace(" m=3 ", " m=2 ", 1)
     with pytest.raises(TranscriptParseError, match="line 8: bad message line: message 6 must be "
                        "round=3 from=Q to=V"):
         parse_transcript(opened)
-    with pytest.raises(ValueError, match="4 challenges, 4 responses and an opening are not "
-                       "the start of a session of m=2 rounds"):
-        Transcript(make_params(8, 2), 5, t.challenges(), t.responses(), t.opening).to_text()
+    with pytest.raises(ValueError, match="^message 7 follows the opening$"):
+        Transcript(make_params(8, 2), 5, t.payloads).to_text()
 
 
 def test_blank_lines_between_messages_are_skipped():
@@ -330,7 +326,7 @@ def test_long_transcripts_are_pinned():
 def test_mutating_parsed_messages_leaves_the_pins():
     # Every transcript of one shape shares that shape's cached layout.
     # Whatever a caller does to the messages it read from a parsed
-    # transcript, or to its columns, the next transcript of the same shape
+    # transcript, or to its payloads, the next transcript of the same shape
     # still writes and parses to the pinned bytes, and each parsed message
     # holds what its line says.
     digest = hashlib.sha256()
@@ -344,8 +340,8 @@ def test_mutating_parsed_messages_leaves_the_pins():
         msgs.append(RoundMessage(0, "V", "P", 0))
         msgs.reverse()
         assert back.to_text() == text  # the messages read are new objects
-        back.challenge_column.reverse()
-        back.response_column.append(0)
+        back.payloads.reverse()
+        back.payloads.append(0)
         again = parse_transcript(text)
         hexes = again.params.field.to_hex_all([msg.payload for msg in again.messages])
         assert [f"round={msg.round} from={msg.sender} to={msg.receiver} payload={x}"
@@ -365,8 +361,8 @@ def test_mutating_parsed_messages_leaves_the_pins():
 ], ids=["other-prover", "sender-receiver-swapped", "wrong-round", "after-opening"])
 def test_to_text_refuses_a_message_out_of_its_slot(change, why):
     # to_text writes only what parse_transcript reads back.  A transcript
-    # holds payload columns, so a message out of its slot is refused when
-    # it is assigned, and the transcript writes what it wrote before.
+    # holds payloads only, so a message out of its slot is refused when it
+    # is assigned, and the transcript writes what it wrote before.
     t = run_honest_session(make_params(3, 2), 5, 3)
     text = t.to_text()
     with pytest.raises(ValueError) as e:
@@ -376,7 +372,8 @@ def test_to_text_refuses_a_message_out_of_its_slot(change, why):
 
 
 def _messages_by_the_round_rule(t):
-    """The 2m+3 messages of a finished session, rebuilt from its columns:
+    """The 2m+3 messages of a finished session, rebuilt from its challenges,
+    responses and opening:
     round i <= m is the challenge to active_prover(i) and its reply, round
     m+1 the opening from active_prover(m+1)."""
     params = t.params
@@ -415,13 +412,14 @@ def test_an_in_slot_assignment_round_trips_through_to_text():
     t = run_honest_session(make_params(8, 3), 0xA5, 9)
     lines = t.to_text().split("\n")
     # Challenges a_0 and a_3, responses x_1 and x_3, and the opening.
-    for k, column, i in ((0, t.challenges(), 0), (6, t.challenges(), 3), (3, t.responses(), 1),
-                         (7, t.responses(), 3), (-1, None, None)):
+    for k, read in ((0, lambda: t.challenges()[0]), (6, lambda: t.challenges()[3]),
+                    (3, lambda: t.responses()[1]), (7, lambda: t.responses()[3]),
+                    (-1, t.final_opening)):
         msg = t.messages[k]
         changed = replace(msg, payload=msg.payload ^ 0x5A)
         t.messages[k] = changed
         assert t.messages[k] == changed
-        assert (t.opening if column is None else column[i]) == changed.payload
+        assert read() == changed.payload
         lines[k % 9 + 1] = lines[k % 9 + 1][:-2] + f"{changed.payload:02x}"
         text = t.to_text()
         assert text == "\n".join(lines)
@@ -429,23 +427,21 @@ def test_an_in_slot_assignment_round_trips_through_to_text():
         assert back.messages[k] == changed and back.to_text() == text
 
 
-@pytest.mark.parametrize("columns", [
-    ([1, 2, 3, 4], [1, 2, 3], None),
-    ([1, 2, 3], [1], None),
-    ([1], [1, 2], None),
-    ([1, 2], [1, 2], 3),
-    ([], [], 3),
-], ids=["challenge-past-m", "two-unanswered", "reply-before-challenge",
-        "opening-before-the-last-round", "opening-only"])
-def test_to_text_refuses_columns_no_session_has(columns):
-    t = Transcript(make_params(3, 2), 1, *columns)
-    c, r, y = columns
-    why = (f"{len(c)} challenges, {len(r)} responses and {'no' if y is None else 'an'} "
-           "opening are not the start of a session of m=2 rounds")
-    for read in (t.to_text, t.messages.__len__, lambda: list(t.messages)):
-        with pytest.raises(ValueError) as e:
-            read()
-        assert str(e.value) == why
+def test_every_session_prefix_round_trips_and_a_longer_list_is_refused():
+    # Every list of at most 2m+3 payloads is the start of a session, so it
+    # is written and read back; one more payload is refused wherever the
+    # messages are counted.
+    for fc in ("P", "Q"):
+        params = make_params(3, 3, first_committer=fc)
+        t = run_honest_session(params, 5, 3)
+        for k in range(len(t.payloads) + 1):
+            text = cut_after(t, k).to_text()
+            back = parse_transcript(text)
+            assert back.payloads == t.payloads[:k] and back.to_text() == text
+        longer = Transcript(params, t.seed, t.payloads + [0])
+        for read in (longer.to_text, longer.messages.__len__, lambda: list(longer.messages)):
+            with pytest.raises(ValueError, match="^message 9 follows the opening$"):
+                read()
 
 
 def test_no_message_object_on_the_session_and_codec_path(monkeypatch):
@@ -501,9 +497,9 @@ def test_aborted_session_holds_only_the_issued_challenges():
             verifier.request()
             verifier.receive(i)
         assert verifier.request() == (r, active_prover(params, r), every[r])
-        assert verifier.challenges == verifier.transcript.challenges() == every[:r + 1]
+        assert verifier.transcript.challenges() == every[:r + 1]
         assert len(verifier.transcript.messages) == 2 * r + 1
-        view = PartyView("V", params.m, params, verifier.challenges, verifier.responses)
+        view = PartyView("V", params.m, params, verifier.transcript.payloads)
         assert [view.challenge(i) for i in range(r + 1)] == every[:r + 1]
         with pytest.raises(ProtocolViolation):
             view.challenge(r + 1)
@@ -516,9 +512,9 @@ def test_fixed_challenges_are_checked_when_the_verifier_is_made():
     with pytest.raises(FieldError):
         Verifier(params, 1, [1, 8, 2])
     verifier = Verifier(params, 1, [5, 0, 7])
-    assert verifier.challenges == verifier.transcript.challenges() == []
+    assert verifier.transcript.payloads == []
     assert verifier.request() == (0, active_prover(params, 0), 5)
-    assert verifier.challenges == verifier.transcript.challenges() == [5]
+    assert verifier.transcript.payloads == [5]
 
 
 def test_a_finished_verifier_takes_no_second_opening():
@@ -534,8 +530,8 @@ def test_a_finished_verifier_takes_no_second_opening():
     assert verifier.transcript.to_text() == t.to_text()
 
 
-class CountingOpen(HonestOpen):
-    """An honest opener that counts the sessions it is bound to."""
+class CountingProver(HonestProver):
+    """An honest prover that counts the sessions it is bound to."""
 
     bound = 0
 
@@ -546,13 +542,39 @@ class CountingOpen(HonestOpen):
 
 def test_each_strategy_object_is_bound_once_per_session():
     params = make_params(3, 4)
-    both = CountingOpen()  # commits to 0 at round 0, as HonestCommit(0) does
+    both = CountingProver()  # commits to 0
     t = run_attack_session(params, both, both, 5)
     assert both.bound == 1
     assert t.to_text() == run_honest_session(params, 0, 5).to_text()
-    commit, opener = CountingOpen(), CountingOpen()
+    commit, opener = CountingProver(), CountingProver()
     run_attack_session(params, commit, opener, 5)
     assert (commit.bound, opener.bound) == (1, 1)
+
+
+def test_an_honest_session_draws_columns_and_binds_one_prover(monkeypatch):
+    # Every challenge and pad of an honest session is drawn as a column, and
+    # its one prover is bound once, so no value is drawn alone and the
+    # pinned bytes still come out.
+    def refuse(*args):
+        raise AssertionError("a value was drawn alone")
+    sessions, bound = [], []
+    run, begin = engine.run_attack_session, HonestProver.begin_session
+
+    def counting_run(*args, **kw):
+        sessions.append(args)
+        return run(*args, **kw)
+
+    def counting_begin(self, params, prover_seed):
+        bound.append(self)
+        begin(self, params, prover_seed)
+    monkeypatch.setattr(engine, "stream_value", refuse)
+    monkeypatch.setattr(engine, "run_attack_session", counting_run)
+    monkeypatch.setattr(HonestProver, "begin_session", counting_begin)
+    digest = hashlib.sha256()
+    for text in _pinned_texts():
+        digest.update(text.encode())
+    assert digest.hexdigest() == PINNED_TEXTS_SHA256
+    assert len(bound) == len(sessions) > 0
 
 
 @lru_cache(maxsize=None)
@@ -695,8 +717,8 @@ def test_views_read_exactly_what_the_message_filter_allows(first):
         params = make_params(3, m, first_committer=first)
         for lag in range(1, 5):
             views = []
-            t = run_attack_session(params, CapturingStrategy(HonestCommit(5), views),
-                                   CapturingStrategy(HonestOpen(), views), 11 + m,
+            t = run_attack_session(params, CapturingStrategy(HonestProver(5), views),
+                                   CapturingStrategy(HonestProver(), views), 11 + m,
                                    forwarding_lag=lag)
             assert len(views) == m + 2
             for view in views:
@@ -706,11 +728,12 @@ def test_views_read_exactly_what_the_message_filter_allows(first):
                            or (msg.round == view.round and msg.sender == "V")]
                 _assert_view_follows_oracle(
                     view, _oracle_visible(existed, view.party, view.round, lag), m)
+            # The opening is no round's challenge or reply, so no view reads it.
             for party in ("P", "Q", "V"):
                 for r in range(m + 2):
                     _assert_view_follows_oracle(
                         view_of(t, party, r, lag),
-                        _oracle_visible(t.messages, party, r, lag), m)
+                        _oracle_visible(t.messages[:-1], party, r, lag), m)
 
 
 def test_per_round_cost_is_flat_in_m():
@@ -747,7 +770,7 @@ def test_attack_path_with_honest_strategies_matches_honest_session():
     params = make_params(4, 2)
     for seed in (1, 2, 3):
         a = run_honest_session(params, 9, seed)
-        b = run_attack_session(params, HonestCommit(9), HonestOpen(), seed)
+        b = run_attack_session(params, HonestProver(9), HonestProver(), seed)
         assert a.to_text() == b.to_text()
 
 
@@ -755,12 +778,12 @@ def test_replay_reproduces_transcript():
     # Re-running strategies against the recorded challenges reproduces the session.
     params = make_params(3, 3)
     t = run_honest_session(params, 5, 321)
-    again = run_attack_session(t.params, HonestCommit(5), HonestOpen(), t.seed,
+    again = run_attack_session(t.params, HonestProver(5), HonestProver(), t.seed,
                                fixed_challenges=t.challenges())
     assert again.to_text() == t.to_text()
 
 
-class PeekingStrategy(HonestOpen):
+class PeekingStrategy(HonestProver):
     """Tries to read the challenge the other prover just received."""
 
     def __call__(self, party, round_index, view):
@@ -772,13 +795,13 @@ class PeekingStrategy(HonestOpen):
 def test_peeking_strategy_rejected():
     params = make_params(3, 2)
     with pytest.raises(ProtocolViolation):
-        run_attack_session(params, HonestCommit(1), PeekingStrategy(), 7)
+        run_attack_session(params, HonestProver(1), PeekingStrategy(), 7)
 
 
 def test_forwarding_lag_is_the_communication_model():
     params = make_params(3, 2)
     # A looser model (lag 1) legalizes reading the previous round.
-    t = run_attack_session(params, HonestCommit(1), PeekingStrategy(), 7,
+    t = run_attack_session(params, HonestProver(1), PeekingStrategy(), 7,
                            forwarding_lag=1)
     assert t.outcome == 1
     # A stricter model starves the multi-round attack of the chain values
