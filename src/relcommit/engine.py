@@ -184,6 +184,27 @@ class Transcript:
     payloads: List[int] = field(default_factory=list)
     outcome: OpenOutcome = BOT
 
+    @classmethod
+    def from_columns(cls, params: SchemeParams, seed: int, challenges: Sequence[int],
+                     responses: Sequence[int], opening: Optional[int] = None) -> "Transcript":
+        """The transcript of challenges a_0.., responses x_0.. and, unless
+        None, the opening y_m.  Raises ValueError unless they are the first
+        messages of a session of m rounds: at most m+1 challenges, each
+        answered but the last, and an opening only after m+1 responses."""
+        m = params.m
+        c, r = len(challenges), len(responses)
+        opened = opening is not None
+        if not (0 <= c - r <= 1 and c <= m + 1 and (r == m + 1 or not opened)):
+            raise ValueError(
+                f"{c} challenges, {r} responses and {'an' if opened else 'no'} opening "
+                f"are not the start of a session of m={m} rounds")
+        payloads = [0] * (c + r)
+        payloads[::2] = challenges
+        payloads[1::2] = responses
+        if opened:
+            payloads.append(opening)
+        return cls(params, seed, payloads)
+
     def challenges(self) -> List[int]:
         """a_0.., the payloads at even indices before the opening's."""
         return self.payloads[:2 * self.params.m + 2:2]

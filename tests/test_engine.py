@@ -427,6 +427,33 @@ def test_an_in_slot_assignment_round_trips_through_to_text():
         assert back.messages[k] == changed and back.to_text() == text
 
 
+@pytest.mark.parametrize("columns", [
+    ([1, 2, 3, 4], [1, 2, 3], None),
+    ([1, 2, 3], [1], None),
+    ([1], [1, 2], None),
+    ([1, 2], [1, 2], 3),
+    ([], [], 3),
+], ids=["challenge-past-m", "two-unanswered", "reply-before-challenge",
+        "opening-before-the-last-round", "opening-only"])
+def test_to_text_refuses_columns_no_session_has(columns):
+    # A transcript built from its columns holds only a session prefix, so
+    # to_text never meets these shapes: from_columns refuses them, and it
+    # builds every prefix of a real session as the payload list does.
+    c, r, y = columns
+    why = (f"{len(c)} challenges, {len(r)} responses and {'no' if y is None else 'an'} "
+           "opening are not the start of a session of m=2 rounds")
+    with pytest.raises(ValueError) as e:
+        Transcript.from_columns(make_params(3, 2), 1, *columns)
+    assert str(e.value) == why
+    t = run_honest_session(make_params(3, 2), 1, 7)
+    for k in range(len(t.payloads) + 1):
+        part = cut_after(t, k)
+        opening = t.final_opening() if k == len(t.payloads) else None
+        built = Transcript.from_columns(t.params, t.seed, part.challenges(), part.responses(),
+                                        opening)
+        assert built.payloads == part.payloads and built.to_text() == part.to_text()
+
+
 def test_every_session_prefix_round_trips_and_a_longer_list_is_refused():
     # Every list of at most 2m+3 payloads is the start of a session, so it
     # is written and read back; one more payload is refused wherever the
