@@ -16,18 +16,18 @@ bytes of a transcript do not depend on which way a value was drawn.
 What depends only on a session's shape is built once per shape, in bounded
 caches of immutable values that every session of that shape shares: the
 seed-free lane constants of a column (``_lanes``, per count and n), and the
-rounds, senders, receivers and line heads of all 2m+3 messages
-(``_layout``, per m and first committer), which both ``Transcript.to_text``
-and ``parse_transcript`` read.
+line heads of all 2m+3 messages (``_heads``, per session parameters),
+which both ``Transcript.to_text`` and ``parse_transcript`` read.
 
 A ``Transcript`` holds the session's payloads as one list in message
 order: a_i at index 2i, x_i at 2i+1 and the opening y_m at 2m+2.  The
-round and roles of every message are its slot in ``_layout``, the one home
-of the slot rule, so no message object is built when a session runs, is
-written or is parsed.  Every list of at most 2m+3 payloads is the start of
-a session; ``to_text`` refuses a longer one.  ``Transcript.messages`` is a
-view that builds ``RoundMessage`` objects when it is read, and refuses an
-assigned message that is out of its slot.
+round and roles of message k are ``_slot(params, k)``, the one home of the
+slot rule, which asks ``active_prover`` who answers each round; every line
+head and every slot check is built from it, so no message object is built
+when a session runs, is written or is parsed.  Every list of at most 2m+3
+payloads is the start of a session; ``to_text`` refuses a longer one.
+``Transcript.messages`` is a view that builds ``RoundMessage`` objects when
+it is read, and refuses an assigned message that is out of its slot.
 
 ``Verifier`` is the verifier with no I/O; ``run_attack_session`` drives it
 with in-process strategies and ``net.serve_verifier`` over sockets.  What an
@@ -175,35 +175,14 @@ class RoundMessage:
 class Transcript:
     """A session's payloads in message order: the challenge a_i at index
     2i and the response x_i at 2i+1 for i <= m, the opening y_m at 2m+2.
-    Each message's round and roles are its slot in the session's
-    ``_layout``, so they are not stored.  Any list of at most 2m+3
-    payloads is the start of a session."""
+    Message k's round and roles are ``_slot(params, k)``, so they are not
+    stored.  Any list of at most 2m+3 payloads is the start of a
+    session."""
 
     params: SchemeParams
     seed: int
     payloads: List[int] = field(default_factory=list)
     outcome: OpenOutcome = BOT
-
-    @classmethod
-    def from_columns(cls, params: SchemeParams, seed: int, challenges: Sequence[int],
-                     responses: Sequence[int], opening: Optional[int] = None) -> "Transcript":
-        """The transcript of challenges a_0.., responses x_0.. and, unless
-        None, the opening y_m.  Raises ValueError unless they are the first
-        messages of a session of m rounds: at most m+1 challenges, each
-        answered but the last, and an opening only after m+1 responses."""
-        m = params.m
-        c, r = len(challenges), len(responses)
-        opened = opening is not None
-        if not (0 <= c - r <= 1 and c <= m + 1 and (r == m + 1 or not opened)):
-            raise ValueError(
-                f"{c} challenges, {r} responses and {'an' if opened else 'no'} opening "
-                f"are not the start of a session of m={m} rounds")
-        payloads = [0] * (c + r)
-        payloads[::2] = challenges
-        payloads[1::2] = responses
-        if opened:
-            payloads.append(opening)
-        return cls(params, seed, payloads)
 
     def challenges(self) -> List[int]:
         """a_0.., the payloads at even indices before the opening's."""
@@ -232,12 +211,12 @@ class Transcript:
 
     def to_text(self) -> str:
         """The transcript file (README, "File formats"): each message line is
-        its slot's head in ``_layout`` and its payload.  Raises ValueError
+        its slot's head (``_heads``) and its payload.  Raises ValueError
         for more payloads than a session has, and FieldError for a payload
         outside the field."""
         params = self.params
         spec = params.field
-        lines = map(operator.add, _prefix_layout(params, self._count())[3],
+        lines = map(operator.add, _prefix_heads(params, self._count()),
                     spec.to_hex_all(self.payloads))
         out = "BOT" if self.outcome is BOT else spec.to_hex(self.outcome)
         return "\n".join([_header(params, self.seed), *lines, f"outcome={out}\n"])
@@ -260,7 +239,9 @@ class MessageView:
 
     def __iter__(self):
         t = self._t
-        return map(RoundMessage, *_prefix_layout(t.params, t._count())[:3], t.payloads)
+        params = t.params
+        return (RoundMessage(*_slot(params, k), x)
+                for k, x in zip(range(t._count()), t.payloads))
 
     def __getitem__(self, k):
         return list(self)[k]
@@ -274,9 +255,9 @@ class MessageView:
             raise ValueError(f"message {k} follows the opening")
         if not 0 <= k < count:
             raise IndexError("message index out of range")
-        rounds, senders, receivers, heads = _prefix_layout(t.params, count)
-        if (msg.round, msg.sender, msg.receiver) != (rounds[k], senders[k], receivers[k]):
-            raise ValueError(f"message {k} must be {_slot_name(heads[k])}")
+        slot = _slot(t.params, k)
+        if (msg.round, msg.sender, msg.receiver) != slot:
+            raise ValueError(f"message {k} must be {_SLOT % slot}")
         t.payloads[k] = msg.payload
 
 
@@ -285,46 +266,40 @@ def _header(params: SchemeParams, seed: int) -> str:
             f"m={params.m} seed={seed}")
 
 
-Layout = Tuple[Tuple[int, ...], Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]
+def _slot(params: SchemeParams, k: int) -> Tuple[int, str, str]:
+    """The round, sender and receiver of message k of a session.  Message k
+    is in round k // 2, answered by the prover ``active_prover`` names:
+    message 2i, i <= m, is the round-i challenge from V to that prover, and
+    every other message (its reply, or the opening 2m+2) goes from that
+    prover to V."""
+    i = k // 2
+    prover = active_prover(params, i)
+    if k % 2 or k > 2 * params.m:
+        return i, prover, "V"
+    return i, "V", prover
+
+
+_SLOT = "round=%d from=%s to=%s"  # a slot as its line names it
 
 
 @lru_cache(maxsize=4)
-def _layout(m: int, first_committer: str) -> Layout:
-    """The rounds, senders, receivers and line heads of all 2m+3 messages of
-    a session: rounds 0..m are a challenge to the round's prover and its
-    reply, round m+1 is the opening alone, from the prover that did not
-    answer round m.  The provers alternate from first_committer, as
-    ``active_prover`` says.  Each head is the message's line up to its
-    payload.  A pure function of (m, first_committer); the memo is
-    bounded."""
-    other = "Q" if first_committer == "P" else "P"
-    provers = [first_committer, other] * ((m + 3) // 2)  # round i's is provers[i]
-    rounds = [0, 0] * (m + 1)
-    rounds[::2] = rounds[1::2] = list(range(m + 1))  # one int object per round
-    senders = ["V", "V"] * (m + 1)
-    senders[1::2] = provers[:m + 1]
-    receivers = ["V", "V"] * (m + 1)
-    receivers[::2] = provers[:m + 1]
-    rounds.append(m + 1)
-    senders.append(provers[m + 1])
-    receivers.append("V")
-    heads = [f"round={i} from={s} to={r} payload=" for i, s, r in zip(rounds, senders, receivers)]
-    return tuple(rounds), tuple(senders), tuple(receivers), tuple(heads)
+def _heads(params: SchemeParams) -> Tuple[str, ...]:
+    """The line heads of all 2m+3 messages of a session: each message's
+    line up to its payload, from ``_slot``.  A pure function of params; the
+    memo is bounded."""
+    return tuple(_SLOT % _slot(params, k) + " payload=" for k in range(2 * params.m + 3))
 
 
-def _prefix_layout(params: SchemeParams, count: int) -> Layout:
-    """The layout to check the first count messages of a session against:
-    the session's own ``_layout`` when count // 2 >= m, else that of
+def _prefix_heads(params: SchemeParams, count: int) -> Tuple[str, ...]:
+    """The heads to check the first count messages of a session against:
+    the session's own ``_heads`` when count // 2 >= m, else those of
     count // 2 rounds.  A session of fewer rounds has the same slots up to
-    its opening, slot 2 * (count // 2) + 2 > count, so the first count slots
-    are the session's, and the layout's size follows count, not the m a
+    its opening, slot 2 * (count // 2) + 2 > count, so the first count heads
+    are the session's, and the cache's size follows count, not the m a
     transcript's header names."""
-    return _layout(min(params.m, count // 2), params.first_committer)
-
-
-def _slot_name(head: str) -> str:
-    """A line head without its payload key: round=i from=s to=r."""
-    return head[:head.rindex(" ")]
+    if count // 2 < params.m:
+        params = replace(params, m=count // 2)
+    return _heads(params)
 
 
 class TranscriptParseError(Exception):
@@ -337,10 +312,11 @@ def parse_transcript(text: str) -> Transcript:
     """Read back only what ``Transcript.to_text`` writes (README, "File
     formats"); anything else raises TranscriptParseError at its line.
 
-    The message lines are read at once: every payload by one
-    ``from_hex_all``, and the lines are accepted when they are the heads of
-    the session's ``_layout`` followed by those payloads.  Only a
-    transcript that fails is walked line by line, to name the first bad
+    The message lines are read at once: they are accepted when each starts
+    with its slot's head (``_heads``) and the rest of every line is a
+    payload, all read by one ``from_hex_all``.  That is the rule
+    ``_raise_at_first_bad_line`` applies one line at a time; only a
+    transcript that fails is walked that way, to name the first bad
     line."""
     lines = text.split("\n")
     if not lines[0].startswith("#relcommit v1 "):
@@ -362,18 +338,18 @@ def parse_transcript(text: str) -> Transcript:
     body = list(filter(str.strip, lines[1:end]))
     # The header does not name the first committer; the round-0 challenge
     # goes to it.  A first line that names Q up to its payload key gives Q.
-    # Round 0's head is the same for every m.
-    if body and body[0].startswith(_slot_name(_layout(0, "Q")[3][0]) + " "):
-        params = replace(params, first_committer="Q")
-    heads = _prefix_layout(params, len(body))[3]
-    width = (spec.n + 3) // 4
-    texts = [line[-width:] for line in body]
-    try:
-        values = spec.from_hex_all(texts, "payload")
-    except FieldError:
-        values = None
-    if values is None or list(map(operator.add, heads, texts)) != body:
-        _raise_at_first_bad_line(lines, end, heads, spec)
+    q_first = replace(params, first_committer="Q")
+    if body and body[0].startswith(_SLOT % _slot(q_first, 0) + " "):
+        params = q_first
+    heads = _prefix_heads(params, len(body))
+    values = None
+    if len(body) <= len(heads) and all(map(str.startswith, body, heads)):
+        try:
+            values = spec.from_hex_all(list(map(str.removeprefix, body, heads)), "payload")
+        except FieldError:
+            pass
+    if values is None:
+        _raise_at_first_bad_line(lines, end, heads, params)
     t = Transcript(params, seed, values)
     if not has_outcome:
         raise TranscriptParseError(last + 2, "missing outcome line")
@@ -386,9 +362,10 @@ def parse_transcript(text: str) -> Transcript:
 
 
 def _raise_at_first_bad_line(lines: List[str], end: int, heads: Sequence[str],
-                             spec: FieldSpec) -> None:
+                             params: SchemeParams) -> None:
     """Raise TranscriptParseError for the first of lines[1:end] that is not
-    the next message's line under the heads given."""
+    the next message's line under the heads given, the first heads of the
+    session of params."""
     k = 0
     for idx in range(1, end):
         line = lines[idx]
@@ -399,8 +376,8 @@ def _raise_at_first_bad_line(lines: List[str], end: int, heads: Sequence[str],
                 raise ValueError(f"message {k} follows the opening")
             head = heads[k]
             if not line.startswith(head):
-                raise ValueError(f"message {k} must be {_slot_name(head)}")
-            spec.from_hex(line[len(head):], "payload")
+                raise ValueError(f"message {k} must be {_SLOT % _slot(params, k)}")
+            params.field.from_hex(line[len(head):], "payload")
         except ValueError as e:
             why = ("outcome line before the last line" if line.startswith("outcome=")
                    else f"bad message line: {e}")

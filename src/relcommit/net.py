@@ -75,14 +75,21 @@ def frame(msg: WireMessage) -> bytes:
     return _HEAD.pack(length, msg.type, msg.round) + msg.body
 
 
-def parse(data: bytes) -> WireMessage:
-    if len(data) < 7:
-        raise WireError("frame underflow (need length prefix and header)")
+def _declared_length(data: bytes) -> int:
+    """The length that a frame's first 4 bytes declare; raises WireError
+    unless it is between the header size and 2^16."""
     (length,) = struct.unpack(">I", data[:4])
     if length > MAX_FRAME:
         raise WireError("declared length exceeds 2^16 bytes")
     if length < 3:
         raise WireError("declared length below header size")
+    return length
+
+
+def parse(data: bytes) -> WireMessage:
+    if len(data) < 7:
+        raise WireError("frame underflow (need length prefix and header)")
+    length = _declared_length(data)
     if len(data) != 4 + length:
         raise WireError(f"frame length mismatch: declared {length}, "
                         f"carried {len(data) - 4}")
@@ -114,11 +121,7 @@ def recv_frame(sock: socket.socket, head: bytes = b"") -> WireMessage:
     bytes) has already been read; bytes of head past the frame are dropped."""
     if not head:
         head = _recv_exact(sock, 4)
-    (length,) = struct.unpack(">I", head[:4])
-    if length > MAX_FRAME:
-        raise WireError("declared length exceeds 2^16 bytes")
-    if length < 3:
-        raise WireError("declared length below header size")
+    length = _declared_length(head)
     return parse(head[:4 + length]
                  + _recv_exact(sock, 4 + length - len(head), started=True))
 

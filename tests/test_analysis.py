@@ -349,6 +349,45 @@ def test_max_p0_plus_p1_closed_form():
         assert max_p0_plus_p1(chsh_scheme(spec, bit=True)) == 1 + F(1, spec.order)
 
 
+# The m = 1 witness of weak binding at n = 3 (x table H, y table G).
+WITNESS_H = (0, 0, 1, 5, 6, 4, 7, 2)
+WITNESS_G = (0, 1, 5, 0, 2, 4, 6, 7)
+
+
+def test_weak_binding_error_exceeds_m_plus_1_times_the_one_round_error():
+    # A bit commitment over GF(8) modulo 0xB with m = 1, P first.  P
+    # commits x_0 = 0 whatever the bit.  To open 0, Q sends x_1 = 0 and P
+    # opens y_1 = 0.  To open 1, Q sends x_1 = G[a_1] and P, whose view at
+    # the opening holds a_0 but not a_1, opens y_1 = H[a_0].  Over all 64
+    # challenge pairs p0 + p1 - 1 = 21/64, above (m+1) * eps_0 = 1/4, so
+    # the weak notion does not compose linearly.
+    params = SchemeParams(GF8, 1, domain_bits=1)
+
+    def commit(party, i, view):
+        return 0
+
+    def open_zero(party, i, view):
+        return 0
+
+    def open_one(party, i, view):
+        if i == 1:
+            return WITNESS_G[view.challenge(1)]
+        with pytest.raises(engine.ProtocolViolation):
+            view.challenge(1)
+        return WITNESS_H[view.challenge(0)]
+
+    pairs = list(product(range(8), repeat=2))
+    p0 = sum(engine.run_attack_session(params, commit, open_zero, 0, fixed_challenges=pair)
+             .outcome == 0 for pair in pairs)
+    p1 = sum(engine.run_attack_session(params, commit, open_one, 0, fixed_challenges=pair)
+             .outcome == 1 for pair in pairs)
+    assert (p0, p1) == (64, 21)
+    eps0 = max_p0_plus_p1(chsh_scheme(GF8, bit=True)) - 1
+    assert eps0 == F(1, 8)
+    weak = F(p0 + p1, 64) - 1
+    assert weak == F(21, 64) > (params.m + 1) * eps0 == F(1, 4)
+
+
 def test_max_p0_plus_p1_refuses_large_fields():
     with pytest.raises(ValueError):
         max_p0_plus_p1(chsh_scheme(FieldSpec.default(4), bit=True))

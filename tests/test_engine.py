@@ -220,31 +220,62 @@ def test_parse_errors_give_their_reason(lines, why):
     assert str(e.value) == why
 
 
+def _bulk_layout(m, first_committer):
+    """The rounds, senders, receivers and line heads of all 2m+3 messages
+    of a session, built by list slicing from the alternation alone: rounds
+    0..m are a challenge to the round's prover and its reply, round m+1 is
+    the opening alone, from the prover that did not answer round m.  An
+    oracle for engine._slot and the heads built from it."""
+    other = "Q" if first_committer == "P" else "P"
+    provers = [first_committer, other] * ((m + 3) // 2)  # round i's is provers[i]
+    rounds = [0, 0] * (m + 1)
+    rounds[::2] = rounds[1::2] = list(range(m + 1))
+    senders = ["V", "V"] * (m + 1)
+    senders[1::2] = provers[:m + 1]
+    receivers = ["V", "V"] * (m + 1)
+    receivers[::2] = provers[:m + 1]
+    rounds.append(m + 1)
+    senders.append(provers[m + 1])
+    receivers.append("V")
+    heads = [f"round={i} from={s} to={r} payload=" for i, s, r in zip(rounds, senders, receivers)]
+    return tuple(rounds), tuple(senders), tuple(receivers), tuple(heads)
+
+
 def test_message_slots_are_the_first_count_slots():
-    # The layout of a session is its messages' slots, and the layout of a
-    # shorter session agrees with it up to the shorter one's opening, which
-    # is what lets a short or cut transcript read a layout of its own length.
+    # _slot and the cached heads are the bulk builder's slots, and the slots
+    # of a shorter session agree with a session's up to the shorter one's
+    # opening, which is what lets a short or cut transcript read the heads
+    # of its own length.
     for fc in ("P", "Q"):
-        for m in (0, 1, 4, 5):
+        for m in range(6):
             params = make_params(m=m, first_committer=fc)
-            every = list(zip(*engine._layout(m, fc)[:3]))
+            rounds, senders, receivers, heads = _bulk_layout(m, fc)
+            every = list(zip(rounds, senders, receivers))
+            assert [engine._slot(params, k) for k in range(2 * m + 3)] == every
+            assert engine._heads(params) == heads
             assert every == [(msg.round, msg.sender, msg.receiver)
                              for msg in run_honest_session(params, 1, 7).messages]
             assert [s for _, s, _ in every[1::2]] == [active_prover(params, i)
                                                        for i in range(m + 1)]
             assert every[-1] == (m + 1, active_prover(params, m + 1), "V")
             for shorter in range(m):
-                assert list(zip(*engine._layout(shorter, fc)[:3]))[:-1] == every[:2 * shorter + 2]
+                short = _bulk_layout(shorter, fc)
+                assert list(zip(*short[:3]))[:-1] == every[:2 * shorter + 2]
+                assert engine._heads(replace(params, m=shorter)) == short[3]
+            for count in range(2 * m + 4):
+                prefix = engine._prefix_heads(params, count)
+                assert prefix == _bulk_layout(min(m, count // 2), fc)[3]
+                assert prefix[:count] == heads[:count]
 
 
-def _layout_within(limit):
-    """engine._layout, refusing any m above limit before it builds a layout."""
-    build = engine._layout
+def _heads_within(limit):
+    """engine._heads, refusing any m above limit before it builds heads."""
+    build = engine._heads
 
-    def layout(m, first_committer):
-        assert m <= limit, f"a layout of {m} rounds was asked for"
-        return build(m, first_committer)
-    return mock.patch.object(engine, "_layout", layout)
+    def heads(params):
+        assert params.m <= limit, f"the heads of {params.m} rounds were asked for"
+        return build(params)
+    return mock.patch.object(engine, "_heads", heads)
 
 
 def test_parse_cost_follows_the_file_not_the_header_m():
@@ -256,13 +287,13 @@ def test_parse_cost_follows_the_file_not_the_header_m():
     for cut in range(len(t.messages) - 1):
         text = cut_after(t, cut).to_text()
         text = text.replace(" m=3 ", f" m={huge} ", 1)
-        with _layout_within(cut // 2):
+        with _heads_within(cut // 2):
             back = parse_transcript(text)
             assert back.params.m == huge and back.to_text() == text
         lines = text.split("\n")
         if cut:
             lines[cut] = lines[cut].replace("from=", "from=Q", 1)
-            with _layout_within(cut // 2), pytest.raises(TranscriptParseError) as e:
+            with _heads_within(cut // 2), pytest.raises(TranscriptParseError) as e:
                 parse_transcript("\n".join(lines))
             assert e.value.lineno == cut + 1
             assert "must be round=" in str(e.value)
@@ -427,6 +458,26 @@ def test_an_in_slot_assignment_round_trips_through_to_text():
         assert back.messages[k] == changed and back.to_text() == text
 
 
+def from_columns(params, seed, challenges, responses, opening=None):
+    """The transcript of challenges a_0.., responses x_0.. and, unless
+    None, the opening y_m.  Raises ValueError unless they are the first
+    messages of a session of m rounds: at most m+1 challenges, each
+    answered but the last, and an opening only after m+1 responses."""
+    m = params.m
+    c, r = len(challenges), len(responses)
+    opened = opening is not None
+    if not (0 <= c - r <= 1 and c <= m + 1 and (r == m + 1 or not opened)):
+        raise ValueError(
+            f"{c} challenges, {r} responses and {'an' if opened else 'no'} opening "
+            f"are not the start of a session of m={m} rounds")
+    payloads = [0] * (c + r)
+    payloads[::2] = challenges
+    payloads[1::2] = responses
+    if opened:
+        payloads.append(opening)
+    return Transcript(params, seed, payloads)
+
+
 @pytest.mark.parametrize("columns", [
     ([1, 2, 3, 4], [1, 2, 3], None),
     ([1, 2, 3], [1], None),
@@ -443,14 +494,13 @@ def test_to_text_refuses_columns_no_session_has(columns):
     why = (f"{len(c)} challenges, {len(r)} responses and {'no' if y is None else 'an'} "
            "opening are not the start of a session of m=2 rounds")
     with pytest.raises(ValueError) as e:
-        Transcript.from_columns(make_params(3, 2), 1, *columns)
+        from_columns(make_params(3, 2), 1, *columns)
     assert str(e.value) == why
     t = run_honest_session(make_params(3, 2), 1, 7)
     for k in range(len(t.payloads) + 1):
         part = cut_after(t, k)
         opening = t.final_opening() if k == len(t.payloads) else None
-        built = Transcript.from_columns(t.params, t.seed, part.challenges(), part.responses(),
-                                        opening)
+        built = from_columns(t.params, t.seed, part.challenges(), part.responses(), opening)
         assert built.payloads == part.payloads and built.to_text() == part.to_text()
 
 
@@ -914,10 +964,11 @@ def test_challenge_stream_uniformity_chi_square():
 
 def test_message_slot_never_names_one_party_as_sender_and_receiver():
     # Every message the verifier issues or takes, and every line that
-    # parse_transcript accepts, has the slot its session's layout names.
+    # parse_transcript accepts, has the slot that _slot names.
     for fc in ("P", "Q"):
         for m in (0, 1, 4):
-            _, senders, receivers, _ = engine._layout(m, fc)
-            for sender, receiver in zip(senders, receivers):
+            params = make_params(m=m, first_committer=fc)
+            for k in range(2 * m + 3):
+                _, sender, receiver = engine._slot(params, k)
                 assert sender != receiver
                 assert "V" in (sender, receiver)

@@ -75,6 +75,33 @@ def test_parse_rejects_bad_frames():
         frame(WireMessage(T_OPEN, 0, b"\x00" * (1 << 16)))
 
 
+@pytest.mark.parametrize("length, why", [
+    (0, "declared length below header size"),
+    (2, "declared length below header size"),
+    ((1 << 16) + 1, "declared length exceeds 2^16 bytes"),
+    ((1 << 32) - 1, "declared length exceeds 2^16 bytes"),
+])
+def test_parse_and_recv_frame_refuse_a_declared_length_alike(length, why):
+    # parse and recv_frame check a frame's declared length by one rule, so
+    # both refuse it with one text, recv_frame before it reads the body.
+    data = length.to_bytes(4, "big") + bytes([T_CHALLENGE, 0, 0])
+    with pytest.raises(WireError) as parsed:
+        parse(data)
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(data)
+        with pytest.raises(WireError) as received:
+            net.recv_frame(b)
+        assert b.recv(3) == data[4:]
+    assert str(parsed.value) == str(received.value) == why
+    for length in (3, 1 << 16):
+        good = frame(WireMessage(T_OPEN, 1, b"\x00" * (length - 3)))
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(good)
+            assert net.recv_frame(b) == parse(good) == WireMessage(T_OPEN, 1, good[7:])
+
+
 def start_provers(params, seed, value=0):
     """Both honest provers listening on ephemeral ports: (endpoints, join)."""
     return loopback.start(*loopback.honest(params, seed, value))
