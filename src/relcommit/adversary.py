@@ -27,6 +27,7 @@ from .engine import (
     SchemeParams,
     honest_reply,
     stream_value,
+    stream_values,
 )
 from .field import FieldSpec
 from .scheme import chsh_response
@@ -162,11 +163,6 @@ class TightnessStrategy(ProverStrategy):
     rounds; the partner guesses the chain value with Y one round later and
     commits to the guess honestly.  A correct guess puts the session in an
     honestly-committed state, and everyone plays honestly from there.
-
-    The game draws (r_a, r_s) of an attempt round are read by the faker's
-    play, the partner's guess and both parties' scans.  They are cached,
-    and begin_session empties the cache, so each round's pair is drawn
-    once per session.
     """
 
     def __init__(self, target: int, rand: RandomizedChsh):
@@ -175,17 +171,12 @@ class TightnessStrategy(ProverStrategy):
 
     def begin_session(self, params: SchemeParams, prover_seed: int):
         super().begin_session(params, prover_seed)
-        self._drawn = {}
+        # The game draws (r_a, r_s) of every round, as two columns.
+        n = params.field.n
+        self._r_a = stream_values(prover_seed, STREAM_GAME_A, params.m + 1, n)
+        self._r_s = stream_values(prover_seed, STREAM_GAME_B, params.m + 1, n)
         # party -> (next round to scan, attempt already succeeded, chain value)
         self._chains = {}
-
-    def _draws(self, i: int) -> Tuple[int, int]:
-        pair = self._drawn.get(i)
-        if pair is None:
-            n = self.params.field.n
-            pair = self._drawn[i] = (stream_value(self.seed, STREAM_GAME_A, i, n),
-                                     stream_value(self.seed, STREAM_GAME_B, i, n))
-        return pair
 
     def _scan(self, view: PartyView, upto: int) -> Tuple[bool, int]:
         """(False, chain value w_upto) from rounds <= upto, or (True, w) once
@@ -197,9 +188,9 @@ class TightnessStrategy(ProverStrategy):
         must not stand in for rounds the other's view cannot see.  Calls
         come in increasing round order within a session, as the engine
         makes them.  Once this party's chain records a win the scan stops
-        and returns at once, with no reads and no draws.  That is exact:
-        within a session a party's win is never undone, and after it every
-        branch of __call__ answers honestly without reading w.
+        and returns at once, with no reads.  That is exact: within a
+        session a party's win is never undone, and after it every branch
+        of __call__ answers honestly without reading w.
         """
         start, won, w = self._chains.get(view.party, (0, False, self.target))
         if won:
@@ -209,8 +200,7 @@ class TightnessStrategy(ProverStrategy):
             a, x = view.challenge(j), view.response(j)
             w_next = x ^ mul(a, w)
             if j % 2 == 0:
-                r_a, r_s = self._draws(j)
-                if self.rand.y_play(w, r_a, r_s) == w_next:
+                if self.rand.y_play(w, self._r_a[j], self._r_s[j]) == w_next:
                     self._chains[view.party] = (j + 1, True, w_next)
                     return True, w_next
             w = w_next
@@ -226,19 +216,17 @@ class TightnessStrategy(ProverStrategy):
             won, w = self._scan(view, m - 1)
             if won:
                 return honest_reply(spec, m, round_index, None, self._pad)
-            r_a, r_s = self._draws(m)
-            return self.rand.y_play(w, r_a, r_s)
+            return self.rand.y_play(w, self._r_a[m], self._r_s[m])
         a = view.challenge(round_index)
         won, w = self._scan(view, round_index - 2)
         if won:
             return honest_reply(spec, m, round_index, a, self._pad)
         if round_index % 2 == 1:
             # Commit honestly to the guessed chain value in place of y_{i-1}.
-            r_a, r_s = self._draws(round_index - 1)
-            guess = self.rand.y_play(w, r_a, r_s)
+            j = round_index - 1
+            guess = self.rand.y_play(w, self._r_a[j], self._r_s[j])
             return chsh_response(spec, guess, self._pad(round_index), a)
-        r_a, r_s = self._draws(round_index)
-        return self.rand.x_play(a, r_a, r_s)
+        return self.rand.x_play(a, self._r_a[round_index], self._r_s[round_index])
 
 
 def tightness_strategy(target: int, tables: ChshTables,

@@ -225,9 +225,10 @@ class Transcript:
 class MessageView:
     """``Transcript.messages``: the messages as a sequence, each a new
     ``RoundMessage`` of its slot's round and roles and its payload, built
-    when read.  messages[k] = msg writes msg.payload at k if msg has slot
-    k's round, sender and receiver, and raises ValueError otherwise, so a
-    transcript holds no message out of its slot."""
+    when read; messages[k] builds message k alone.  messages[k] = msg
+    writes msg.payload at k if msg has slot k's round, sender and receiver,
+    and raises ValueError otherwise, so a transcript holds no message out
+    of its slot."""
 
     __slots__ = ("_t",)
 
@@ -244,7 +245,11 @@ class MessageView:
                 for k, x in zip(range(t._count()), t.payloads))
 
     def __getitem__(self, k):
-        return list(self)[k]
+        if isinstance(k, slice):
+            return list(self)[k]
+        t = self._t
+        k = range(t._count())[k]  # IndexError out of range
+        return RoundMessage(*_slot(t.params, k), t.payloads[k])
 
     def __setitem__(self, k: int, msg: RoundMessage) -> None:
         t = self._t

@@ -1,17 +1,19 @@
 """Networked sessions: P, Q and V as processes over a length-prefixed protocol.
 
-Frame layout: 4-byte big-endian length, then type (1), round (2, big-endian),
-body.  Bodies carry one field element in ceil(n/8) big-endian bytes except
-for the handshake and ABORT (1-byte reason).  One rule, ``_round_frames``,
-gives both ends the layout of every round frame and the RESULT and the
-types asked and answered at each round.  Each side knows the size of every
-frame it expects, so one reader reads each into a buffer of that size and
-refuses it as soon as its first 4 bytes declare another length.  Only the
-verifier keeps time: one absolute deadline per handshake (SETUP_S) and per
-round (taken as the challenge is sent, at most MAX_DEADLINE_MS), each read
-waiting only for the time that remains, so a frame not in by then aborts
-the session, whatever length it declares.  That is what makes the
-no-communication window operational.  ABORT frames carry the round.
+Frame layout (``_HEAD``): 4-byte big-endian length, then type (1), round
+(2, big-endian), body.  Bodies carry one field element in ceil(n/8)
+big-endian bytes except for the handshake and ABORT (1-byte reason).  One
+rule, ``_round_frames``, gives both ends the layout of every round frame
+and the RESULT and the types asked and answered at each round.  Each side
+knows the size of every frame it expects.  One loop, ``_fill``, reads
+every frame: it refuses an expected one as soon as its first 4 bytes
+declare another length, and it tells a close before a frame's first byte
+(ConnectionError) from one after it (WireError).  Only the verifier keeps
+time: one absolute deadline per handshake (SETUP_S) and per round (taken
+as the challenge is sent, at most MAX_DEADLINE_MS), each read waiting only
+for the time that remains, so a frame not in by then aborts the session,
+whatever length it declares.  That is what makes the no-communication
+window operational.  ABORT frames carry the round.
 
 The verifier drives the same sans-IO ``engine.Verifier`` as the in-process
 engine, never issuing challenge i before response i-1 is validated.  With
@@ -78,7 +80,7 @@ def frame(msg: WireMessage) -> bytes:
 def _declared_length(data: bytes) -> int:
     """The length that a frame's first 4 bytes declare; raises WireError
     unless it is between the header size and 2^16."""
-    (length,) = struct.unpack(">I", data[:4])
+    length = int.from_bytes(data[:4], "big")
     if length > MAX_FRAME:
         raise WireError("declared length exceeds 2^16 bytes")
     if length < 3:
@@ -93,7 +95,7 @@ def parse(data: bytes) -> WireMessage:
     if len(data) != 4 + length:
         raise WireError(f"frame length mismatch: declared {length}, "
                         f"carried {len(data) - 4}")
-    mtype, rnd = struct.unpack(">BH", data[4:7])
+    _, mtype, rnd = _HEAD.unpack_from(data)
     if mtype not in _TYPES:
         raise WireError(f"unknown frame type 0x{mtype:02x}")
     return WireMessage(mtype, rnd, data[7:])
@@ -103,44 +105,14 @@ def element_body(spec_n: int, value: int) -> bytes:
     return value.to_bytes(body_len(spec_n), "big")
 
 
-def _recv_exact(sock: socket.socket, size: int, started: bool = False) -> bytes:
-    """Read exactly size bytes; EOF mid-frame is a truncation, not a close."""
-    buf = b""
-    while len(buf) < size:
-        part = sock.recv(size - len(buf))
-        if not part:
-            if started or buf:
-                raise WireError("truncated frame (peer closed mid-frame)")
-            raise ConnectionError("peer closed the connection")
-        buf += part
-    return buf
-
-
-def recv_frame(sock: socket.socket, head: bytes = b"") -> WireMessage:
-    """Read one frame, of which head (empty, or at least its 4 length
-    bytes) has already been read; bytes of head past the frame are dropped."""
-    if not head:
-        head = _recv_exact(sock, 4)
-    length = _declared_length(head)
-    return parse(head[:4 + length]
-                 + _recv_exact(sock, 4 + length - len(head), started=True))
-
-
-def _recv_reply(sock: socket.socket, buf: bytearray, expect: bytes, order: int,
-                deadline: Optional[float] = None) -> int:
-    """Read one frame of exactly len(buf) bytes into buf; return 0 when it
-    is the frame expected, else the count of bytes read (at least 4).
-
-    The frame expected starts with expect (a header or a whole frame) and
-    the bytes after it are a big-endian value below order.  Reading stops
-    as soon as the first 4 bytes declare another length.  With a deadline
-    (a time.monotonic() reading), each recv waits only for the time left
-    and TimeoutError is raised once it has passed, also when the frame is
-    complete.  Raises WireError when the peer closes mid-frame and
-    ConnectionError when it closes before the first byte.
-    """
+def _fill(sock: socket.socket, buf: bytearray, got: int = 0,
+          deadline: Optional[float] = None, expect: bytes = b"") -> int:
+    """Read into buf, whose first got bytes are in, until it is full or
+    its first 4 bytes are in and differ from expect's; return the count
+    in.  With a deadline (a time.monotonic() reading) each recv waits only
+    for the time left, and TimeoutError is raised once none is.  A close
+    is ConnectionError before a frame's first byte, WireError after it."""
     size = len(buf)
-    got = 0
     while got < size:
         if deadline is not None:
             left = deadline - time.monotonic()
@@ -153,9 +125,34 @@ def _recv_reply(sock: socket.socket, buf: bytearray, expect: bytes, order: int,
                 raise WireError("truncated frame (peer closed mid-frame)")
             raise ConnectionError("peer closed the connection")
         got += k
-        if 4 <= got < size and buf[:4] != expect[:4]:
-            return got
-    if deadline is not None and time.monotonic() > deadline:
+        if 4 <= got < size and not buf.startswith(expect[:4]):
+            break
+    return got
+
+
+def recv_frame(sock: socket.socket, head: bytes = b"") -> WireMessage:
+    """Read one frame, of which head (empty, or at least its 4 length
+    bytes) has already been read; bytes of head past the frame are dropped."""
+    if not head:
+        head = bytearray(4)
+        _fill(sock, head)
+    buf = bytearray(4 + _declared_length(head))
+    got = min(len(head), len(buf))
+    buf[:got] = head[:got]
+    _fill(sock, buf, got)
+    return parse(bytes(buf))
+
+
+def _recv_reply(sock: socket.socket, buf: bytearray, expect: bytes, order: int,
+                deadline: Optional[float] = None) -> int:
+    """Read one frame of exactly len(buf) bytes into buf (``_fill``);
+    return 0 when it is the frame expected, else the count of bytes read
+    (at least 4).  The frame expected starts with expect (a header or a
+    whole frame) and the bytes after it are a big-endian value below
+    order.  With a deadline, TimeoutError is raised once it has passed,
+    also when the frame is complete."""
+    got = _fill(sock, buf, 0, deadline, expect)
+    if got == len(buf) and deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("reply deadline passed")
     if buf.startswith(expect) and int.from_bytes(buf[len(expect):], "big") < order:
         return 0
@@ -184,7 +181,7 @@ def _round_frames(params: SchemeParams):
     RESPONSE up to m, an OPEN request answered by the OPEN at m + 1.
     """
     nbytes = body_len(params.field.n)
-    return (3 + nbytes, nbytes, struct.Struct(f">IBH{nbytes}s").pack,
+    return (3 + nbytes, nbytes, struct.Struct(_HEAD.format + f"{nbytes}s").pack,
             ((T_CHALLENGE, T_RESPONSE), (T_OPEN, T_OPEN)))
 
 
@@ -360,7 +357,7 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
         # The RESULT body is a field element or all-FF for a rejection.
         got = _recv_reply(conn, buf, _HEAD.pack(length, T_RESULT, m + 1), 1 << 8 * nbytes)
         return _refuse(conn, bytes(buf[:got])) if got else 0
-    except (WireError, ConnectionError, OSError):
+    except (WireError, OSError):  # a ConnectionError is an OSError
         return 1
     finally:
         conn.close()

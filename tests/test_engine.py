@@ -456,6 +456,22 @@ def test_an_in_slot_assignment_round_trips_through_to_text():
         assert text == "\n".join(lines)
         back = parse_transcript(text)
         assert back.messages[k] == changed and back.to_text() == text
+    with pytest.raises(IndexError, match="^message index out of range$"):
+        t.messages[-10] = t.messages[0]
+    with pytest.raises(IndexError, match="^message index out of range$"):
+        cut_after(t, 4).messages[5] = t.messages[5]
+
+
+def test_one_message_is_read_through_its_own_slot(monkeypatch):
+    t = run_honest_session(make_params(8, 512), 0xA5, 3)
+    slots = []
+    slot = engine._slot
+    monkeypatch.setattr(engine, "_slot", lambda params, k: slots.append(k) or slot(params, k))
+    last = t.messages[-1]
+    assert slots == [2 * 512 + 2]
+    assert last == RoundMessage(513, active_prover(t.params, 513), "V", t.final_opening())
+    with pytest.raises(IndexError):
+        t.messages[-len(t.payloads) - 1]
 
 
 def from_columns(params, seed, challenges, responses, opening=None):

@@ -2,6 +2,7 @@
 
 import queue
 import socket
+import struct
 import threading
 import time
 
@@ -100,6 +101,24 @@ def test_parse_and_recv_frame_refuse_a_declared_length_alike(length, why):
         with a, b:
             a.sendall(good)
             assert net.recv_frame(b) == parse(good) == WireMessage(T_OPEN, 1, good[7:])
+
+
+@pytest.mark.parametrize(
+    "sent", [b"", b"\x00\x00", frame(WireMessage(T_OPEN, 1, b"\x2a\x2b"))[:8]],
+    ids=["nothing", "half-the-length", "part-of-the-body"])
+def test_recv_frame_tells_a_close_from_a_truncated_frame(sent):
+    # A peer that closes before a frame's first byte has closed the
+    # connection; one that closes after it has cut the frame short.
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(sent)
+        a.shutdown(socket.SHUT_WR)
+        if not sent:
+            with pytest.raises(ConnectionError, match="^peer closed the connection$"):
+                net.recv_frame(b)
+        else:
+            with pytest.raises(WireError, match=r"^truncated frame \(peer closed mid-frame\)$"):
+                net.recv_frame(b)
 
 
 def start_provers(params, seed, value=0):
@@ -389,6 +408,31 @@ def test_abort_frames_carry_the_round_in_progress(monkeypatch):
     assert q_trace[-1].body == bytes([ABORT_CONNECTION])
 
 
+def test_an_abort_send_to_a_reset_connection_keeps_the_reason(monkeypatch):
+    # The fake P resets its connection on round 0's challenge, so the ABORT
+    # sent to it fails; Q still gets its ABORT and the session its reason.
+    params = SchemeParams(FieldSpec.default(8), m=2)
+    failed, send_frame = [], net.send_frame
+
+    def sending(sock, msg):
+        try:
+            send_frame(sock, msg)
+        except OSError:
+            failed.append(msg)
+            raise
+
+    def reset(conn):
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.close()
+
+    monkeypatch.setattr(net, "send_frame", sending)
+    q_trace = loopback.record_reads(monkeypatch)["Q"]
+    res, _ = serve_against_fake_p(params, 9, 2000, reset)
+    assert res.aborted and res.abort_reason == ABORT_CONNECTION
+    assert failed == [WireMessage(T_ABORT, 0, bytes([ABORT_CONNECTION]))]
+    assert q_trace[-1] == WireMessage(T_ABORT, 0, bytes([ABORT_CONNECTION]))
+
+
 @settings(max_examples=300)
 @given(st.binary(max_size=80))
 def test_parse_returns_a_message_or_raises_wire_error(data):
@@ -438,6 +482,29 @@ def test_reply_reader_ends_every_input_within_the_deadline(head, tail, close):
     assert took < 2 * deadline_s
 
 
+def test_reply_reader_reads_nothing_once_the_deadline_has_passed(monkeypatch):
+    monkeypatch.setattr(net.time, "monotonic", lambda: 10.0)
+    reply = frame(WireMessage(T_RESPONSE, 3, b"\x01"))
+    v, p = socket.socketpair()
+    with v, p:
+        p.sendall(reply)
+        with pytest.raises(TimeoutError):
+            net._recv_reply(v, bytearray(8), REPLY_HEAD, 8, deadline=1.0)
+        assert v.recv(64) == reply  # no recv happened
+
+
+def test_a_reply_completed_after_the_deadline_is_late(monkeypatch):
+    # The clock reads 0 before the one recv that brings the whole frame,
+    # and 10 after it: the frame is complete, but past the deadline.
+    ticks = iter([0.0])
+    monkeypatch.setattr(net.time, "monotonic", lambda: next(ticks, 10.0))
+    v, p = socket.socketpair()
+    with v, p:
+        p.sendall(frame(WireMessage(T_RESPONSE, 3, b"\x01")))
+        with pytest.raises(TimeoutError):
+            net._recv_reply(v, bytearray(8), REPLY_HEAD, 8, deadline=1.0)
+
+
 def test_connection_loss_aborts():
     params = SchemeParams(FieldSpec.default(3), m=0)
     cfg = DeadlineConfig(200, ("127.0.0.1", 1), ("127.0.0.1", 1))
@@ -470,6 +537,31 @@ def test_committed_value_outside_field_or_domain_is_rejected_before_binding():
         for role in ("P", "Q"):
             with pytest.raises(ValueError):
                 run_prover(role, params, 1, ("127.0.0.1", 0), value=value, ready=bound)
+    with pytest.raises(ValueError, match="^role must be 'P' or 'Q'$"):
+        run_prover("X", gf256, 1, ("127.0.0.1", 0), ready=bound)
+
+
+def echo_hello(conn, hello):
+    conn.sendall(hello)
+    net.recv_frame(conn)
+
+
+@pytest.mark.parametrize("act", [
+    lambda conn, hello: None,
+    echo_hello,
+    lambda conn, hello: (echo_hello(conn, hello),
+                         conn.sendall(frame(WireMessage(T_CHALLENGE, 0, b"\x2a"))[:5])),
+], ids=["before-the-handshake", "after-the-handshake", "mid-challenge"])
+def test_prover_exits_1_when_the_verifier_closes(act):
+    # A fake verifier connects to a real P, calls act(conn, handshake) and
+    # closes: P reads a close or a cut frame and exits 1.
+    params = SchemeParams(FieldSpec.default(8), m=2)
+    endpoint, status = queue.Queue(), queue.Queue()
+    threading.Thread(target=lambda: status.put(
+        run_prover("P", params, 1, ("127.0.0.1", 0), ready=endpoint.put)), daemon=True).start()
+    with socket.create_connection(endpoint.get(timeout=5.0)) as conn:
+        act(conn, net._hello(params, "P"))
+    assert status.get(timeout=5.0) == 1
 
 
 def test_verifier_never_relays_prover_messages(monkeypatch):
