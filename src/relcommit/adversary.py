@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .engine import (
     STREAM_GAME_A,
@@ -23,7 +23,6 @@ from .engine import (
     STREAM_RANDOM_OPEN,
     HonestProver,
     PartyView,
-    ProverStrategy,
     SchemeParams,
     honest_reply,
     stream_value,
@@ -154,7 +153,7 @@ def tightness_success_probability(q: Fraction, m: int) -> Fraction:
     return 1 - (1 - q) ** (m // 2 + 1)
 
 
-class TightnessStrategy(ProverStrategy):
+class TightnessStrategy(HonestProver):
     """Both provers' play in the multi-round attack, every round.
 
     The target chain w_i is the opening string that round i would have to
@@ -162,10 +161,12 @@ class TightnessStrategy(ProverStrategy):
     w_i = x_i + a_i * w_{i-1}.  The faker plays the blinded game X on even
     rounds; the partner guesses the chain value with Y one round later and
     commits to the guess honestly.  A correct guess puts the session in an
-    honestly-committed state, and everyone plays honestly from there.
+    honestly-committed state, and everyone plays honestly from there, over
+    the pads the attack binds at value 0.
     """
 
     def __init__(self, target: int, rand: RandomizedChsh):
+        super().__init__()
         self.target = target
         self.rand = rand
 
@@ -175,12 +176,12 @@ class TightnessStrategy(ProverStrategy):
         n = params.field.n
         self._r_a = stream_values(prover_seed, STREAM_GAME_A, params.m + 1, n)
         self._r_s = stream_values(prover_seed, STREAM_GAME_B, params.m + 1, n)
-        # party -> (next round to scan, attempt already succeeded, chain value)
+        # party -> (next round to scan, chain value, or None once won)
         self._chains = {}
 
-    def _scan(self, view: PartyView, upto: int) -> Tuple[bool, int]:
-        """(False, chain value w_upto) from rounds <= upto, or (True, w) once
-        this party's attempt has succeeded, w then being of no further use.
+    def _scan(self, view: PartyView, upto: int) -> Optional[int]:
+        """The chain value w_upto from rounds <= upto, or None once this
+        party's attempt has succeeded.
 
         The chain is carried forward from the last round this party
         reached, each new round read through its view, so a session costs
@@ -192,41 +193,39 @@ class TightnessStrategy(ProverStrategy):
         session a party's win is never undone, and after it every branch
         of __call__ answers honestly without reading w.
         """
-        start, won, w = self._chains.get(view.party, (0, False, self.target))
-        if won:
-            return True, w
+        start, w = self._chains.get(view.party, (0, self.target))
+        if w is None:
+            return None
         mul = self.params.field.mul_i
         for j in range(start, upto + 1):
             a, x = view.challenge(j), view.response(j)
             w_next = x ^ mul(a, w)
-            if j % 2 == 0:
-                if self.rand.y_play(w, self._r_a[j], self._r_s[j]) == w_next:
-                    self._chains[view.party] = (j + 1, True, w_next)
-                    return True, w_next
+            if j % 2 == 0 and self.rand.y_play(w, self._r_a[j], self._r_s[j]) == w_next:
+                self._chains[view.party] = (j + 1, None)
+                return None
             w = w_next
-        self._chains[view.party] = (max(start, upto + 1), False, w)
-        return False, w
+        self._chains[view.party] = (max(start, upto + 1), w)
+        return w
 
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
-        spec = self.params.field
         m = self.params.m
         if round_index > m:
-            if m % 2 == 1:
-                return honest_reply(spec, m, round_index, None, self._pad)
-            won, w = self._scan(view, m - 1)
-            if won:
-                return honest_reply(spec, m, round_index, None, self._pad)
-            return self.rand.y_play(w, self._r_a[m], self._r_s[m])
-        a = view.challenge(round_index)
-        won, w = self._scan(view, round_index - 2)
-        if won:
-            return honest_reply(spec, m, round_index, a, self._pad)
-        if round_index % 2 == 1:
-            # Commit honestly to the guessed chain value in place of y_{i-1}.
-            j = round_index - 1
-            guess = self.rand.y_play(w, self._r_a[j], self._r_s[j])
-            return chsh_response(spec, guess, self._pad(round_index), a)
-        return self.rand.x_play(a, self._r_a[round_index], self._r_s[round_index])
+            a = None
+            # After an odd m the last attempt resolved at round m itself.
+            w = None if m % 2 else self._scan(view, m - 1)
+            if w is not None:
+                return self.rand.y_play(w, self._r_a[m], self._r_s[m])
+        else:
+            a = view.challenge(round_index)
+            w = self._scan(view, round_index - 2)
+            if w is not None:
+                if round_index % 2 == 0:
+                    return self.rand.x_play(a, self._r_a[round_index], self._r_s[round_index])
+                # Commit honestly to the guessed chain value in place of y_{i-1}.
+                j = round_index - 1
+                guess = self.rand.y_play(w, self._r_a[j], self._r_s[j])
+                return chsh_response(self.params.field, guess, self.pad(round_index), a)
+        return honest_reply(self.params.field, m, round_index, a, self.pad)
 
 
 def tightness_strategy(target: int, tables: ChshTables,

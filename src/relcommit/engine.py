@@ -8,8 +8,8 @@ The verifier's challenge stream is labeled 'V'; prover-side randomness hangs
 off a separate root split so strategies can never reconstruct upcoming
 challenges.  2^64 is a multiple of 2^n, so reducing a stream value mod 2^n
 is exactly uniform.  A session draws its values in columns: the seeded
-verifier its m+1 challenges when it is made, every ``ProverStrategy`` its
-m+1 pads when a session begins (``stream_values``).  A column holds
+verifier its m+1 challenges when it is made, every ``HonestProver`` its
+m+1 pads when a session binds it (``stream_values``).  A column holds
 exactly the values that ``stream_value`` gives one index at a time, so the
 bytes of a transcript do not depend on which way a value was drawn.
 
@@ -125,13 +125,6 @@ def prover_root_seed(master_seed: int) -> int:
     return stream_u64(master_seed, STREAM_PROVER_ROOT, 0)
 
 
-def shared_pad_column(prover_seed: int, params: SchemeParams) -> List[int]:
-    """The honest provers' shared pads (their joint randomness) under
-    prover_seed, y_i = stream_value(prover_seed, STREAM_SHARED, i, n) for
-    i = 0..m, drawn as one column."""
-    return stream_values(prover_seed, STREAM_SHARED, params.m + 1, params.field.n)
-
-
 def honest_reply(spec: FieldSpec, m: int, round_index: int, a: Optional[int],
                  pad: Callable[[int], int], value: int = 0) -> int:
     """What an honest prover sends at round_index, with pads y_i = pad(i).
@@ -144,15 +137,6 @@ def honest_reply(spec: FieldSpec, m: int, round_index: int, a: Optional[int],
         return pad(m)
     prev = pad(round_index - 1) if round_index else value
     return chsh_response(spec, prev, pad(round_index), a)
-
-
-def check_committed_value(params: SchemeParams, value: int) -> None:
-    """Raise ValueError unless value is a field element inside the scheme's
-    domain_bits domain."""
-    k = params.domain_bits
-    if k is not None and value >> k:
-        raise ValueError("committed value outside the scheme domain")
-    params.field.check(value)
 
 
 class ProtocolViolation(Exception):
@@ -444,34 +428,32 @@ class PartyView:
 # -- strategies --------------------------------------------------------------
 
 
-class ProverStrategy:
-    """Base of the seeded prover strategies: begin_session binds one
-    session's parameters and prover root seed and draws the pads y_0..y_m
-    as one column (``shared_pad_column``); _pad(i) is then y_i."""
-
-    def begin_session(self, params: SchemeParams, prover_seed: int):
-        self.params = params
-        self.seed = prover_seed
-        self._pad = shared_pad_column(prover_seed, params).__getitem__
-
-
-class HonestProver(ProverStrategy):
+class HonestProver:
     """An honest prover committed to value, every round: x_i = y_i + a_i *
     y_{i-1} with y_{-1} = value for rounds 0..m, then the opening y_m, each
-    by ``honest_reply`` over the one pad column.  begin_session checks the
-    value, so one object serves as both strategies of a session."""
+    by ``honest_reply``.  begin_session binds every seeded prover, so one
+    object serves as both strategies of a session: it raises ValueError
+    unless value is a field element inside the scheme's domain, then keeps
+    params and the prover root seed and draws the shared pads y_0..y_m (the
+    honest provers' joint randomness) as one column; pad(i) is then y_i."""
 
     def __init__(self, value: int = 0):
         self.value = value
 
     def begin_session(self, params: SchemeParams, prover_seed: int):
-        check_committed_value(params, self.value)
-        super().begin_session(params, prover_seed)
+        k = params.domain_bits
+        if k is not None and self.value >> k:
+            raise ValueError("committed value outside the scheme domain")
+        params.field.check(self.value)
+        self.params = params
+        self.seed = prover_seed
+        self.pad = stream_values(prover_seed, STREAM_SHARED, params.m + 1,
+                                 params.field.n).__getitem__
 
     def __call__(self, party: str, round_index: int, view: PartyView) -> int:
         m = self.params.m
         a = view.challenge(round_index) if round_index <= m else None
-        return honest_reply(self.params.field, m, round_index, a, self._pad, self.value)
+        return honest_reply(self.params.field, m, round_index, a, self.pad, self.value)
 
 
 # The committer's and the opener's names from before they were one class;

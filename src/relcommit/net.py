@@ -28,8 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .engine import (Transcript, Verifier, check_committed_value, honest_reply,
-                     prover_root_seed, shared_pad_column)
+from .engine import HonestProver, Transcript, Verifier, honest_reply, prover_root_seed
 from .scheme import BOT, SchemeParams, active_prover
 
 MAGIC = b"RELCOMMT"
@@ -305,25 +304,25 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
     """Serve one honest prover session on a listening endpoint.
 
     Both provers must hold the same shared_secret_seed (their joint
-    randomness); pads are the same labeled stream the in-process engine
-    uses, drawn as one column before binding, so equal seeds reproduce
-    engine transcripts byte for byte.
+    randomness); the prover binds an ``engine.HonestProver`` to its root
+    split before listening, as the in-process engine binds it, so equal
+    seeds reproduce engine transcripts byte for byte.
     The prover echoes the handshake for its role, answers each of its own
     rounds once and in order (a CHALLENGE up to m, the OPEN at m+1) and
     takes the RESULT; any other frame gets ABORT 0x02, since a second
     challenge for a round would reveal the committed value.  ready, when
     given, is called with the bound endpoint once listening.  Returns 0
     on a completed session (RESULT seen), 1 on abort or handshake rejection.
-    Raises ValueError, before binding, for a bad role, a committed value
-    outside the field or the domain, or an m too large for the 16-bit round
-    field of a frame.
+    Raises ValueError, before listening and in this order, for a bad role,
+    an m too large for the 16-bit round field of a frame, or a committed
+    value outside the field or the domain.
     """
     if role not in ("P", "Q"):
         raise ValueError("role must be 'P' or 'Q'")
-    check_committed_value(params, value)
     _check_round_count(params)
+    honest = HonestProver(value)
+    honest.begin_session(params, prover_root_seed(shared_secret_seed))
     spec = params.field
-    pad = shared_pad_column(prover_root_seed(shared_secret_seed), params).__getitem__
 
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -352,7 +351,7 @@ def run_prover(role: str, params: SchemeParams, shared_secret_seed: int,
             if got:
                 return _refuse(conn, bytes(buf[:got]))
             a = int.from_bytes(buf[7:], "big") if i <= m else None
-            x = honest_reply(spec, m, i, a, pad, value)
+            x = honest_reply(spec, m, i, a, honest.pad, value)
             conn.sendall(pack(length, answer, i, x.to_bytes(nbytes, "big")))
         # The RESULT body is a field element or all-FF for a rejection.
         got = _recv_reply(conn, buf, _HEAD.pack(length, T_RESULT, m + 1), 1 << 8 * nbytes)

@@ -294,6 +294,47 @@ def test_tightness_transcripts_are_pinned():
         "270d2466ec705e5b8a07346c06f67397d2bfbe27099a8713c1592552cb4b2ef8")
 
 
+def test_tightness_plays_honestly_from_two_rounds_after_its_first_win():
+    # The first won attempt j is re-derived from each transcript, the tables
+    # and the game draws: the attempt at even round j is won when Y's guess
+    # from the chain value w_{j-1} equals w_j, with w_{-1} = target and
+    # w_i = x_i + a_i * w_{i-1}.  Every reply from round j + 2 on, and the
+    # opening after an odd m, is then the honest reply over the shared
+    # pads.  The challenges are seeded, so zero challenges occur too.
+    tables = brute_force_chsh(GF4)
+    mul = GF4.mul_i
+    checked = won_early = 0
+    for m in range(6):
+        for first in ("P", "Q"):
+            params = SchemeParams(GF4, m, first_committer=first)
+            for t in range(60):
+                seed = stream_u64(31 + m, engine.STREAM_TRIAL, t)
+                target = t % GF4.order
+                commit, open_ = tightness_strategy(target, tables, params)
+                tr = run_attack_session(params, commit, open_, seed)
+                pseed = engine.prover_root_seed(seed)
+                honest_from = m + 1 if m % 2 else m + 2
+                w = target
+                for j, (a, x) in enumerate(zip(tr.challenges(), tr.responses())):
+                    w_next = x ^ mul(a, w)
+                    if j % 2 == 0:
+                        r_a = stream_value(pseed, engine.STREAM_GAME_A, j, GF4.n)
+                        r_s = stream_value(pseed, engine.STREAM_GAME_B, j, GF4.n)
+                        if tables.y_table[w ^ r_s] ^ mul(r_a, w) == w_next:
+                            honest_from = min(honest_from, j + 2)
+                            break
+                    w = w_next
+                won_early += honest_from <= m
+                pads = engine.stream_values(pseed, engine.STREAM_SHARED, m + 1, GF4.n)
+                challenges = tr.challenges() + [None]
+                replies = tr.responses() + [tr.final_opening()]
+                for i in range(honest_from, m + 2):
+                    assert replies[i] == engine.honest_reply(
+                        GF4, m, i, challenges[i], pads.__getitem__), (m, first, t, i)
+                    checked += 1
+    assert won_early > 0 and checked > won_early
+
+
 def test_tightness_target_validated():
     tables = brute_force_chsh(GF4)
     with pytest.raises(ValueError):

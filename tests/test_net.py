@@ -513,7 +513,7 @@ def test_connection_loss_aborts():
     assert res.abort_reason == ABORT_CONNECTION
 
 
-def test_round_count_beyond_the_frame_header_is_rejected_before_connecting():
+def test_round_count_beyond_the_frame_header_is_rejected_before_connecting(monkeypatch):
     cfg = DeadlineConfig(200, ("127.0.0.1", 1), ("127.0.0.1", 1))
     # m = 65534 puts the opening at round 65535, the last a frame can carry.
     fits = SchemeParams(FieldSpec.default(3), m=0xFFFE)
@@ -524,8 +524,19 @@ def test_round_count_beyond_the_frame_header_is_rejected_before_connecting():
 
     def bound(endpoint):
         pytest.fail(f"run_prover listened on {endpoint} for an m it cannot serve")
+    drawn = []
+    stream_values = engine.stream_values
+    monkeypatch.setattr(engine, "stream_values", lambda *args: drawn.append(args) or
+                        stream_values(*args))
     with pytest.raises(ValueError, match="m <= 65534"):
         run_prover("P", too_long, 1, ("127.0.0.1", 0), ready=bound)
+    assert drawn == []  # no pad column for an m it cannot serve
+    # The role is refused first, then the round count, then the value.
+    with pytest.raises(ValueError, match="^role must be 'P' or 'Q'$"):
+        run_prover("X", too_long, 1, ("127.0.0.1", 0), value=0x100, ready=bound)
+    with pytest.raises(ValueError, match="m <= 65534"):
+        run_prover("Q", too_long, 1, ("127.0.0.1", 0), value=0x100, ready=bound)
+    assert drawn == []
 
 
 def test_committed_value_outside_field_or_domain_is_rejected_before_binding():
@@ -533,10 +544,14 @@ def test_committed_value_outside_field_or_domain_is_rejected_before_binding():
         pytest.fail(f"run_prover listened on {endpoint} for a value it cannot commit")
     gf256 = SchemeParams(FieldSpec.default(8), m=2)
     four_bits = SchemeParams(FieldSpec.default(8), m=2, domain_bits=4)
-    for params, value in ((gf256, 0x100), (four_bits, 0x10)):
+    for params, value, why in ((gf256, 0x100, r"^value 256 outside GF\(2\^8\)$"),
+                               (four_bits, 0x10, "^committed value outside the scheme domain$")):
         for role in ("P", "Q"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=why):
                 run_prover(role, params, 1, ("127.0.0.1", 0), value=value, ready=bound)
+        # The same binder refuses it in process, with the same text.
+        with pytest.raises(ValueError, match=why):
+            engine.HonestProver(value).begin_session(params, 1)
     with pytest.raises(ValueError, match="^role must be 'P' or 'Q'$"):
         run_prover("X", gf256, 1, ("127.0.0.1", 0), ready=bound)
 
