@@ -37,8 +37,8 @@ class ChshTables:
     """Deterministic game tables a -> x and s -> y, with their exact value.
 
     q is always the win count of these tables over 2^(2n); for n <= 2 the
-    search is exhaustive so q is the true game value, for n = 3 it is a
-    certified lower bound (see brute_force_chsh).
+    search is exhaustive up to the game shift, so q is the true game value,
+    for n = 3 it is a certified lower bound (see brute_force_chsh).
     """
 
     field: FieldSpec
@@ -81,21 +81,27 @@ def _best_response(spec: FieldSpec, x_table: Tuple[int, ...]) -> Tuple[int, Tupl
 def brute_force_chsh(spec: FieldSpec) -> ChshTables:
     """Tables achieving the maximum classical winning probability.
 
-    n <= 2: every x table is tried (the y side is closed under exact best
-    response, so this is the full double search).  n = 3: the x side is
-    restricted to the affine family u*a + v with exact best responses, so
-    the result is a certified lower bound on q_3 rather than a proven
-    maximum.  Larger n is refused; cache results on disk instead of
-    re-running (see the CLI's chsh-search).
+    The game shift x'(a) = x(a) + c*a + d, y'(s) = y(s + c) + d keeps the
+    win count (it moves the win at (a, s + c) to (a, s)), and the shift
+    c = x(0) + x(1), d = x(0) gives x'(0) = x'(1) = 0.  So only x tables
+    with x(0) = x(1) = 0 are tried, in lexicographic order, each against its
+    exact best response.  Some maximal x table has x(0) = x(1) = 0, so the
+    first maximal one in lexicographic order has too: the search returns the
+    tables that trying every x table in that order returns.
+
+    n <= 2: every x table with x(0) = x(1) = 0 (the y side is closed under
+    exact best response, so this is the full double search up to the
+    shift).  n = 3: the affine family u*a + v is the shift orbit of the zero
+    table, so only that table is tried; its best response wins 15 of 64, a
+    certified lower bound on q_3 rather than a proven maximum.  Larger n is
+    refused; cache results on disk instead of re-running (see the CLI's
+    chsh-search).
     """
+    order = spec.order
     if spec.n <= 2:
-        candidates = product(range(spec.order), repeat=spec.order)
+        candidates = ((0, 0) + rest for rest in product(range(order), repeat=order - 2))
     elif spec.n == 3:
-        candidates = (
-            tuple(spec.mul_i(u, a) ^ v for a in range(spec.order))
-            for u in range(spec.order)
-            for v in range(spec.order)
-        )
+        candidates = [(0,) * order]
     else:
         raise ValueError(
             f"brute_force_chsh handles n <= 3 (n={spec.n}); the table space "
@@ -104,9 +110,9 @@ def brute_force_chsh(spec: FieldSpec) -> ChshTables:
     for xt in candidates:
         wins, yt = _best_response(spec, xt)
         if best is None or wins > best[0]:
-            best = (wins, tuple(xt), yt)
+            best = (wins, xt, yt)
     wins, xt, yt = best
-    return ChshTables(spec, xt, yt, Fraction(wins, spec.order ** 2))
+    return ChshTables(spec, xt, yt, Fraction(wins, order ** 2))
 
 
 @dataclass(frozen=True)

@@ -219,10 +219,15 @@ def maximal_coupling_holds(p: Dist, q: Dist) -> bool:
 class FiniteScheme:
     """A commitment scheme as the exact binding analyzers see it: a uniform
     challenge a < challenges, a reply x < replies, and for each opening
-    y < openings the opened value open(y, a, x), or BOT.  n is the field
-    width of a CHSH scheme, which names it in refusals.  The table
+    y < openings the opened value open(y, a, x), or BOT.  The table
     opened[y][a][x] is built when first read, so an analyzer refuses an
-    over-cap scheme before any opening is evaluated."""
+    over-cap scheme before any opening is evaluated.
+
+    n, when set, declares a CHSH^n scheme: openings and replies are the
+    elements of GF(2^n), and open(y ^ d, a, x ^ d) = open(y, a, x) for every
+    d (the shift).  The analyzers that the shift covers then enumerate one
+    member of each orbit (``_orbit_heads``); n also names the scheme in
+    refusals.  A scheme without n is enumerated in full."""
 
     openings: int
     challenges: int
@@ -275,16 +280,28 @@ def _table_within(scheme: FiniteScheme, analyzer: str, *cap) -> List[List[List]]
     return scheme.opened
 
 
+def _orbit_heads(scheme: FiniteScheme, values: Sequence) -> Sequence:
+    """The values that one coordinate of an exact enumeration runs over:
+    the first only (the coordinate at 0) when the scheme declares the
+    shift, else all of them.  The shift by d = v turns a member whose
+    coordinate is v into one whose coordinate is 0, with the same result,
+    so the first value keeps one member of each orbit, in the
+    enumeration's own order."""
+    return values if scheme.n is None else values[:1]
+
+
 def max_p0_plus_p1(scheme: FiniteScheme) -> Fraction:
     """Exact max of p(b_0=0) + p(b_1=1) for a bit scheme, over commit tables
     f: a -> x and pairs of openings (y_0, y_1).  f is optimized pointwise,
     max_f sum_a g(a, f(a)) = sum_a max_x g(a, x), by combining the table's
-    rows a of y_0 and y_1 x by x."""
+    rows a of y_0 and y_1 x by x.  Under the shift by y_0, (y_0, y_1) opens
+    at x what (0, y_0 ^ y_1) opens at x ^ y_0, so both reach the same max
+    over x, and a CHSH scheme tries y_0 = 0 only."""
     opened = _table_within(scheme, "max_p0_plus_p1", *_PAIRS)
     best = max(
         sum(max((b0 == 0) + (b1 == 1) for b0, b1 in zip(row0, row1))
             for row0, row1 in zip(rows0, rows1))
-        for rows0 in opened for rows1 in opened)
+        for rows0 in _orbit_heads(scheme, opened) for rows1 in opened)
     return Fraction(best, scheme.challenges)
 
 
@@ -292,10 +309,12 @@ def sim_open_epsilon(scheme: FiniteScheme) -> Fraction:
     """Exact max of p(s = t and s' = t') over commit tables, two openings
     and distinct targets t != t'.  With f pointwise, challenge a is a hit
     for (t, t') when some x opens to t under y_0 and to t' under y_1: each
-    (y_0, y_1, a) zips two of the table's rows into the pairs a reaches."""
+    (y_0, y_1, a) zips two of the table's rows into the pairs a reaches.
+    Under the shift by y_0, (y_0, y_1) reaches the pairs that
+    (0, y_0 ^ y_1) does, so a CHSH scheme tries y_0 = 0 only."""
     opened = _table_within(scheme, "sim_open_epsilon", *_PAIRS)
     best = 0
-    for rows0 in opened:
+    for rows0 in _orbit_heads(scheme, opened):
         for rows1 in opened:
             hits = Counter()
             for row0, row1 in zip(rows0, rows1):
@@ -330,10 +349,16 @@ def fair_binding_epsilon(scheme: FiniteScheme) -> Fraction:
     commit tables f of the min over predictions shat(a) of the max over
     openings and targets t of p(opened = t != shat(a)).  A value that no
     opening of (a, f(a)) reaches misses at least as often there as one that
-    some opening reaches, so shat(a) ranges over the reached values."""
+    some opening reaches, so shat(a) ranges over the reached values.
+
+    Under the shift the table f ^ d opens, under opening y, what f opens
+    under y ^ d: it permutes the openings, and neither the max over them
+    nor the reached values move.  So a CHSH scheme tries f(0) = 0 only."""
     opened = _table_within(scheme, "fair_binding_epsilon", *_GUESSES)
+    replies = range(scheme.replies)
     worst = 0
-    for table in product(range(scheme.replies), repeat=scheme.challenges):
+    for table in product(_orbit_heads(scheme, replies),
+                         *[replies] * (scheme.challenges - 1)):
         columns = _columns(opened, table)
         reached = [set(opened_at) - {BOT} or {BOT} for opened_at in zip(*columns)]
         worst = max(worst, min(_missed(columns, predicted)
@@ -344,12 +369,17 @@ def fair_binding_epsilon(scheme: FiniteScheme) -> Fraction:
 def k_of_extr(scheme: FiniteScheme) -> int:
     """max over commitments (a, x) and values s of |{y : open(y, a, x) = s}|,
     from the column of openings of each commitment.  The openings are
-    evaluated one challenge at a time, not kept as the whole table."""
+    evaluated one commitment at a time, not kept as the whole table.  Under
+    the shift y -> y ^ x maps the openings of (a, x) to s onto those of
+    (a, 0), so a CHSH scheme reads the x = 0 column of each challenge only:
+    2^(2n) openings in place of 2^(3n)."""
     _check_within(scheme, "k_of_extr", *_WHOLE)
-    op, ys, xs = scheme.open, range(scheme.openings), range(scheme.replies)
+    op, ys = scheme.open, range(scheme.openings)
+    xs = _orbit_heads(scheme, range(scheme.replies))
     best = 0
     for a in range(scheme.challenges):
-        for column in zip(*[[op(y, a, x) for x in xs] for y in ys]):
+        for x in xs:
+            column = [op(y, a, x) for y in ys]
             values = set(column)
             if len(values) == len(column):  # no repeat: 1, unless all is one BOT
                 best = max(best, int(len(values) > (BOT in values)))

@@ -141,6 +141,45 @@ def test_search_tables_match_loop_best_response(monkeypatch):
             assert serialize_tables(brute_force_chsh(spec)) == counted
 
 
+def game_shift(spec, x_table, c, d):
+    """x'(a) = x(a) + c*a + d, the x side of the game shift (c, d)."""
+    return tuple(x ^ spec.mul_i(c, a) ^ d for a, x in enumerate(x_table))
+
+
+def test_game_shift_keeps_the_best_response_win_count():
+    for spec in (GF2, GF4):
+        for xt in product(range(spec.order), repeat=spec.order):
+            wins = adversary._best_response(spec, xt)[0]
+            for c, d in product(range(spec.order), repeat=2):
+                assert adversary._best_response(spec, game_shift(spec, xt, c, d))[0] == wins
+
+
+def test_every_affine_table_wins_15_at_n3():
+    for spec in (FieldSpec.default(3), FieldSpec(3, 0xD)):
+        assert {adversary._best_response(spec, xt)[0] for xt in affine_x_tables(spec)} == {15}
+
+
+def searched_tables(spec, x_tables):
+    """The first of x_tables, in order, whose exact best response wins most,
+    with that response: the search without the shift."""
+    best = None
+    for xt in x_tables:
+        wins, yt = adversary._best_response(spec, xt)
+        if best is None or wins > best[0]:
+            best = wins, xt, yt
+    wins, xt, yt = best
+    return ChshTables(spec, xt, yt, Fraction(wins, spec.order ** 2))
+
+
+def test_search_returns_the_tables_of_the_unquotiented_search():
+    for spec in (GF2, GF4):
+        full = searched_tables(spec, product(range(spec.order), repeat=spec.order))
+        assert serialize_tables(brute_force_chsh(spec)) == serialize_tables(full)
+    for spec in (FieldSpec.default(3), FieldSpec(3, 0xD)):
+        affine = searched_tables(spec, affine_x_tables(spec))
+        assert serialize_tables(brute_force_chsh(spec)) == serialize_tables(affine)
+
+
 def test_brute_force_refuses_large_fields():
     with pytest.raises(ValueError):
         brute_force_chsh(FieldSpec.default(4))

@@ -480,6 +480,62 @@ def test_binding_maxima_match_opening_by_opening_loops():
         assert sim_open_epsilon(chsh_scheme(spec)) == opening_by_opening_sim_open_epsilon(spec)
 
 
+# -- the shift quotient -------------------------------------------------------
+
+
+def unshifted(scheme):
+    """The same open map without a declared shift, so enumerated in full."""
+    return FiniteScheme(scheme.openings, scheme.challenges, scheme.replies, scheme.open)
+
+
+@pytest.mark.parametrize("bit", [False, True])
+def test_chsh_open_maps_are_shift_symmetric(bit):
+    # The premise of every quotient: open(y ^ d, a, x ^ d) = open(y, a, x),
+    # at a = 0 too.
+    for spec in SMALL_FIELDS:
+        op = chsh_scheme(spec, bit).open
+        for y, a, x, d in product(range(spec.order), repeat=4):
+            assert op(y ^ d, a, x ^ d) == op(y, a, x)
+
+
+@pytest.mark.parametrize("bit", [False, True])
+def test_pair_quotients_equal_the_full_enumeration(bit):
+    for spec in SMALL_FIELDS:
+        scheme = chsh_scheme(spec, bit)
+        assert max_p0_plus_p1(scheme) == max_p0_plus_p1(unshifted(scheme))
+        assert sim_open_epsilon(scheme) == sim_open_epsilon(unshifted(scheme))
+
+
+@pytest.mark.parametrize("bit", [False, True])
+def test_k_quotient_equals_the_full_enumeration(bit):
+    for n in range(1, 7):
+        scheme = chsh_scheme(FieldSpec.default(n), bit)
+        assert k_of_extr(scheme) == k_of_extr(unshifted(scheme))
+
+
+@pytest.mark.parametrize("bit", [False, True])
+def test_fair_quotient_equals_the_full_enumeration(bit):
+    for spec in (GF2, GF4):
+        scheme = chsh_scheme(spec, bit)
+        assert fair_binding_epsilon(scheme) == fair_binding_epsilon(unshifted(scheme))
+
+
+def test_k_of_extr_reads_the_x0_column_only_under_the_shift():
+    gf32 = FieldSpec.default(5)
+    calls = Counter()
+
+    def counting(y, a, x):
+        calls[y, a, x] += 1
+        return extr_i(gf32, y, a, x)
+
+    assert k_of_extr(FiniteScheme(32, 32, 32, counting, n=5)) == 1
+    assert sum(calls.values()) == len(calls) == 1024
+    assert {x for _, _, x in calls} == {0}
+    calls.clear()
+    assert k_of_extr(FiniteScheme(32, 32, 32, counting)) == 1
+    assert sum(calls.values()) == len(calls) == 32768
+
+
 # -- extractor -----------------------------------------------------------------
 
 
