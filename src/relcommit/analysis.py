@@ -101,14 +101,15 @@ class JointDist(Dist):
     def mass(self, x, y) -> Fraction:
         return Fraction(self._w.get((x, y), 0), self._total)
 
-    def _cell_sums(self) -> Tuple[Dict, Dict, Dict, Dict, int]:
+    def _cell_sums(self) -> Tuple[Dict, Dict, Dict, Dict, int, List]:
         """One pass over the cells: the row and column sums, the row and
-        column sums of the off-diagonal cells, and their total D, all over
-        this joint's total, unreduced."""
+        column sums of the off-diagonal cells, their total D, and those
+        cells as (x, y, w), all over this joint's total, unreduced."""
         rows: Dict = {}
         cols: Dict = {}
         off_rows: Dict = {}
         off_cols: Dict = {}
+        off = []
         d = 0
         for (x, y), w in self._w.items():
             rows[x] = rows.get(x, 0) + w
@@ -117,7 +118,8 @@ class JointDist(Dist):
                 d += w
                 off_rows[x] = off_rows.get(x, 0) + w
                 off_cols[y] = off_cols.get(y, 0) + w
-        return rows, cols, off_rows, off_cols, d
+                off.append((x, y, w))
+        return rows, cols, off_rows, off_cols, d, off
 
     def marginal(self, axis: int) -> Dist:
         return Dist.from_counts(self._cell_sums()[axis])
@@ -142,37 +144,51 @@ def couple_max_diagonal(p: Dist, q: Dist) -> JointDist:
     makes the pair independent conditioned on disagreeing.  Over T = t_p t_q
     the diagonal is d_k = min(p_k t_q, q_k t_p) and the residue R = T - sum d
     is the rows' total excess; the weights are d_k R on the diagonal and
-    (p_u - d_u)(q_v - d_v) off it.
+    (p_u - d_u)(q_v - d_v) off it.  One pass over the keys stores each d_k
+    in the joint, splits the keys into rows and columns and sums R; the
+    diagonal is then scaled by R in place and the products written last.
     """
     pw, qw, tp, tq = p._w, q._w, p._total, q._total
-    diagonal = []
+    joint = {}
     rows = []
     cols = []
-    # One pass over the keys splits them into rows (p_u > q_u) and columns
-    # (q_v > p_v), two disjoint sets; a zero diagonal weight is left out.
+    residue = 0
+    # Rows (p_u > q_u) and columns (q_v > p_v) are disjoint; a key of either
+    # pmf has a positive weight, so d_k = 0 only in a row or a column, and a
+    # zero diagonal weight is left out.
     for k in pw.keys() | qw.keys():
         pk = pw.get(k, 0) * tq
         qk = qw.get(k, 0) * tp
         if pk > qk:
             rows.append((k, pk - qk))
+            residue += pk - qk
+            if qk:
+                joint[k, k] = qk
         elif qk > pk:
             cols.append((k, qk - pk))
-        d = min(pk, qk)
-        if d:
-            diagonal.append((k, d))
-    # R is 0 only when p = q: nothing is off the diagonal, and any R > 0
-    # will do.
-    residue = sum(du for _, du in rows) or 1
-    joint = {(k, k): d * residue for k, d in diagonal}
-    joint.update(((u, v), du * dv) for u, du in rows for v, dv in cols)
+            if pk:
+                joint[k, k] = pk
+        else:
+            joint[k, k] = pk
+    # R is 0 only when p = q: nothing is off the diagonal, and the diagonal
+    # stays as it is.
+    if residue:
+        for kk in joint:
+            joint[kk] *= residue
+        for u, du in rows:
+            for v, dv in cols:
+                joint[u, v] = du * dv
     return JointDist.from_counts(joint)
 
 
-def _indep_given_neq(j: JointDist, off_rows: Mapping, off_cols: Mapping, d: int) -> bool:
-    """w D = r_x c_y on every off-diagonal cell (x, y) of weight w, from
-    j's off-diagonal row sums r, column sums c and their total D."""
-    return all(w * d == off_rows[x] * off_cols[y]
-               for (x, y), w in j._w.items() if x != y)
+def _indep_given_neq(off: Iterable[Tuple], off_rows: Mapping, off_cols: Mapping,
+                     d: int) -> bool:
+    """w D = r_x c_y on every off-diagonal cell (x, y, w), from the
+    off-diagonal row sums r, column sums c and their total D."""
+    for x, y, w in off:
+        if w * d != off_rows[x] * off_cols[y]:
+            return False
+    return True
 
 
 def cond_indep_given_neq(j: JointDist) -> bool:
@@ -181,16 +197,8 @@ def cond_indep_given_neq(j: JointDist) -> bool:
     A zero-probability disagreement event counts as independent.  The test
     is homogeneous, so integer weights serve.
     """
-    _, _, off_rows, off_cols, d = j._cell_sums()
-    return _indep_given_neq(j, off_rows, off_cols, d)
-
-
-def _weights_match(counts: Mapping, total: int, p: Dist) -> bool:
-    """Whether positive integer counts summing to total form the pmf p:
-    reduced pmfs are equal exactly when their weights are proportional."""
-    t, w = p._total, p._w
-    return counts.keys() == w.keys() and all(c * t == w[k] * total
-                                             for k, c in counts.items())
+    _, _, off_rows, off_cols, d, off = j._cell_sums()
+    return _indep_given_neq(off, off_rows, off_cols, d)
 
 
 def maximal_coupling_holds(p: Dist, q: Dist) -> bool:
@@ -205,11 +213,26 @@ def maximal_coupling_holds(p: Dist, q: Dist) -> bool:
     included, has r_x c_y = 0: each k has no off-diagonal mass in its row
     or none in its column.  With the right marginals
     j_kk = p_k - r_k = q_k - c_k, which is then the smaller of p_k and q_k.
+
+    One pass over the joint's cells gives its row and column sums, r, c
+    and D.  The row and column keys are compared with p's and q's support,
+    then each sum with p or q by cross-multiplication (reduced pmfs are
+    equal exactly when their weights are proportional), then each
+    off-diagonal cell w with w D = r_x c_y; the first failure decides.
     """
     j = couple_max_diagonal(p, q)
-    rows, cols, off_rows, off_cols, d = j._cell_sums()
-    return (_weights_match(rows, j._total, p) and _weights_match(cols, j._total, q)
-            and _indep_given_neq(j, off_rows, off_cols, d))
+    rows, cols, off_rows, off_cols, d, off = j._cell_sums()
+    pw, qw = p._w, q._w
+    if rows.keys() != pw.keys() or cols.keys() != qw.keys():
+        return False
+    t, tp, tq = j._total, p._total, q._total
+    for k, c in rows.items():
+        if c * tp != pw[k] * t:
+            return False
+    for k, c in cols.items():
+        if c * tq != qw[k] * t:
+            return False
+    return _indep_given_neq(off, off_rows, off_cols, d)
 
 
 # -- exhaustive binding measurements over a finite scheme ---------------------
@@ -610,8 +633,17 @@ def hiding_distance(params: SchemeParams, verifier_strategy, s0: int, s1: int,
 
 def max_hiding_distance(params: SchemeParams) -> Fraction:
     """Worst hiding distance before the final round over fixed challenge
-    tuples, each value s1 != 0 against value 0 (built once per tuple).  The
-    enumerations share one table of honest reply rows.
+    tuples, value 1 against value 0 for each tuple.  The two enumerations
+    share one table of honest reply rows.
+
+    One nonzero value stands for all of them.  Honest replies are linear,
+    x_i = y_i + a_i*y_{i-1} with y_{-1} the value, so scaling the value
+    and every pad by lambda != 0 scales every x_i by lambda and leaves the
+    a_i alone.  The scaling permutes the pads, so under a fixed tuple the
+    view counts of lambda*s are those of s with each x_i multiplied by
+    lambda.  That map on views is a bijection, and it carries value 0's
+    counts onto themselves; a bijection applied to both pmfs keeps their
+    distance, so d(0, lambda*s) = d(0, s), and s = 1 reaches every s != 0.
 
     Views are compared by their counts, which one tuple's enumerations
     take over the same number of pads: equal counts are at distance 0, and
@@ -628,11 +660,10 @@ def max_hiding_distance(params: SchemeParams) -> Fraction:
     for fixed in product(range(spec.order), repeat=params.m + 1):
         strat = fixed_challenge_strategy(fixed)
         base = _view_distribution(params, strat, 0, params.m, rows)
-        for s1 in range(1, spec.order):
-            counts = _view_distribution(params, strat, s1, params.m, rows)
-            if not dict.__eq__(base, counts):
-                worst = max(worst, stat_distance(Dist.from_counts(base),
-                                                 Dist.from_counts(counts)))
+        counts = _view_distribution(params, strat, 1, params.m, rows)
+        if not dict.__eq__(base, counts):
+            worst = max(worst, stat_distance(Dist.from_counts(base),
+                                             Dist.from_counts(counts)))
     return worst
 
 

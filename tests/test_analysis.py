@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,17 @@ def test_maximal_coupling_holds_rejects_broken_joints(monkeypatch):
         assert not analysis.maximal_coupling_holds(pp, qq)
         assert not three_clause_coupling_holds(pp, qq)
         monkeypatch.undo()
+
+
+def test_maximal_coupling_holds_rejects_joints_off_the_support(monkeypatch):
+    # All of the joint's mass sits on a key that neither p nor q has: its
+    # row and column keys differ from both supports.
+    u = uniform([0, 1])
+    off_support = JointDist({(2, 2): F(1)})
+    assert analysis.maximal_coupling_holds(u, u) and three_clause_coupling_holds(u, u)
+    monkeypatch.setattr(analysis, "couple_max_diagonal", lambda _p, _q: off_support)
+    assert not analysis.maximal_coupling_holds(u, u)
+    assert not three_clause_coupling_holds(u, u)
 
 
 # -- a Fraction-only reference for the integer-weight pmfs ---------------------
@@ -992,12 +1004,76 @@ def test_hiding_values_are_pinned():
 
 
 def test_max_hiding_distance_measures_counts_that_differ(monkeypatch):
-    # Stand-in counts, four views per value: value s puts s of them on "b",
-    # at distance s/4 from value 0's.
+    # Stand-in counts that keep the scaling premise, every s != 0 alike:
+    # value 0 puts its four views on "a", every other value three of its
+    # four on "b", at distance 3/4.
     monkeypatch.setattr(analysis, "_view_distribution",
                         lambda params, strat, value, horizon, rows:
-                        Counter("a" * (4 - value) + "b" * value))
+                        Counter("abbb" if value else "aaaa"))
     assert max_hiding_distance(SchemeParams(GF4, 0)) == F(3, 4)
+
+
+def test_max_hiding_distance_enumerates_two_values_per_tuple(monkeypatch):
+    calls = []
+
+    def counting(params, strat, value, horizon, rows):
+        calls.append((tuple(strat(i, ()) for i in range(params.m + 1)), value, horizon))
+        return Counter("a")
+
+    monkeypatch.setattr(analysis, "_view_distribution", counting)
+    assert max_hiding_distance(SchemeParams(GF4, 1)) == 0
+    assert calls == [(fixed, value, 1) for fixed in product(range(4), repeat=2)
+                     for value in (0, 1)]
+
+
+def scaled_view_counts(counts, spec, lam, rounds):
+    """counts with each x_i, and the opening when a view holds one,
+    multiplied by lam: every entry but the rounds challenges a_i."""
+    same, times = range(spec.order), [spec.mul_i(lam, v) for v in range(spec.order)]
+    maps = [same if k % 2 == 0 and k < 2 * rounds else times
+            for k in range(len(next(iter(counts))))]
+    return {tuple(map(getitem, maps, view)): c for view, c in counts.items()}
+
+
+def test_scaling_the_value_scales_the_replies():
+    # The premise of the one-value cut: under a fixed challenge tuple the
+    # view counts of lam*s are those of s with each x_i (and the opening)
+    # multiplied by lam, for every lam != 0, at horizons m and m + 1.
+    for spec, ms in ((GF2, range(3)), (GF4, range(3)), (GF8, range(2)),
+                     (FieldSpec(3, 0xD), range(2))):
+        for m in ms:
+            params = SchemeParams(spec, m)
+            for fixed in product(range(spec.order), repeat=m + 1):
+                strat = fixed_challenge_strategy(fixed)
+                for horizon in (m, m + 1):
+                    counts = [analysis._view_distribution(params, strat, s, horizon, {})
+                              for s in range(spec.order)]
+                    for lam, s in product(range(1, spec.order), range(spec.order)):
+                        assert dict(counts[spec.mul_i(lam, s)]) == \
+                            scaled_view_counts(counts[s], spec, lam, m + 1)
+
+
+def per_value_max_hiding_distance(params):
+    """The worst hiding distance before the final round over fixed
+    challenge tuples, every value s1 != 0 against value 0."""
+    spec, m = params.field, params.m
+    worst = F(0)
+    for fixed in product(range(spec.order), repeat=m + 1):
+        strat = fixed_challenge_strategy(fixed)
+        base = view_distribution(params, strat, 0, m)
+        for s1 in range(1, spec.order):
+            worst = max(worst, stat_distance(base, view_distribution(params, strat, s1, m)))
+    return worst
+
+
+def test_one_value_max_equals_the_per_value_max():
+    # Every (n, m) within the n*(2m+3) <= 20 cap, n <= 4, but n = 1 with
+    # m >= 6: there 1 is the only nonzero value, and both loops are one
+    # enumeration.
+    for n, ms in ((1, range(6)), (2, range(4)), (3, range(2)), (4, range(2))):
+        for m in ms:
+            params = SchemeParams(FieldSpec.default(n), m)
+            assert max_hiding_distance(params) == per_value_max_hiding_distance(params)
 
 
 def test_view_distribution_asks_strategy_once_per_prefix():
